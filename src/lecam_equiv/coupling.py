@@ -28,11 +28,9 @@ from .laws import (
     TruncatedLaw,
     TruncationParams,
     WeightedSumLaw,
+    apply_truncation,
     truncation_params,
 )
-
-COUPLED_CSV_HEADER = "replicate, n, loglik_orig, loglik_gauss, remainder, seed"
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -62,18 +60,6 @@ class CoupledLikelihoodDraw:
     def __post_init__(self):
         if len(self.scores_tilde) != self.n or len(self.gaussians) != self.n:
             raise ArgumentError("score and gaussian vectors must have length n")
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledSummary:
-    """Row of a serialized coupled-draw batch (scores not retained)."""
-
-    replicate: int
-    n: int
-    log_lik_original: float
-    log_lik_gaussian: float
-    remainder_tilde: float
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +153,6 @@ def _truncation_table(
     return params
 
 
-def _apply_truncation_rows(xi, clip_level, clip_means, kick_probs, x_n, rng):
-    eta = np.where(np.abs(xi) <= clip_level, xi, 0.0) - clip_means
-    u = rng.random(np.shape(xi))
-    kick = np.where(u < kick_probs, x_n, 0.0)
-    kick = np.where(u >= 1.0 - kick_probs, -x_n, kick)
-    return eta + kick
-
-
 def truncate_scores(
     family: ParametricFamily,
     f: RegressionFunction,
@@ -206,9 +184,7 @@ def truncate_scores(
     clip_means = np.array([p.clip_mean for p in table])
     kick_probs = np.array([p.p for p in table])
     x_n = c1 * clip_level
-    scores_star = _apply_truncation_rows(
-        xi, clip_level, clip_means, kick_probs, x_n, rng
-    )
+    scores_star = apply_truncation(xi, clip_level, clip_means, kick_probs, x_n, rng)
     laws = [
         TruncatedLaw(family.score_law(float(th)), p) for th, p in zip(theta, table)
     ]
@@ -273,14 +249,6 @@ def quantile_couple_scores(
         else:
             scores[i] = law.ppf(u[i])
     return scores, gaussians
-
-
-def coupling_discrepancy(
-    shift_values: np.ndarray, scores: np.ndarray, gaussians: np.ndarray
-) -> float:
-    """Weighted partial-sum gap |sum h (score - gaussian)| of one coupling."""
-    shift_values = np.asarray(shift_values, dtype=float)
-    return float(abs(np.dot(shift_values, scores - gaussians)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +356,7 @@ def build_coupled_draw(
     x = family.sample(plan.theta, rng)
     xi = np.asarray(family.score(x, plan.theta), dtype=float)
     if plan.truncate:
-        scores = _apply_truncation_rows(
+        scores = apply_truncation(
             xi,
             plan.trunc_clip_level,
             plan.trunc_clip_means,
@@ -514,46 +482,3 @@ def audit_cc_conditions(
         reliable=reliable,
         replicate_count=r,
     )
-
-
-# ---------------------------------------------------------------------------
-# batch serialization
-# ---------------------------------------------------------------------------
-
-
-def write_coupled_batch(draws, path) -> None:
-    """CSV batch of coupled-draw summaries, one row per replicate."""
-    lines = [COUPLED_CSV_HEADER]
-    for rep, d in enumerate(draws):
-        lines.append(
-            f"{rep}, {d.n}, {float(d.log_lik_original)!r}, "
-            f"{float(d.log_lik_gaussian)!r}, {float(d.remainder_tilde)!r}, {d.seed}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_coupled_batch(path) -> list[CoupledSummary]:
-    rows: list[CoupledSummary] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != COUPLED_CSV_HEADER:
-            raise ArgumentError(f"unexpected coupled-batch header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 6:
-                raise ArgumentError(f"malformed coupled-batch row: {line!r}")
-            rows.append(
-                CoupledSummary(
-                    replicate=int(parts[0]),
-                    n=int(parts[1]),
-                    log_lik_original=float(parts[2]),
-                    log_lik_gaussian=float(parts[3]),
-                    remainder_tilde=float(parts[4]),
-                    seed=int(parts[5]),
-                )
-            )
-    return rows

@@ -231,25 +231,6 @@ class DistanceReport:
                 "mc_stderr must be present exactly for monte-carlo reports"
             )
 
-    def csv_row(self) -> str:
-        stderr = "" if self.mc_stderr is None else repr(float(self.mc_stderr))
-        fields = [
-            self.kind,
-            self.method,
-            str(self.n),
-            repr(float(self.value)),
-            stderr,
-            str(self.replicate_count),
-            self.family,
-            self.f_desc,
-            self.h_desc,
-            str(self.seed),
-        ]
-        return ", ".join(fields)
-
-
-CSV_HEADER = "kind, method, n, value, stderr, replicates, family, f_desc, h_desc, seed"
-
 
 def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
     """Monte Carlo squared Hellinger distance from coupled likelihood pairs.

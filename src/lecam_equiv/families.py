@@ -65,10 +65,6 @@ class ParametricFamily:
     def density(self, x, theta):
         raise NotImplementedError
 
-    def log_density(self, x, theta):
-        with np.errstate(divide="ignore"):
-            return np.log(self.density(x, theta))
-
     def score(self, x, theta):
         raise NotImplementedError
 
@@ -108,9 +104,6 @@ class ParametricFamily:
         raise NotImplementedError
 
     def stat_mean_inverse(self, m):
-        raise NotImplementedError
-
-    def stat_variance(self, theta):
         raise NotImplementedError
 
     def vst(self, m):
@@ -171,15 +164,6 @@ class ParametricFamily:
             limit=400,
         )[0]
         return float(val)
-
-    def sqrt_z_moments(self, theta, u) -> tuple[float, float]:
-        """(E(sqrt z - 1), E(sqrt z - 1)^2) for z = p(X,u)/p(X,theta), X~theta.
-
-        Both reduce to the affinity A: the first is A - 1, the second is
-        2(1 - A) because E z = 1 on a shared support.
-        """
-        a = self.affinity(theta, u)
-        return a - 1.0, 2.0 * (1.0 - a)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +226,6 @@ class Bernoulli(ParametricFamily):
 
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
-
-    def stat_variance(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta * (1.0 - theta)
 
     def vst(self, m):
         m = np.asarray(m, dtype=float)
@@ -314,9 +294,6 @@ class Poisson(ParametricFamily):
 
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
-
-    def stat_variance(self, theta):
-        return np.asarray(theta, dtype=float)
 
     def vst(self, m):
         m = np.asarray(m, dtype=float)
@@ -432,10 +409,6 @@ class GaussianScale(ParametricFamily):
         m = np.asarray(m, dtype=float)
         return np.sqrt(np.maximum(m, 0.0))
 
-    def stat_variance(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return 2.0 * theta**4
-
     def vst(self, m):
         m = np.asarray(m, dtype=float)
         out = np.log(np.maximum(m, 1e-300)) / math.sqrt(2.0)
@@ -500,10 +473,6 @@ class LocationNormal(ParametricFamily):
 
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
-
-    def stat_variance(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.ones_like(theta)
 
     def vst(self, m):
         m = np.asarray(m, dtype=float)
@@ -628,13 +597,6 @@ class TabulatedLocation(ParametricFamily):
 
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float) - self._noise_mean
-
-    def stat_variance(self, theta):
-        w = self._point_weights()
-        var = float(w @ (self.grid - self._noise_mean) ** 2)
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, var)
-        return out if out.ndim else var
 
     def vst(self, m):
         m = np.asarray(m, dtype=float)

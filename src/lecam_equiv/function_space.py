@@ -131,6 +131,19 @@ class RegressionFunction:
             out = self._spline_d(t)
         return out if out.ndim else float(out)
 
+    def scaled(self, factor: float) -> "RegressionFunction":
+        """The same kind times a scalar, with the same smoothness budget."""
+        p = self.params
+        if self.kind == "sinusoid":
+            p = (p[0] * factor,) + p[1:]
+        elif self.kind == "spline":
+            p = tuple(v * factor if i % 2 else v for i, v in enumerate(p))
+        else:
+            p = tuple(v * factor for v in p)
+        return RegressionFunction(
+            self.kind, p, beta=self.beta, L=self.L, range_interval=self.range_interval
+        )
+
     @property
     def descriptor(self) -> str:
         args = ", ".join(f"{p:.12g}" for p in self.params)

@@ -160,6 +160,24 @@ def _window_means(t: np.ndarray, values: np.ndarray, n_windows: int) -> np.ndarr
     return means
 
 
+def _window_estimate(family, draw, values, beta, window_constant, to_mean, from_mean):
+    """Step-function estimate from the window means of values.
+
+    The means are clipped to the image of the working interval under
+    to_mean, mapped back through from_mean and clipped to the interval.
+    """
+    if draw.n < 2:
+        raise ArgumentError("need at least two observations")
+    m = draw.n
+    width = window_constant * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
+    n_windows = max(1, math.ceil(1.0 / width))
+    means = _window_means(draw.design, values, n_windows)
+    lo, hi = family.working_interval
+    m_lo, m_hi = sorted((float(to_mean(lo)), float(to_mean(hi))))
+    theta = np.clip(from_mean(np.clip(means, m_lo, m_hi)), lo, hi)
+    return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
+
+
 def preliminary_estimate(
     draw: ExperimentDraw,
     beta: float,
@@ -177,18 +195,11 @@ def preliminary_estimate(
     """
     if draw.model != "original":
         raise ArgumentError("the preliminary estimator expects original-model data")
-    if draw.n < 2:
-        raise ArgumentError("need at least two observations")
     fam = family if family is not None else get_family(draw.family)
-    m = draw.n
-    width = window_constant * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
-    n_windows = max(1, math.ceil(1.0 / width))
-    stat_means = _window_means(draw.design, fam.suff_stat(draw.observations), n_windows)
-    lo, hi = fam.working_interval
-    m_lo, m_hi = sorted((float(fam.stat_mean(lo)), float(fam.stat_mean(hi))))
-    theta = fam.stat_mean_inverse(np.clip(stat_means, m_lo, m_hi))
-    theta = np.clip(theta, lo, hi)
-    return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
+    return _window_estimate(
+        fam, draw, fam.suff_stat(draw.observations), beta, window_constant,
+        fam.stat_mean, fam.stat_mean_inverse,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +346,10 @@ def gamma_scale_estimate(
     """
     if draw.model not in ("gaussianized", "global-gaussian"):
         raise ArgumentError("expected data on the stabilized Gaussian scale")
-    if draw.n < 2:
-        raise ArgumentError("need at least two observations")
-    m = draw.n
-    width = window_constant * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
-    n_windows = max(1, math.ceil(1.0 / width))
-    means = _window_means(draw.design, draw.observations, n_windows)
-    lo, hi = family.working_interval
-    g_lo, g_hi = sorted((float(family.gamma(lo)), float(family.gamma(hi))))
-    theta = family.gamma_inverse(np.clip(means, g_lo, g_hi))
-    theta = np.clip(theta, lo, hi)
-    return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
+    return _window_estimate(
+        family, draw, draw.observations, beta, window_constant,
+        family.gamma, family.gamma_inverse,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,6 @@ def homoscedastic_transform_check(
     f: RegressionFunction,
     h: RegressionFunction,
     n: int,
-    rng: np.random.Generator | None = None,
 ) -> DistanceReport:
     """Closed-form H^2 between the two local Gaussian forms.
 
@@ -366,7 +369,6 @@ def homoscedastic_transform_check(
     unit-noise shifts of the stabilized function, i.e. per-point means
     m1 = gamma(f+h) - gamma(f) versus m2 = h sqrt(I(f)); the product
     rule for Gaussian factors gives H^2 = 1 - exp(-sum (m1-m2)^2 / 8).
-    Deterministic; rng accepted for interface uniformity and unused.
     """
     if n <= 0:
         raise ArgumentError("need at least one design point")

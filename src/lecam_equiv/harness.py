@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -38,15 +39,6 @@ from .globalization import (
     gaussianize,
     homoscedastic_transform_check,
     risk_transfer_demo,
-)
-
-STUDY_KINDS = (
-    "local-hellinger",
-    "cc-audit",
-    "globalize",
-    "risk-transfer",
-    "condition-audit",
-    "homoscedastic-check",
 )
 
 OUTPUT_DIR_ENV = "LECAM_EQUIV_OUT"
@@ -263,25 +255,9 @@ def parse_config(path) -> StudyConfig:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_shape(shape: RegressionFunction, scale: float) -> RegressionFunction:
-    """Multiply a closed-form function by a scalar, kind by kind."""
-    kw = dict(beta=shape.beta, L=shape.L, range_interval=shape.range_interval)
-    p = shape.params
-    if shape.kind == "constant":
-        return RegressionFunction("constant", (p[0] * scale,), **kw)
-    if shape.kind == "affine":
-        return RegressionFunction("affine", (p[0] * scale, p[1] * scale), **kw)
-    if shape.kind == "sinusoid":
-        return RegressionFunction("sinusoid", (p[0] * scale,) + p[1:], **kw)
-    if shape.kind == "spline":
-        scaled = tuple(v * scale if i % 2 else v for i, v in enumerate(p))
-        return RegressionFunction("spline", scaled, **kw)
-    raise ConfigError(f"cannot rescale function kind {shape.kind!r}")
-
-
 def _local_shift(config: StudyConfig, n: int) -> RegressionFunction:
     amp = (config.c_rate / math.sqrt(n)) * config.L / (2.0 * math.pi + 1.0)
-    return _scaled_shape(config.resolve_h(), amp)
+    return config.resolve_h().scaled(amp)
 
 
 def _ks_statistic_normal(values: np.ndarray) -> float:
@@ -300,32 +276,23 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-class _StudyNumericError(NumericError):
-    pass
-
-
 def _numeric_context(exc: Exception, n: int, replicate: int, seed: int):
-    raise _StudyNumericError(
+    raise NumericError(
         f"numeric failure at n={n}, replicate={replicate}, seed={seed}: {exc}"
     ) from exc
 
 
-# ---------------------------------------------------------------------------
-# per-kind pipelines (each returns rows plus per-n statistics)
-# ---------------------------------------------------------------------------
+def _coupled_batches(config: StudyConfig, n: int, batches: int):
+    """Yield (plan, draws) for each batch of coupled draws at design size n.
 
-
-def _run_local_hellinger(config: StudyConfig, n: int):
-    family = config.resolve_family()
-    f = config.resolve_f()
-    h = _local_shift(config, n)
+    One coupling plan serves every batch; replicate r of batch b has
+    index b * replicates + r and draws on that index's own stream.
+    """
     plan = CouplingPlan(
-        family, f, h, n, config.alpha,
-        c_rate=config.c_rate, grid_size=config.coupling_grid,
+        config.resolve_family(), config.resolve_f(), _local_shift(config, n), n,
+        config.alpha, c_rate=config.c_rate, grid_size=config.coupling_grid,
     )
-    rows = []
-    estimates = []
-    for batch in range(config.batches):
+    for batch in range(batches):
         draws = []
         for r in range(config.replicates):
             idx = batch * config.replicates + r
@@ -333,15 +300,39 @@ def _run_local_hellinger(config: StudyConfig, n: int):
             try:
                 draws.append(
                     build_coupled_draw(
-                        family, f, h, n, config.alpha, stream_rng(seed),
-                        plan=plan, seed=idx, c_rate=config.c_rate,
+                        plan.family, plan.f, plan.h, n, config.alpha,
+                        stream_rng(seed), plan=plan, seed=idx,
                     )
                 )
             except NumericError as exc:
                 _numeric_context(exc, n, idx, seed)
+        yield plan, draws
+
+
+def _by_n(config: StudyConfig, results) -> dict:
+    """Statistics of (n, batch) units grouped by n, in batch order."""
+    per_n = {n: [] for n in config.n_grid}
+    for (n, _batch), stats in results:
+        per_n[n].append(stats)
+    return per_n
+
+
+# ---------------------------------------------------------------------------
+# per-kind pipelines
+#
+# A runner maps one unit to (rows, stats); a fold maps the [(unit, stats)]
+# of every unit, in unit order, to (medians, verdicts).
+# ---------------------------------------------------------------------------
+
+
+def _run_local_hellinger(config: StudyConfig, n: int):
+    rows = []
+    estimates = []
+    batches = _coupled_batches(config, n, config.batches)
+    for batch, (plan, draws) in enumerate(batches):
         report = mc_hellinger_coupled(
-            draws, n=n, family=family.name,
-            f_desc=config.f_desc, h_desc=h.descriptor,
+            draws, n=n, family=plan.family.name,
+            f_desc=config.f_desc, h_desc=plan.h.descriptor,
             seed=derive_seed(config.master_seed, n, batch * config.replicates),
         )
         estimates.append(report.value)
@@ -349,29 +340,19 @@ def _run_local_hellinger(config: StudyConfig, n: int):
             f"{n}, {batch}, {_fmt(report.value)}, {_fmt(report.mc_stderr)}, "
             f"{config.replicates}, {report.seed}"
         )
-    return rows, {"h2_median": float(np.median(estimates))}
+    return rows, float(np.median(estimates))
+
+
+def _fold_local_hellinger(config: StudyConfig, results):
+    verdicts = {"decreasing_h2_medians": _decreasing([v for _, v in results])}
+    return {"h2_median": results}, verdicts
+
+
+_CC_FREQUENCIES = ("gap_freq", "orig_tail_freq", "gauss_tail_freq")
 
 
 def _run_cc_audit(config: StudyConfig, n: int):
-    family = config.resolve_family()
-    f = config.resolve_f()
-    h = _local_shift(config, n)
-    plan = CouplingPlan(
-        family, f, h, n, config.alpha,
-        c_rate=config.c_rate, grid_size=config.coupling_grid,
-    )
-    draws = []
-    for r in range(config.replicates):
-        seed = derive_seed(config.master_seed, n, r)
-        try:
-            draws.append(
-                build_coupled_draw(
-                    family, f, h, n, config.alpha, stream_rng(seed),
-                    plan=plan, seed=r, c_rate=config.c_rate,
-                )
-            )
-        except NumericError as exc:
-            _numeric_context(exc, n, r, seed)
+    ((plan, draws),) = _coupled_batches(config, n, 1)
     report = audit_cc_conditions(
         draws, plan.r_n, config.alpha, config.audit_eps,
         gap_constant=config.gap_constant,
@@ -383,16 +364,25 @@ def _run_cc_audit(config: StudyConfig, n: int):
         f"{_fmt(report.effective_sample_size)}, {int(report.reliable)}, "
         f"{config.replicates}"
     )
-    stats = {
-        "gap_freq": report.gap_freq,
-        "orig_tail_freq": report.orig_tail_freq,
-        "gauss_tail_freq": report.gauss_tail_freq,
-        "reliable": bool(report.reliable),
+    return [row], report
+
+
+def _fold_cc_audit(config: StudyConfig, results):
+    medians = {
+        name: [(n, getattr(report, name)) for n, report in results]
+        for name in _CC_FREQUENCIES
     }
-    return [row], stats
+    verdicts = {
+        "audits_reliable": all(report.reliable for _, report in results),
+        "frequencies_at_most_threshold": all(
+            v <= config.audit_threshold for pairs in medians.values() for _, v in pairs
+        ),
+    }
+    return medians, verdicts
 
 
-def _run_globalize(config: StudyConfig, n: int, batch: int):
+def _run_globalize(config: StudyConfig, unit):
+    n, batch = unit
     family = config.resolve_family()
     f = config.resolve_f()
     t = design_grid(n)
@@ -420,37 +410,59 @@ def _run_globalize(config: StudyConfig, n: int, batch: int):
     return rows, stats
 
 
-def _run_risk_transfer(config: StudyConfig, n: int, batch: int):
-    family = config.resolve_family()
-    f = config.resolve_f()
+def _fold_globalize(config: StudyConfig, results):
+    per_n = {
+        n: [s for batch in batches for s in batch]
+        for n, batches in _by_n(config, results).items()
+    }
+    fractions = [(n, sum(ok for _, ok in s) / len(s)) for n, s in per_n.items()]
+    medians = {
+        "ks_stat_median": [
+            (n, float(np.median([ks for ks, _ in s]))) for n, s in per_n.items()
+        ],
+        "ks_pass_fraction": fractions,
+    }
+    verdicts = {
+        "ks_pass_fraction_met": all(
+            frac >= config.ks_pass_fraction for _, frac in fractions
+        )
+    }
+    return medians, verdicts
+
+
+def _run_risk_transfer(config: StudyConfig, unit):
+    n, batch = unit
     seed = derive_seed(config.master_seed, n, batch)
     try:
         table = risk_transfer_demo(
-            family, f, n, config.loss_caps, stream_rng(seed),
-            R=config.replicates, beta=config.beta, L=config.L, q=config.q,
+            config.resolve_family(), config.resolve_f(), n, config.loss_caps,
+            stream_rng(seed), R=config.replicates, beta=config.beta, L=config.L,
+            q=config.q,
         )
     except NumericError as exc:
         _numeric_context(exc, n, batch, seed)
-    rows = []
-    for i, cap in enumerate(table.loss_caps):
-        margin = abs(float(table.transferred_risk[i] - table.direct_risk[i]))
-        rows.append(
-            f"{n}, {batch}, {_fmt(cap)}, {_fmt(table.direct_risk[i])}, "
-            f"{_fmt(table.direct_stderr[i])}, {_fmt(table.transferred_risk[i])}, "
-            f"{_fmt(table.transferred_stderr[i])}, {_fmt(margin)}, {seed}"
-        )
-    last_margin = abs(float(table.transferred_risk[-1] - table.direct_risk[-1]))
-    return rows, last_margin
+    margins = np.abs(table.transferred_risk - table.direct_risk)
+    rows = [
+        f"{n}, {batch}, {_fmt(cap)}, {_fmt(table.direct_risk[i])}, "
+        f"{_fmt(table.direct_stderr[i])}, {_fmt(table.transferred_risk[i])}, "
+        f"{_fmt(table.transferred_stderr[i])}, {_fmt(margins[i])}, {seed}"
+        for i, cap in enumerate(table.loss_caps)
+    ]
+    return rows, float(margins[-1])
 
 
-def _run_condition_audit(config: StudyConfig):
+def _fold_risk_transfer(config: StudyConfig, results):
+    values = [(n, float(np.median(m))) for n, m in _by_n(config, results).items()]
+    verdicts = {"shrinking_risk_margin": _decreasing([v for _, v in values])}
+    return {"margin_median": values}, verdicts
+
+
+def _run_condition_audit(config: StudyConfig, _unit):
     family = config.resolve_family()
     lo, hi = family.working_interval
     grid = np.linspace(lo, hi, config.grid_points)
     try:
-        report = check_regularity(
-            family, grid, config.epsilon, config.beta
-        )
+        report = check_regularity(family, grid, config.epsilon, config.beta)
     except NumericError as exc:
         _numeric_context(exc, 0, 0, config.master_seed)
     row = (
@@ -459,58 +471,93 @@ def _run_condition_audit(config: StudyConfig):
         f"{_fmt(report.r3_bounds[1])}, {report.pair_count}, "
         f"{int(report.all_pass())}"
     )
-    stats = {
-        "r1_sup": report.r1_sup_estimate,
-        "r2_sup": report.r2_sup_estimate,
-        "r3_min": report.r3_bounds[0],
-        "r3_max": report.r3_bounds[1],
-        "all_pass": report.all_pass(),
+    return [row], report
+
+
+def _fold_condition_audit(config: StudyConfig, results):
+    ((_unit, report),) = results
+    medians = {
+        "r1_sup": [("", report.r1_sup_estimate)],
+        "r2_sup": [("", report.r2_sup_estimate)],
+        "r3_min": [("", report.r3_bounds[0])],
+        "r3_max": [("", report.r3_bounds[1])],
     }
-    return [row], stats
+    return medians, {"regularity_all_pass": bool(report.all_pass())}
 
 
 def _run_homoscedastic(config: StudyConfig, n: int):
-    family = config.resolve_family()
-    f = config.resolve_f()
     amp = rate_gamma_bar(n, config.beta, config.c_rate)
-    h = _scaled_shape(config.resolve_h(), amp)
-    report = homoscedastic_transform_check(family, f, h, n)
-    row = f"{n}, {_fmt(amp)}, {_fmt(report.value)}"
-    return [row], {"h2": report.value}
+    report = homoscedastic_transform_check(
+        config.resolve_family(), config.resolve_f(), config.resolve_h().scaled(amp), n
+    )
+    return [f"{n}, {_fmt(amp)}, {_fmt(report.value)}"], report.value
 
 
-_COLUMN_HEADERS = {
-    "local-hellinger": "n, batch, h2, stderr, replicates, seed",
-    "cc-audit": (
+def _fold_homoscedastic(config: StudyConfig, results):
+    values = [v for _, v in results]
+    verdicts = {
+        "decreasing_h2": _decreasing(values),
+        "final_h2_below_0.01": values[-1] < 0.01,
+    }
+    return {"h2": results}, verdicts
+
+
+def _per_n(config: StudyConfig) -> list:
+    return list(config.n_grid)
+
+
+def _per_n_batch(config: StudyConfig) -> list:
+    return [(n, b) for n in config.n_grid for b in range(config.batches)]
+
+
+def _once(config: StudyConfig) -> list:
+    return [None]
+
+
+class _StudyKind(NamedTuple):
+    """What run_study needs to know about one study kind."""
+
+    header: str  # column header of the row CSV
+    units: Callable  # config -> work units, in row order
+    run: Callable  # (config, unit) -> (rows, stats)
+    fold: Callable  # (config, [(unit, stats)]) -> (medians, verdicts)
+
+
+_KINDS = {
+    "local-hellinger": _StudyKind(
+        "n, batch, h2, stderr, replicates, seed",
+        _per_n, _run_local_hellinger, _fold_local_hellinger,
+    ),
+    "cc-audit": _StudyKind(
         "n, gap_freq, gap_stderr, orig_tail_freq, orig_tail_stderr, "
-        "gauss_tail_freq, gauss_tail_stderr, ess, reliable, replicates"
+        "gauss_tail_freq, gauss_tail_stderr, ess, reliable, replicates",
+        _per_n, _run_cc_audit, _fold_cc_audit,
     ),
-    "globalize": "n, replicate, ks_stat, ks_crit, pass, seed",
-    "risk-transfer": (
+    "globalize": _StudyKind(
+        "n, replicate, ks_stat, ks_crit, pass, seed",
+        _per_n_batch, _run_globalize, _fold_globalize,
+    ),
+    "risk-transfer": _StudyKind(
         "n, batch, cap, direct_risk, direct_stderr, transferred_risk, "
-        "transferred_stderr, margin, seed"
+        "transferred_stderr, margin, seed",
+        _per_n_batch, _run_risk_transfer, _fold_risk_transfer,
     ),
-    "condition-audit": "family, r1_sup, r2_sup, r3_min, r3_max, pairs, all_pass",
-    "homoscedastic-check": "n, amplitude, h2",
+    "condition-audit": _StudyKind(
+        "family, r1_sup, r2_sup, r3_min, r3_max, pairs, all_pass",
+        _once, _run_condition_audit, _fold_condition_audit,
+    ),
+    "homoscedastic-check": _StudyKind(
+        "n, amplitude, h2", _per_n, _run_homoscedastic, _fold_homoscedastic,
+    ),
 }
+
+STUDY_KINDS = tuple(_KINDS)
 
 
 def _study_unit(args):
     """Top-level worker entry so the process pool can pickle it."""
     config, kind, unit = args
-    if kind == "local-hellinger":
-        return _run_local_hellinger(config, unit)
-    if kind == "cc-audit":
-        return _run_cc_audit(config, unit)
-    if kind == "globalize":
-        return _run_globalize(config, unit[0], unit[1])
-    if kind == "risk-transfer":
-        return _run_risk_transfer(config, unit[0], unit[1])
-    if kind == "condition-audit":
-        return _run_condition_audit(config)
-    if kind == "homoscedastic-check":
-        return _run_homoscedastic(config, unit)
-    raise ConfigError(f"unknown study kind {kind!r}")
+    return _KINDS[kind].run(config, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +577,6 @@ class StudyResult:
     passed: bool
 
 
-def _units_for(config: StudyConfig):
-    if config.kind in ("local-hellinger", "cc-audit", "homoscedastic-check"):
-        return list(config.n_grid)
-    if config.kind in ("globalize", "risk-transfer"):
-        return [(n, b) for n in config.n_grid for b in range(config.batches)]
-    return [None]  # condition-audit runs once
-
-
 def _header_lines(config: StudyConfig) -> list:
     return [
         f"# lecam-equiv {__version__} study={config.kind}",
@@ -554,73 +593,6 @@ def _header_lines(config: StudyConfig) -> list:
     ]
 
 
-def _assemble(config: StudyConfig, unit_results):
-    """Fold per-unit outputs into rows, per-n medians, and verdicts."""
-    kind = config.kind
-    rows = []
-    medians = {}
-    verdicts = {}
-    if kind == "local-hellinger":
-        values = []
-        for (unit, (unit_rows, stats)) in unit_results:
-            rows.extend(unit_rows)
-            values.append((unit, stats["h2_median"]))
-        medians["h2_median"] = values
-        verdicts["decreasing_h2_medians"] = _decreasing([v for _, v in values])
-    elif kind == "cc-audit":
-        freq_names = ("gap_freq", "orig_tail_freq", "gauss_tail_freq")
-        reliable = []
-        small = []
-        for name in freq_names:
-            medians[name] = []
-        for (unit, (unit_rows, stats)) in unit_results:
-            rows.extend(unit_rows)
-            reliable.append(stats["reliable"])
-            for name in freq_names:
-                medians[name].append((unit, stats[name]))
-                small.append(stats[name] <= config.audit_threshold)
-        verdicts["audits_reliable"] = all(reliable)
-        verdicts["frequencies_at_most_threshold"] = all(small)
-    elif kind == "globalize":
-        per_n = {n: [] for n in config.n_grid}
-        for ((n, _batch), (unit_rows, stats)) in unit_results:
-            rows.extend(unit_rows)
-            per_n[n].extend(stats)
-        medians["ks_stat_median"] = [
-            (n, float(np.median([ks for ks, _ in per_n[n]]))) for n in config.n_grid
-        ]
-        fractions = [
-            (n, sum(ok for _, ok in per_n[n]) / len(per_n[n])) for n in config.n_grid
-        ]
-        medians["ks_pass_fraction"] = fractions
-        verdicts["ks_pass_fraction_met"] = all(
-            frac >= config.ks_pass_fraction for _, frac in fractions
-        )
-    elif kind == "risk-transfer":
-        per_n = {n: [] for n in config.n_grid}
-        for ((n, _batch), (unit_rows, margin)) in unit_results:
-            rows.extend(unit_rows)
-            per_n[n].append(margin)
-        values = [(n, float(np.median(per_n[n]))) for n in config.n_grid]
-        medians["margin_median"] = values
-        verdicts["shrinking_risk_margin"] = _decreasing([v for _, v in values])
-    elif kind == "condition-audit":
-        (_unit, (unit_rows, stats)) = unit_results[0]
-        rows.extend(unit_rows)
-        for name in ("r1_sup", "r2_sup", "r3_min", "r3_max"):
-            medians[name] = [("", stats[name])]
-        verdicts["regularity_all_pass"] = bool(stats["all_pass"])
-    elif kind == "homoscedastic-check":
-        values = []
-        for (unit, (unit_rows, stats)) in unit_results:
-            rows.extend(unit_rows)
-            values.append((unit, stats["h2"]))
-        medians["h2"] = values
-        verdicts["decreasing_h2"] = _decreasing([v for _, v in values])
-        verdicts["final_h2_below_0.01"] = values[-1][1] < 0.01
-    return rows, medians, verdicts
-
-
 def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     """Execute one study and write its row CSV and summary CSV.
 
@@ -630,15 +602,18 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     """
     if jobs < 1:
         raise ArgumentError("jobs must be at least 1")
-    units = _units_for(config)
+    kind = _KINDS[config.kind]
+    units = kind.units(config)
     tasks = [(config, config.kind, u) for u in units]
     if jobs == 1 or len(units) == 1:
         outputs = [_study_unit(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             outputs = list(pool.map(_study_unit, tasks))
-    unit_results = list(zip(units, outputs))
-    rows, medians, verdicts = _assemble(config, unit_results)
+    rows = [row for unit_rows, _stats in outputs for row in unit_rows]
+    medians, verdicts = kind.fold(
+        config, [(u, stats) for u, (_rows, stats) in zip(units, outputs)]
+    )
     passed = all(verdicts.values())
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -648,7 +623,7 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     with open(csv_path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(line + "\n")
-        fh.write(_COLUMN_HEADERS[config.kind] + "\n")
+        fh.write(kind.header + "\n")
         for row in rows:
             fh.write(row + "\n")
     with open(summary_path, "w", encoding="utf-8") as fh:

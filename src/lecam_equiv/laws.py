@@ -232,14 +232,16 @@ def truncation_params(
     return TruncationParams(clip_level, m1, v2, x_n, p)
 
 
-def apply_truncation(
-    xi: np.ndarray, params: TruncationParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Realize the bounded modification on sampled raw scores."""
-    eta = np.where(np.abs(xi) <= params.clip_level, xi, 0.0) - params.clip_mean
-    u = rng.random(xi.shape)
-    kick = np.where(u < params.p, params.x_n, 0.0)
-    kick = np.where(u >= 1.0 - params.p, -params.x_n, kick)
+def apply_truncation(xi, clip_level, clip_mean, p, x_n, rng: np.random.Generator):
+    """Realize the bounded modification on sampled raw scores.
+
+    clip_mean and the kick probability p may be per-point arrays; every
+    parameter broadcasts against xi.
+    """
+    eta = np.where(np.abs(xi) <= clip_level, xi, 0.0) - clip_mean
+    u = rng.random(np.shape(xi))
+    kick = np.where(u < p, x_n, 0.0)
+    kick = np.where(u >= 1.0 - p, -x_n, kick)
     return eta + kick
 
 
@@ -318,8 +320,9 @@ class TruncatedLaw(ScoreLaw):
         return out if out.shape != (1,) else float(out[0])
 
     def sample(self, rng: np.random.Generator, size: int):
+        tp = self.params
         xi = self.base.sample(rng, size)
-        return apply_truncation(xi, self.params, rng)
+        return apply_truncation(xi, tp.clip_level, tp.clip_mean, tp.p, tp.x_n, rng)
 
     def cf(self, omega):
         if self._atoms is not None:
@@ -330,19 +333,6 @@ class TruncatedLaw(ScoreLaw):
         if self._atoms is not None:
             return self._atoms.clipped_moments(k)
         raise NotImplementedError
-
-
-def stacked_atom_ppf(values: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise generalized-inverse quantiles for per-point atom laws.
-
-    values, probs: arrays of shape (n, m) with rows sorted by value
-    (zero-probability padding atoms allowed); u: shape (n,).
-    """
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    idx = (cum < u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, values.shape[1] - 1)
-    return values[np.arange(values.shape[0]), idx]
 
 
 class WeightedSumLaw:

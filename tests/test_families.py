@@ -211,22 +211,6 @@ def ParametricAffinityOracle(fam, a, b):
     )[0]
 
 
-def test_sqrt_z_moments_identities():
-    # E(sqrt z - 1) = A - 1 and E(sqrt z - 1)^2 = 2(1 - A); cross-check the
-    # first directly by summation for a Bernoulli pair
-    fam = get_family("bernoulli")
-    theta, u = 0.3, 0.4
-    m1, m2 = fam.sqrt_z_moments(theta, u)
-    atoms = np.array([0.0, 1.0])
-    z = fam.density(atoms, u) / fam.density(atoms, theta)
-    direct1 = float(np.sum((np.sqrt(z) - 1.0) * fam.density(atoms, theta)))
-    direct2 = float(np.sum((np.sqrt(z) - 1.0) ** 2 * fam.density(atoms, theta)))
-    assert m1 == pytest.approx(direct1, abs=1e-14)
-    assert m2 == pytest.approx(direct2, abs=1e-14)
-    # the two moments satisfy 2*m1 = -m2 because E z = 1
-    assert 2.0 * m1 == pytest.approx(-m2, abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

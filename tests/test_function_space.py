@@ -137,6 +137,22 @@ def test_spline_interpolates_knots():
     assert np.allclose(f.derivative(t), num, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        RegressionFunction.constant(0.3),
+        RegressionFunction.affine(0.2, -0.5),
+        RegressionFunction.sinusoid(0.4, 2.0, 0.1),
+        RegressionFunction.spline([0.0, 0.4, 1.0], [0.1, -0.2, 0.3]),
+    ],
+)
+def test_scaled_multiplies_values_and_keeps_the_class(fn):
+    t = np.linspace(0.0, 1.0, 33)
+    g = fn.scaled(-2.5)
+    assert (g.kind, g.beta, g.L, g.range_interval) == (fn.kind, fn.beta, fn.L, fn.range_interval)
+    assert np.allclose(g(t), -2.5 * fn(t), atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # neighborhoods
 # ---------------------------------------------------------------------------

@@ -380,6 +380,14 @@ def test_risk_transfer_study_margin_shrinks(tmp_path):
     with open(res.csv_path) as fh:
         data_rows = [l for l in fh if not (l.startswith("#") or l.startswith("n,"))]
     assert len(data_rows) == 2 * 3 * 2  # n_grid x batches x loss_caps
+    # the summary holds the per-n median of the margins at the largest cap
+    last_cap = {}
+    for line in data_rows:
+        parts = [p.strip() for p in line.split(",")]
+        if float(parts[2]) == cfg.loss_caps[-1]:
+            last_cap.setdefault(int(parts[0]), []).append(float(parts[7]))
+    recomputed = [(n, float(np.median(v))) for n, v in sorted(last_cap.items())]
+    assert recomputed == res.medians["margin_median"]
 
 
 def test_condition_audit_study(tmp_path):
@@ -411,10 +419,10 @@ def test_run_study_rejects_bad_jobs(tmp_path):
 
 
 def test_numeric_failure_propagates_from_pipeline(tmp_path, monkeypatch):
-    def explode(config, n):
+    def explode(family, f, h, n):
         raise NumericError("quadrature failed to converge")
 
-    monkeypatch.setattr(harness_module, "_run_homoscedastic", explode)
+    monkeypatch.setattr(harness_module, "homoscedastic_transform_check", explode)
     cfg = _config(out_dir=str(tmp_path))
     with pytest.raises(NumericError):
         run_study(cfg)
