@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, NeighborhoodError, SingularityError
 from .families import ParametricFamily
-from .function_space import RegressionFunction, holder_check, neighborhood_contains
+from .function_space import RegressionFunction, neighborhood_contains
 
 MODEL_TAGS = ("original", "local-gaussian", "global-gaussian", "gaussianized")
 

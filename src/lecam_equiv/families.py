@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from .errors import ArgumentError, DomainError, NumericError, SingularityError
 from .laws import AtomLaw, ScaledChi2Law, ScoreLaw, StandardNormalLaw
@@ -315,7 +315,7 @@ class Poisson(ParametricFamily):
 
 
 class PoissonScoreLaw(ScoreLaw):
-    """Law of X/theta - 1 for X ~ Poisson(theta), with closed-form cf."""
+    """Law of X/theta - 1 for X ~ Poisson(theta), with closed-form log cf."""
 
     def __init__(self, theta: float):
         self.theta = float(theta)
@@ -345,10 +345,11 @@ class PoissonScoreLaw(ScoreLaw):
     def sample(self, rng, size):
         return rng.poisson(self.theta, size) / self.theta - 1.0
 
-    def cf(self, omega):
+    def log_cf(self, omega):
+        # log cf = theta (exp(it) - 1) - i omega with t = omega/theta
         omega = np.asarray(omega, dtype=float)
         t = omega / self.theta
-        return np.exp(self.theta * (np.exp(1j * t) - 1.0) - 1j * omega)
+        return self.theta * (np.cos(t) - 1.0), self.theta * np.sin(t) - omega
 
     def clipped_moments(self, k):
         return self.atoms().clipped_moments(k)

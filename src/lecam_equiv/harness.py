@@ -487,9 +487,12 @@ def _fold_condition_audit(config: StudyConfig, results):
 
 def _run_homoscedastic(config: StudyConfig, n: int):
     amp = rate_gamma_bar(n, config.beta, config.c_rate)
-    report = homoscedastic_transform_check(
-        config.resolve_family(), config.resolve_f(), config.resolve_h().scaled(amp), n
-    )
+    try:
+        report = homoscedastic_transform_check(
+            config.resolve_family(), config.resolve_f(), config.resolve_h().scaled(amp), n
+        )
+    except NumericError as exc:
+        _numeric_context(exc, n, 0, config.master_seed)
     return [f"{n}, {_fmt(amp)}, {_fmt(report.value)}"], report.value
 
 

@@ -4,9 +4,9 @@ Each regression design point i carries the law of the score
 l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The coupling and
 truncation machinery needs four things from such a law: exact low-order
 moments, a distribution function, a (generalized inverse) quantile
-function, and a characteristic function for building laws of weighted
-sums.  Discrete families get exact atom enumeration; the continuous
-built-ins get closed forms.
+function, and a log characteristic function for building laws of
+weighted sums.  Discrete families get exact atom enumeration; the
+continuous built-ins get closed forms.
 """
 
 from __future__ import annotations
@@ -42,8 +42,12 @@ class ScoreLaw:
     def sample(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def cf(self, omega):
-        """E exp(i omega xi) on an array of angular frequencies."""
+    def log_cf(self, omega):
+        """log E exp(i omega xi) on an array of angular frequencies.
+
+        Returned in real arithmetic as (log modulus, phase): two arrays
+        shaped like omega.  The phase need not be reduced to (-pi, pi].
+        """
         raise NotImplementedError
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
@@ -94,9 +98,12 @@ class AtomLaw(ScoreLaw):
     def sample(self, rng: np.random.Generator, size: int):
         return self.ppf(rng.random(size))
 
-    def cf(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return np.exp(1j * np.outer(omega, self.values)) @ self.probs
+    def log_cf(self, omega):
+        arg = np.outer(np.asarray(omega, dtype=float), self.values)
+        re = np.cos(arg) @ self.probs
+        im = np.sin(arg) @ self.probs
+        # the modulus can vanish where atoms cancel: floor it at 1e-300
+        return np.log(np.maximum(np.hypot(re, im), 1e-300)), np.arctan2(im, re)
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         inside = np.abs(self.values) <= k
@@ -127,9 +134,9 @@ class StandardNormalLaw(ScoreLaw):
     def sample(self, rng: np.random.Generator, size: int):
         return rng.standard_normal(size)
 
-    def cf(self, omega):
+    def log_cf(self, omega):
         omega = np.asarray(omega, dtype=float)
-        return np.exp(-0.5 * omega**2) + 0j
+        return -0.5 * omega**2, np.zeros_like(omega)
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         # E xi^2 1{|xi|>k} = 2*(k*phi(k) + 1 - Phi(k)) for the standard normal
@@ -166,10 +173,10 @@ class ScaledChi2Law(ScoreLaw):
     def sample(self, rng: np.random.Generator, size: int):
         return (rng.chisquare(1, size) - 1.0) / self.theta
 
-    def cf(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        t = omega / self.theta
-        return (1.0 - 2j * t) ** (-0.5) * np.exp(-1j * t)
+    def log_cf(self, omega):
+        # cf = (1 - 2it)^(-1/2) exp(-it) with t = omega/theta
+        t = np.asarray(omega, dtype=float) / self.theta
+        return -0.25 * np.log1p(4.0 * t * t), 0.5 * np.arctan(2.0 * t) - t
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         # |xi| <= k maps to W in [max(0, 1-theta*k), 1+theta*k]
@@ -324,9 +331,9 @@ class TruncatedLaw(ScoreLaw):
         xi = self.base.sample(rng, size)
         return apply_truncation(xi, tp.clip_level, tp.clip_mean, tp.p, tp.x_n, rng)
 
-    def cf(self, omega):
+    def log_cf(self, omega):
         if self._atoms is not None:
-            return self._atoms.cf(omega)
+            return self._atoms.log_cf(omega)
         raise NotImplementedError("characteristic function needs an atomic base")
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
@@ -339,12 +346,13 @@ class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
 
     Built once per (f, h, n) cell from the product of characteristic
-    functions on a frequency grid; the inverse FFT gives a density on a
-    value grid spanning +-span_sigmas standard deviations.  A one-bin
-    Gaussian smoothing is folded in so that quasi-atomic laws produce a
-    well-behaved grid density; `uniformize` compensates by jittering the
-    input at the same bandwidth, so U = F(T + jitter) is uniform up to
-    grid resolution.
+    functions on a frequency grid, summed as real log moduli and phases;
+    the inverse FFT gives a density on a value grid spanning
+    +-span_sigmas standard deviations.  A one-bin Gaussian smoothing is
+    folded in so that quasi-atomic laws produce a well-behaved grid
+    density; `uniformize` compensates by jittering the input at the same
+    bandwidth, so U = F(T + jitter) is uniform up to grid resolution.
+    The negative density mass clipped to zero is kept in clipped_mass.
     """
 
     def __init__(
@@ -361,22 +369,27 @@ class WeightedSumLaw:
         self.grid = None
         self.cdf_grid = None
         self.smooth_bw = 0.0
+        self.clipped_mass = 0.0
         if self.exact_gaussian or self.sigma == 0.0:
             return
         span = span_sigmas * self.sigma
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
         omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx)
-        log_phi = np.zeros(grid_size, dtype=complex)
-        # accumulate log cf to avoid underflow of the product
+        # accumulate the log cf to avoid underflow of the product,
+        # starting from the smoothing term
+        log_mod = -0.5 * (self.smooth_bw * omega) ** 2
+        phase = np.zeros(grid_size)
         for law, w in zip(laws, weights):
             if w == 0.0:
                 continue
-            val = law.cf(omega * w)
-            log_phi += np.log(np.where(np.abs(val) > 1e-300, val, 1e-300))
-        phi = np.exp(log_phi - 0.5 * (self.smooth_bw * omega) ** 2)
+            lm, ph = law.log_cf(omega * w)
+            log_mod += lm
+            phase += ph
+        phi = np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase))
         x0 = -span
         dens = np.real(np.fft.ifft(phi * np.exp(-1j * omega * x0))) / dx
+        self.clipped_mass = float(np.sum(np.maximum(-dens, 0.0)) * dx)
         dens = np.maximum(dens, 0.0)
         cdf = np.cumsum(dens) * dx
         cdf /= cdf[-1]

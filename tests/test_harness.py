@@ -424,7 +424,7 @@ def test_numeric_failure_propagates_from_pipeline(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness_module, "homoscedastic_transform_check", explode)
     cfg = _config(out_dir=str(tmp_path))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"at n=256, replicate=0, seed=1: quadrature"):
         run_study(cfg)
 
 

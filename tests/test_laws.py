@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.families import PoissonScoreLaw, get_family
+from lecam_equiv.harness import StudyConfig, _local_shift
 from lecam_equiv.laws import (
     AtomLaw,
     ScaledChi2Law,
@@ -47,13 +49,30 @@ def test_atom_law_clipped_moments():
     assert p == pytest.approx(0.5)
 
 
+def _cf(law, omega):
+    """Characteristic function rebuilt from the (log modulus, phase) pair."""
+    lm, ph = law.log_cf(omega)
+    return np.exp(lm + 1j * ph)
+
+
 def test_atom_law_cf_matches_direct_sum():
     law = AtomLaw.from_unsorted([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3])
     omega = np.linspace(-4.0, 4.0, 17)
     direct = sum(
         p * np.exp(1j * omega * v) for v, p in zip(law.values, law.probs)
     )
-    assert np.allclose(law.cf(omega), direct, atol=1e-14)
+    assert np.allclose(_cf(law, omega), direct, atol=1e-14)
+
+
+def test_atom_law_log_cf_floors_a_vanishing_modulus():
+    # at omega = 1 the atoms -pi, 0, pi cancel exactly: cos(pi) rounds to
+    # -1 and the two sines are exact negatives
+    law = AtomLaw.from_unsorted([-math.pi, 0.0, math.pi], [0.25, 0.5, 0.25])
+    with np.errstate(all="raise"):
+        lm, ph = law.log_cf(np.array([1.0, 0.5]))
+    assert lm[0] == math.log(1e-300)
+    assert np.all(np.isfinite(ph))
+    assert lm[1] == pytest.approx(math.log(0.5), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +138,7 @@ def test_scaled_chi2_cf_matches_quadrature():
             9,
             limit=300,
         )[0]
-        val = law.cf(np.array([omega]))[0]
+        val = _cf(law, np.array([omega]))[0]
         assert val.real == pytest.approx(re, abs=1e-8)
         assert val.imag == pytest.approx(im, abs=1e-8)
 
@@ -128,7 +147,8 @@ def test_poisson_score_law_cf_matches_atom_sum():
     law = PoissonScoreLaw(2.5)
     atoms = law.atoms()
     omega = np.linspace(-3.0, 3.0, 13)
-    assert np.allclose(law.cf(omega), atoms.cf(omega), atol=1e-12)
+    direct = np.exp(1j * np.outer(omega, atoms.values)) @ atoms.probs
+    assert np.allclose(_cf(law, omega), direct, atol=1e-12)
     # cdf consistency off the atom lattice and exactly on stored atoms
     s = np.array([-1.05, -0.13, 0.04, 0.77, 2.31])
     assert np.allclose(law.cdf(s), atoms.cdf(s), atol=1e-12)
@@ -266,5 +286,88 @@ def test_weighted_sum_law_degenerate_weights():
     laws = [StandardNormalLaw() for _ in range(4)]
     sum_law = WeightedSumLaw(laws, np.zeros(4))
     assert sum_law.sigma == 0.0
+    assert sum_law.clipped_mass == 0.0
     u = sum_law.uniformize(np.zeros(5), np.random.default_rng(0))
     assert np.allclose(u, 0.5)
+
+
+def _complex_cf(law, omega):
+    """Characteristic function in complex arithmetic, independent of log_cf."""
+    if isinstance(law, PoissonScoreLaw):
+        t = omega / law.theta
+        return np.exp(law.theta * (np.exp(1j * t) - 1.0) - 1j * omega)
+    if isinstance(law, ScaledChi2Law):
+        t = omega / law.theta
+        return (1.0 - 2j * t) ** (-0.5) * np.exp(-1j * t)
+    atoms = law.atoms()
+    return np.exp(1j * np.outer(omega, atoms.values)) @ atoms.probs
+
+
+def _complex_cdf_grid(laws, weights, grid_size):
+    """Sum-law CDF grid from complex log cfs: the product cf is formed as
+    exp(sum of log cf), each modulus floored at 1e-300."""
+    sigma = math.sqrt(sum(w * w * law.second_moment() for law, w in zip(laws, weights)))
+    span = 16.0 * sigma
+    dx = 2.0 * span / grid_size
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx)
+    log_phi = np.zeros(grid_size, dtype=complex)
+    for law, w in zip(laws, weights):
+        val = _complex_cf(law, omega * w)
+        log_phi += np.log(np.where(np.abs(val) > 1e-300, val, 1e-300))
+    phi = np.exp(log_phi - 0.5 * (dx * omega) ** 2)
+    dens = np.real(np.fft.ifft(phi * np.exp(1j * omega * span))) / dx
+    cdf = np.cumsum(np.maximum(dens, 0.0)) * dx
+    return cdf / cdf[-1]
+
+
+def _truncated_poisson_laws(thetas):
+    laws = [PoissonScoreLaw(t) for t in thetas]
+    return [TruncatedLaw(law, truncation_params(law, 0.8, 2.0)) for law in laws]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda th: [PoissonScoreLaw(t) for t in 1.0 + th],
+        # bernoulli with theta crossing 1/2 (exactly 1/2 at the middle
+        # point, where the cf is cos(2 omega) and has zeros)
+        lambda th: [get_family("bernoulli").score_law(t) for t in 0.3 + 0.4 * th],
+        lambda th: [get_family("gaussian_scale").score_law(t) for t in 0.5 + th],
+        lambda th: _truncated_poisson_laws(1.0 + th),
+    ],
+    ids=["poisson", "bernoulli", "gaussian_scale", "truncated_poisson"],
+)
+def test_weighted_sum_law_cdf_grid_matches_complex_oracle(build):
+    n = 17
+    th = np.linspace(0.0, 1.0, n)
+    laws = build(th)
+    weights = 0.15 + 0.08 * np.sin(2.0 * np.pi * np.arange(1, n + 1) / n)
+    sum_law = WeightedSumLaw(laws, weights, grid_size=1 << 13)
+    oracle = _complex_cdf_grid(laws, weights, 1 << 13)
+    assert np.max(np.abs(sum_law.cdf_grid - oracle)) < 1e-13
+
+
+# Negative FFT density mass the sum-law build may clip: an absolute bound
+# on probability, well above the largest value on the pinned plans below
+# (8.9e-10, bernoulli at n = 32).
+CLIPPED_MASS_BOUND = 1e-8
+
+
+@pytest.mark.parametrize(
+    "family, f_desc, L, n, grid",
+    [
+        ("poisson", "affine(1.5, 1.0)", 3.0, 16, 1 << 16),
+        ("poisson", "affine(1.5, 1.0)", 3.0, 1024, 1 << 10),
+        ("bernoulli", "affine(0.4, 0.2)", 1.0, 32, 1 << 14),
+        ("bernoulli", "affine(0.4, 0.2)", 1.0, 64, 1 << 14),
+    ],
+)
+def test_clipped_mass_is_small_on_pinned_plans(family, f_desc, L, n, grid):
+    # the plans of the benchmark's local-hellinger configs
+    config = StudyConfig(kind="local-hellinger", family=family, f_desc=f_desc, L=L, c_rate=0.5)
+    plan = CouplingPlan(config.resolve_family(), config.resolve_f(), _local_shift(config, n), n,
+                        config.alpha, c_rate=config.c_rate, grid_size=grid)
+    assert 0.0 <= plan.sum_law.clipped_mass < CLIPPED_MASS_BOUND
+    # too coarse a grid leaves ringing that the clip must remove
+    laws = [plan.family.score_law(float(t)) for t in plan.theta]
+    assert WeightedSumLaw(laws, plan.h_values, grid_size=16).clipped_mass > CLIPPED_MASS_BOUND
