@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import ArgumentError, NeighborhoodError, TruncationConstantError
-from .experiments import ExperimentDraw, design_grid, lase_terms
+from .experiments import ExperimentDraw, _working_values, design_grid, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
 from .laws import (
-    ScoreLaw,
     TruncatedLaw,
-    TruncationParams,
     WeightedSumLaw,
     apply_truncation,
     truncation_params,
@@ -53,9 +51,6 @@ class CoupledLikelihoodDraw:
     scores_tilde: np.ndarray
     gaussians: np.ndarray
     remainder_tilde: float
-    seed: int
-    shift_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    info_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if len(self.scores_tilde) != self.n or len(self.gaussians) != self.n:
@@ -115,15 +110,8 @@ class CcAuditReport:
 
 
 def _design_setup(family, f, n):
-    t = design_grid(n)
-    theta = family.require_theta(np.asarray(f(t), dtype=float))
-    if theta.size and not family.in_working_interval(theta):
-        lo, hi = family.working_interval
-        raise ArgumentError(
-            f"{family.name}: regression values leave the working interval [{lo}, {hi}]"
-        )
-    info = np.asarray(family.fisher(theta), dtype=float)
-    return t, theta, info
+    theta = family.require_theta(_working_values(family, f, n))
+    return design_grid(n), theta, np.asarray(family.fisher(theta), dtype=float)
 
 
 def _truncation_table(
@@ -132,25 +120,25 @@ def _truncation_table(
     info: np.ndarray,
     clip_level: float,
     c1: float,
-) -> list[TruncationParams]:
-    """Per-point modification parameters; aggregates constant failures."""
-    params: list[TruncationParams] = []
+) -> list[TruncatedLaw]:
+    """Per-point bounded-modification laws; aggregates constant failures."""
+    laws: list[TruncatedLaw] = []
     worst: float | None = None
     for th, i_val in zip(theta, info):
         law = family.score_law(float(th))
         try:
-            params.append(
-                truncation_params(law, clip_level, c1, target_second_moment=float(i_val))
-            )
+            params = truncation_params(law, clip_level, c1, target_second_moment=float(i_val))
         except TruncationConstantError as err:
             worst = err.suggested_c1 if worst is None else max(worst, err.suggested_c1)
+            continue
+        laws.append(TruncatedLaw(law, params))
     if worst is not None:
         raise TruncationConstantError(
             f"kick constant {c1:.4g} too small somewhere on the design; "
             f"at least {worst:.4g} is needed",
             suggested_c1=worst,
         )
-    return params
+    return laws
 
 
 def truncate_scores(
@@ -178,16 +166,13 @@ def truncate_scores(
     t, theta, info = _design_setup(family, f, n)
     r_n = c_rate / math.sqrt(n)
     clip_level = r_n ** (alpha - 1.0)
-    table = _truncation_table(family, theta, info, clip_level, c1)
+    laws = _truncation_table(family, theta, info, clip_level, c1)
     x = family.sample(theta, rng)
     xi = np.asarray(family.score(x, theta), dtype=float)
-    clip_means = np.array([p.clip_mean for p in table])
-    kick_probs = np.array([p.p for p in table])
+    clip_means = np.array([law.params.clip_mean for law in laws])
+    kick_probs = np.array([law.params.p for law in laws])
     x_n = c1 * clip_level
     scores_star = apply_truncation(xi, clip_level, clip_means, kick_probs, x_n, rng)
-    laws = [
-        TruncatedLaw(family.score_law(float(th)), p) for th, p in zip(theta, table)
-    ]
     return TruncationOutput(
         scores_star=scores_star,
         bound_constant=2.0 + c1,
@@ -233,13 +218,13 @@ def quantile_couple_scores(
     t, theta, info = _design_setup(family, f, n)
     eps = rng.standard_normal(n)
     gaussians = np.sqrt(info) * eps
-    laws: list[ScoreLaw] = [family.score_law(float(th)) for th in theta]
-    if alpha is not None:
+    if alpha is None:
+        laws = [family.score_law(float(th)) for th in theta]
+    else:
         if not 0.0 < alpha < 1.0:
             raise ArgumentError("alpha must lie in (0, 1)")
         clip_level = (c_rate / math.sqrt(n)) ** (alpha - 1.0)
-        table = _truncation_table(family, theta, info, clip_level, c1)
-        laws = [TruncatedLaw(law, p) for law, p in zip(laws, table)]
+        laws = _truncation_table(family, theta, info, clip_level, c1)
     u = special.ndtr(eps)
     scores = np.empty(n)
     for i, law in enumerate(laws):
@@ -259,10 +244,9 @@ def quantile_couple_scores(
 class CouplingPlan:
     """Per-cell precomputation shared by every replicate draw.
 
-    Holds the design values, the weighted-sum law of the score side
-    (one FFT build), and the optional bounded-modification table.
-    Building the plan once and passing it to build_coupled_draw
-    amortizes the heavy numerics across replicates.
+    Holds the design values and the weighted-sum law of the score side
+    (one FFT build).  Building the plan once and passing it to
+    build_coupled_draw amortizes the heavy numerics across replicates.
     """
 
     def __init__(
@@ -271,24 +255,17 @@ class CouplingPlan:
         f: RegressionFunction,
         h: RegressionFunction,
         n: int,
-        alpha: float,
         c_rate: float = 1.0,
-        c1: float = 1.0,
-        truncate: bool = False,
-        check_neighborhood: bool = True,
         grid_size: int = 1 << 16,
     ):
-        if not 0.0 < alpha < 1.0:
-            raise ArgumentError("alpha must lie in (0, 1)")
         if n <= 0:
             raise ArgumentError("need at least one design point")
         self.family = family
         self.f = f
         self.h = h
         self.n = n
-        self.alpha = alpha
         self.r_n = c_rate / math.sqrt(n)
-        if check_neighborhood and not neighborhood_contains(f, h, self.r_n):
+        if not neighborhood_contains(f, h, self.r_n):
             raise NeighborhoodError(
                 f"shift leaves the radius-{self.r_n:.6g} localization ball"
             )
@@ -296,43 +273,13 @@ class CouplingPlan:
         self.h_values = np.asarray(h(self.t), dtype=float)
         self.sigma2 = float(np.dot(self.h_values * self.h_values, self.info))
         self.quadratic = 0.5 * self.sigma2
-        laws: list[ScoreLaw] = [family.score_law(float(th)) for th in self.theta]
-        self.truncate = truncate
-        self.trunc_clip_means = None
-        self.trunc_kick_probs = None
-        self.trunc_clip_level = 0.0
-        self.trunc_x_n = 0.0
-        if truncate:
-            if any(law.atoms() is None for law in laws):
-                raise ArgumentError(
-                    "in-place truncation inside the joint construction needs "
-                    "finitely supported score laws; audit continuous families "
-                    "through truncate_scores instead"
-                )
-            self.trunc_clip_level = self.r_n ** (alpha - 1.0)
-            table = _truncation_table(family, self.theta, self.info, self.trunc_clip_level, c1)
-            self.trunc_clip_means = np.array([p.clip_mean for p in table])
-            self.trunc_kick_probs = np.array([p.p for p in table])
-            self.trunc_x_n = c1 * self.trunc_clip_level
-            laws = [TruncatedLaw(law, p) for law, p in zip(laws, table)]
+        laws = [family.score_law(float(th)) for th in self.theta]
         self.all_gaussian = all(law.is_gaussian for law in laws)
         self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
         self.sigma = self.sum_law.sigma
 
 
-def build_coupled_draw(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    h: RegressionFunction,
-    n: int,
-    alpha: float,
-    rng: np.random.Generator,
-    plan: CouplingPlan | None = None,
-    seed: int = 0,
-    c_rate: float = 1.0,
-    c1: float = 1.0,
-    truncate: bool = False,
-) -> CoupledLikelihoodDraw:
+def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledLikelihoodDraw:
     """One joint draw of both log-likelihood ratios.
 
     An original-model dataset is simulated under the central measure
@@ -346,26 +293,12 @@ def build_coupled_draw(
     already standard normal the two sides coincide identically and the
     remainder is zero analytically.
     """
-    if plan is None:
-        plan = CouplingPlan(
-            family, f, h, n, alpha, c_rate=c_rate, c1=c1, truncate=truncate
-        )
+    family, n = plan.family, plan.n
     h_vals = plan.h_values
     quad = plan.quadratic
 
     x = family.sample(plan.theta, rng)
-    xi = np.asarray(family.score(x, plan.theta), dtype=float)
-    if plan.truncate:
-        scores = apply_truncation(
-            xi,
-            plan.trunc_clip_level,
-            plan.trunc_clip_means,
-            plan.trunc_kick_probs,
-            plan.trunc_x_n,
-            rng,
-        )
-    else:
-        scores = xi
+    scores = np.asarray(family.score(x, plan.theta), dtype=float)
     weighted_sum = float(np.dot(h_vals, scores))
 
     if plan.all_gaussian:
@@ -382,11 +315,10 @@ def build_coupled_draw(
             design=plan.t,
             observations=np.asarray(x, dtype=float),
             family=family.name,
-            f_desc=f.descriptor,
-            h_desc=h.descriptor,
-            seed=seed,
+            f_desc=plan.f.descriptor,
+            h_desc=plan.h.descriptor,
         )
-        rho = lase_terms(family, f, h, draw).remainder
+        rho = lase_terms(family, plan.f, plan.h, draw).remainder
         noise = np.sqrt(plan.info) * rng.standard_normal(n)
         if plan.sigma == 0.0:
             zeta = noise
@@ -403,12 +335,9 @@ def build_coupled_draw(
         n=n,
         log_lik_original=loglik_orig,
         log_lik_gaussian=loglik_gauss,
-        scores_tilde=np.asarray(scores, dtype=float),
+        scores_tilde=scores,
         gaussians=np.asarray(zeta, dtype=float),
         remainder_tilde=rho,
-        seed=seed,
-        shift_values=h_vals,
-        info_values=plan.info,
     )
 
 

@@ -290,7 +290,7 @@ def _coupled_batches(config: StudyConfig, n: int, batches: int):
     """
     plan = CouplingPlan(
         config.resolve_family(), config.resolve_f(), _local_shift(config, n), n,
-        config.alpha, c_rate=config.c_rate, grid_size=config.coupling_grid,
+        c_rate=config.c_rate, grid_size=config.coupling_grid,
     )
     for batch in range(batches):
         draws = []
@@ -298,12 +298,7 @@ def _coupled_batches(config: StudyConfig, n: int, batches: int):
             idx = batch * config.replicates + r
             seed = derive_seed(config.master_seed, n, idx)
             try:
-                draws.append(
-                    build_coupled_draw(
-                        plan.family, plan.f, plan.h, n, config.alpha,
-                        stream_rng(seed), plan=plan, seed=idx,
-                    )
-                )
+                draws.append(build_coupled_draw(plan, stream_rng(seed)))
             except NumericError as exc:
                 _numeric_context(exc, n, idx, seed)
         yield plan, draws

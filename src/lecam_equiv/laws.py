@@ -342,13 +342,17 @@ class TruncatedLaw(ScoreLaw):
         raise NotImplementedError
 
 
+# half-width of the sum-law value grid, in standard deviations
+SPAN_SIGMAS = 16.0
+
+
 class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
 
     Built once per (f, h, n) cell from the product of characteristic
     functions on a frequency grid, summed as real log moduli and phases;
     the inverse FFT gives a density on a value grid spanning
-    +-span_sigmas standard deviations.  A one-bin Gaussian smoothing is
+    +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian smoothing is
     folded in so that quasi-atomic laws produce a well-behaved grid
     density; `uniformize` compensates by jittering the input at the same
     bandwidth, so U = F(T + jitter) is uniform up to grid resolution.
@@ -360,7 +364,6 @@ class WeightedSumLaw:
         laws: list[ScoreLaw],
         weights: np.ndarray,
         grid_size: int = 1 << 16,
-        span_sigmas: float = 16.0,
     ):
         weights = np.asarray(weights, dtype=float)
         var = sum(w * w * law.second_moment() for law, w in zip(laws, weights))
@@ -372,7 +375,7 @@ class WeightedSumLaw:
         self.clipped_mass = 0.0
         if self.exact_gaussian or self.sigma == 0.0:
             return
-        span = span_sigmas * self.sigma
+        span = SPAN_SIGMAS * self.sigma
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
         omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx)

@@ -17,18 +17,19 @@ from lecam_equiv.coupling import (
 from lecam_equiv.distances import exp_moment_margins, mc_hellinger_coupled
 from lecam_equiv.errors import (
     ArgumentError,
+    DomainError,
     NeighborhoodError,
     TruncationConstantError,
 )
-from lecam_equiv.experiments import standard_test_pair
+from lecam_equiv.experiments import sample_original, standard_test_pair
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction
 
 KS_CRIT_1PCT = 1.628
 
 
-def quad_term(draw):
-    return 0.5 * float(np.dot(draw.shift_values**2, draw.info_values))
+def quad_term(plan):
+    return 0.5 * float(np.dot(plan.h_values**2, plan.info))
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +181,22 @@ def test_coupled_draw_identities(name):
     fam = get_family(name)
     n = 128
     f, h = standard_test_pair(fam, n)
-    plan = CouplingPlan(fam, f, h, n, 0.75, grid_size=1 << 14)
+    plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
     rng = np.random.default_rng(12)
-    for seed in range(5):
-        d = build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan, seed=seed)
-        q = quad_term(d)
-        lhs = float(np.dot(d.shift_values, d.scores_tilde)) - q + d.remainder_tilde
+    q = quad_term(plan)
+    for _ in range(5):
+        d = build_coupled_draw(plan, rng)
+        lhs = float(np.dot(plan.h_values, d.scores_tilde)) - q + d.remainder_tilde
         assert d.log_lik_original == pytest.approx(lhs, abs=1e-10)
-        lhs0 = float(np.dot(d.shift_values, d.gaussians)) - q
+        lhs0 = float(np.dot(plan.h_values, d.gaussians)) - q
         assert d.log_lik_gaussian == pytest.approx(lhs0, abs=1e-10)
-        assert d.seed == seed
 
 
 def test_coupled_draw_zero_shift_is_degenerate():
     fam = get_family("bernoulli")
     f = RegressionFunction.affine(0.4, 0.2)
     h = RegressionFunction.constant(0.0)
-    d = build_coupled_draw(fam, f, h, 64, 0.75, np.random.default_rng(0))
+    d = build_coupled_draw(CouplingPlan(fam, f, h, 64), np.random.default_rng(0))
     assert d.log_lik_original == 0.0
     assert d.log_lik_gaussian == 0.0
     assert d.remainder_tilde == 0.0
@@ -206,10 +206,10 @@ def test_coupled_draw_location_normal_sides_coincide():
     fam = get_family("location_normal")
     n = 256
     f, h = standard_test_pair(fam, n)
-    plan = CouplingPlan(fam, f, h, n, 0.75)
+    plan = CouplingPlan(fam, f, h, n)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        d = build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan)
+        d = build_coupled_draw(plan, rng)
         assert d.log_lik_original == d.log_lik_gaussian
         assert d.remainder_tilde == 0.0
         assert np.array_equal(d.scores_tilde, d.gaussians)
@@ -219,14 +219,14 @@ def test_coupled_draw_gaussian_side_has_exact_product_law():
     fam = get_family("bernoulli")
     n = 64
     f, h = standard_test_pair(fam, n)
-    plan = CouplingPlan(fam, f, h, n, 0.75, grid_size=1 << 14)
+    plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
     rng = np.random.default_rng(44)
     rows = []
     sums = []
     for _ in range(400):
-        d = build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan)
-        rows.append(d.gaussians / np.sqrt(d.info_values))
-        sums.append((d.log_lik_gaussian + quad_term(d)) / plan.sigma)
+        d = build_coupled_draw(plan, rng)
+        rows.append(d.gaussians / np.sqrt(plan.info))
+        sums.append((d.log_lik_gaussian + quad_term(plan)) / plan.sigma)
     flat = np.concatenate(rows)
     assert stats.kstest(flat, "norm").statistic < KS_CRIT_1PCT / math.sqrt(flat.size)
     sums = np.asarray(sums)
@@ -239,11 +239,11 @@ def test_coupled_draw_weighted_sums_tighten_with_n():
     medians = []
     for n in (256, 2048):
         f, h = standard_test_pair(fam, n)
-        plan = CouplingPlan(fam, f, h, n, 0.75, grid_size=1 << 14)
+        plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
         gaps = []
         for _ in range(80):
-            d = build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan)
-            gaps.append(abs(float(np.dot(d.shift_values, d.scores_tilde - d.gaussians))))
+            d = build_coupled_draw(plan, rng)
+            gaps.append(abs(float(np.dot(plan.h_values, d.scores_tilde - d.gaussians))))
         medians.append(float(np.median(gaps)))
     assert medians[1] < medians[0]
 
@@ -254,33 +254,27 @@ def test_coupled_hellinger_estimate_decreases_with_n():
     values = []
     for n in (256, 2048):
         f, h = standard_test_pair(fam, n)
-        plan = CouplingPlan(fam, f, h, n, 0.75, grid_size=1 << 14)
-        draws = [
-            build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan) for _ in range(300)
-        ]
+        plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
+        draws = [build_coupled_draw(plan, rng) for _ in range(300)]
         values.append(mc_hellinger_coupled(draws, n=n, family=fam.name).value)
     assert values[1] < values[0]
 
 
-def test_coupled_draw_truncate_flag():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda fam, f, rng: CouplingPlan(fam, f, RegressionFunction.constant(0.0), 16),
+        lambda fam, f, rng: truncate_scores(fam, f, 16, 0.75, rng),
+        lambda fam, f, rng: quantile_couple_scores(fam, f, 16, rng),
+        lambda fam, f, rng: sample_original(fam, f, 16, rng),
+    ],
+    ids=["coupling_plan", "truncate_scores", "quantile_couple_scores", "sample_original"],
+)
+def test_working_interval_violation_is_a_domain_error(entry):
+    # 0.99 is a valid Bernoulli parameter but outside the working interval
     fam = get_family("bernoulli")
-    n = 128
-    f, h = standard_test_pair(fam, n)
-    plan = CouplingPlan(fam, f, h, n, 0.75, c1=1.5, truncate=True, grid_size=1 << 14)
-    d = build_coupled_draw(fam, f, h, n, 0.75, np.random.default_rng(3), plan=plan)
-    q = quad_term(d)
-    lhs = float(np.dot(d.shift_values, d.scores_tilde)) - q + d.remainder_tilde
-    assert d.log_lik_original == pytest.approx(lhs, abs=1e-10)
-    bound = (2.0 + 1.5) * plan.trunc_clip_level
-    assert np.all(np.abs(d.scores_tilde) <= bound + 1e-12)
-
-
-def test_coupled_draw_truncate_needs_atomic_laws():
-    fam = get_family("gaussian_scale")
-    n = 64
-    f, h = standard_test_pair(fam, n)
-    with pytest.raises(ArgumentError, match="finitely supported"):
-        CouplingPlan(fam, f, h, n, 0.75, truncate=True)
+    with pytest.raises(DomainError, match="working interval"):
+        entry(fam, RegressionFunction.constant(0.99), np.random.default_rng(0))
 
 
 def test_coupling_plan_neighborhood_gate():
@@ -289,7 +283,7 @@ def test_coupling_plan_neighborhood_gate():
     f, _ = standard_test_pair(fam, n)
     too_big = RegressionFunction.sinusoid(0.5, 1.0, 0.0)
     with pytest.raises(NeighborhoodError):
-        CouplingPlan(fam, f, too_big, n, 0.75)
+        CouplingPlan(fam, f, too_big, n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +344,9 @@ def test_audit_on_real_coupled_batch():
     fam = get_family("bernoulli")
     n = 256
     f, h = standard_test_pair(fam, n)
-    plan = CouplingPlan(fam, f, h, n, 0.75, grid_size=1 << 14)
+    plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
     rng = np.random.default_rng(19)
-    draws = [
-        build_coupled_draw(fam, f, h, n, 0.75, rng, plan=plan) for _ in range(200)
-    ]
+    draws = [build_coupled_draw(plan, rng) for _ in range(200)]
     rep = audit_cc_conditions(draws, plan.r_n, 0.5, 0.5)
     assert rep.gap_freq <= 0.05
     assert 0.0 <= rep.orig_tail_freq <= 1.0

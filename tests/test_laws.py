@@ -366,7 +366,7 @@ def test_clipped_mass_is_small_on_pinned_plans(family, f_desc, L, n, grid):
     # the plans of the benchmark's local-hellinger configs
     config = StudyConfig(kind="local-hellinger", family=family, f_desc=f_desc, L=L, c_rate=0.5)
     plan = CouplingPlan(config.resolve_family(), config.resolve_f(), _local_shift(config, n), n,
-                        config.alpha, c_rate=config.c_rate, grid_size=grid)
+                        c_rate=config.c_rate, grid_size=grid)
     assert 0.0 <= plan.sum_law.clipped_mass < CLIPPED_MASS_BOUND
     # too coarse a grid leaves ringing that the clip must remove
     laws = [plan.family.score_law(float(t)) for t in plan.theta]
