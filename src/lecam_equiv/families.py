@@ -689,8 +689,17 @@ def extended_tangent(family: ParametricFamily, x, theta: float, u: float):
     family.require_theta(u)
     if u == theta:
         return family.score(x, theta)
+    return _secant_score(family, x, theta, u)
+
+
+def _secant_score(family: ParametricFamily, x, theta: float, u: float):
+    """extended_tangent for checked parameters u != theta.
+
+    Quadrature integrands call this at every node, so only the check
+    that depends on x, zero density at theta, runs here.
+    """
     p_t = np.asarray(family.density(x, theta), dtype=float)
-    if np.any(p_t <= 0.0):
+    if (p_t <= 0.0).any():
         raise SingularityError(
             f"{family.name}: zero density at the conditioning parameter"
         )
@@ -771,9 +780,10 @@ def check_regularity(
     """Estimate the regularity suprema over a finite (theta, u) pair grid.
 
     For each grid theta, partners u = theta +- epsilon * {1, 1/2, 1/4}
-    are used (clipped to the parameter interval).  Estimates are maxima
-    over the realized pairs; the report records the grid so reruns are
-    reproducible.
+    are used; a partner outside the open parameter interval, or equal
+    to theta, is dropped.  Estimates are maxima over the realized pairs;
+    the report records the grid so reruns are reproducible.  The grid is
+    checked once here, so the per-node integrands skip the checks.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -803,7 +813,7 @@ def check_regularity(
         moment = family.expect(
             theta,
             lambda x, t=theta, v=u: np.abs(
-                np.asarray(extended_tangent(family, x, t, v), dtype=float)
+                np.asarray(_secant_score(family, x, t, v), dtype=float)
             )
             ** (2.0 * d2),
         )

@@ -47,7 +47,7 @@ class StepFunction:
     def window_index(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         idx = np.ceil(t * self.n_windows).astype(int) - 1
-        return np.clip(idx, 0, self.n_windows - 1)
+        return np.minimum(self.n_windows - 1, np.maximum(0, idx))
 
     def __call__(self, t):
         out = self.values[self.window_index(t)]
@@ -146,7 +146,8 @@ def block_partition(
 
 def _window_means(t: np.ndarray, values: np.ndarray, n_windows: int) -> np.ndarray:
     """Per-window means with empty windows filled from their neighbors."""
-    idx = np.clip(np.ceil(t * n_windows).astype(int) - 1, 0, n_windows - 1)
+    idx = np.ceil(t * n_windows).astype(int) - 1
+    idx = np.minimum(n_windows - 1, np.maximum(0, idx))
     sums = np.bincount(idx, weights=values, minlength=n_windows)
     counts = np.bincount(idx, minlength=n_windows)
     filled = counts > 0
@@ -174,7 +175,10 @@ def _window_estimate(family, draw, values, beta, window_constant, to_mean, from_
     means = _window_means(draw.design, values, n_windows)
     lo, hi = family.working_interval
     m_lo, m_hi = sorted((float(to_mean(lo)), float(to_mean(hi))))
-    theta = np.clip(from_mean(np.clip(means, m_lo, m_hi)), lo, hi)
+    # np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo, hi), signed zeros
+    # included, without np.clip's Python wrapper
+    clipped = np.minimum(m_hi, np.maximum(m_lo, means))
+    theta = np.minimum(hi, np.maximum(lo, from_mean(clipped)))
     return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
 
 
@@ -275,29 +279,31 @@ def gaussianize(
         odd_draw, beta, L, window_constant=window_constant, family=family
     )
 
+    stabilized = family.gamma(fhat(draw.design))
     y = np.empty(n)
-    y[odd] = family.gamma(fhat(draw.design[odd])) + rng.standard_normal(odd.size)
+    y[odd] = stabilized[odd] + rng.standard_normal(odd.size)
 
     part = block_partition(even.size, beta, q)
     lo, hi = family.working_interval
     m_lo, m_hi = sorted((float(family.stat_mean(lo)), float(family.stat_mean(hi))))
-    clip_count = 0
     t_even = draw.design[even]
-    x_even = draw.observations[even]
-    stats_even = np.asarray(family.suff_stat(x_even), dtype=float)
-    for labels in part.blocks:
-        rows = labels - 1
-        t_block = t_even[rows]
-        stat_mean = float(stats_even[rows].mean())
-        clipped = min(max(stat_mean, m_lo), m_hi)
-        if clipped != stat_mean:
-            clip_count += 1
-        center = float(t_block.mean())
-        predicted = float(family.stat_mean(fhat(center)))
-        shift = float(family.vst(clipped)) - float(family.vst(predicted))
-        noise = rng.standard_normal(rows.size)
-        noise -= noise.mean()
-        y[even[rows]] = family.gamma(fhat(t_block)) + shift + noise
+    stats_even = np.asarray(family.suff_stat(draw.observations[even]), dtype=float)
+    # blocks are contiguous runs of the even rows; slice means keep the
+    # summation order of a per-block loop, which np.add.reduceat does not
+    sizes = part.sizes
+    ends = np.cumsum(sizes)
+    spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    stat_means = np.array([stats_even[s].mean() for s in spans])
+    centers = np.array([t_even[s].mean() for s in spans])
+    clipped = np.minimum(m_hi, np.maximum(m_lo, stat_means))
+    clip_count = int(np.count_nonzero(clipped != stat_means))
+    predicted = family.stat_mean(fhat(centers))
+    shift = family.vst(clipped) - family.vst(predicted)
+    # one call draws the same normals as one call per block, in block order
+    noise = rng.standard_normal(even.size)
+    for s in spans:
+        noise[s] -= noise[s].mean()
+    y[even] = stabilized[even] + np.repeat(shift, sizes) + noise
     if clip_count:
         warnings.warn(
             f"{clip_count} block statistic(s) fell outside the working mean "

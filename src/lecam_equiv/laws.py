@@ -274,7 +274,12 @@ class TruncatedLaw(ScoreLaw):
         vals = (eta_vals[:, None] + kicks[None, :]).ravel()
         probs = (base.probs[:, None] * kick_probs[None, :]).ravel()
         keep = probs > 0
-        return AtomLaw.from_unsorted(vals[keep], probs[keep])
+        law = AtomLaw.from_unsorted(vals[keep], probs[keep])
+        # clipping sends every base atom beyond the clip level to one value:
+        # merge runs of equal values so each distinct atom is stored once
+        v = law.values
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        return AtomLaw(v[starts], np.add.reduceat(law.probs, starts))
 
     def atoms(self) -> AtomLaw | None:
         return self._atoms

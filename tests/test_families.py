@@ -9,6 +9,7 @@ from scipy import integrate
 from lecam_equiv.errors import ArgumentError, DomainError, SingularityError
 from lecam_equiv.families import (
     BUILTIN_FAMILIES,
+    GaussianScale,
     TabulatedLocation,
     check_regularity,
     extended_tangent,
@@ -166,6 +167,20 @@ def test_extended_tangent_zero_density_raises():
         extended_tangent(get_family("poisson"), 0.5, 1.0, 1.1)
 
 
+@pytest.mark.parametrize(
+    "name,theta,u",
+    [
+        ("bernoulli", 0.5, 1.0),
+        ("bernoulli", 0.0, 0.5),
+        ("poisson", 1.0, -0.1),
+        ("gaussian_scale", 0.0, 1.0),
+    ],
+)
+def test_extended_tangent_outside_open_interval_raises(name, theta, u):
+    with pytest.raises(DomainError):
+        extended_tangent(get_family(name), 0.0, theta, u)
+
+
 def test_fisher_domain_error():
     with pytest.raises(DomainError):
         fisher_info(get_family("bernoulli"), 1.5)
@@ -298,6 +313,46 @@ def test_regularity_degenerate_grid_flags_insufficient_pairs():
 def test_regularity_empty_grid_raises():
     with pytest.raises(ArgumentError):
         check_regularity(get_family("bernoulli"), [], epsilon=0.05, beta=1.0)
+
+
+class _TruncatedGaussianScale(GaussianScale):
+    """N(0, theta^2) with the density cut to 0 beyond 8 theta."""
+
+    def density(self, x, theta):
+        x = np.asarray(x, dtype=float)
+        out = np.where(np.abs(x) > 8.0 * theta, 0.0, super().density(x, theta))
+        return out if out.ndim else float(out)
+
+
+def test_regularity_zero_density_inside_the_window_raises():
+    # the quadrature window is +-16 theta, so the secant integrand meets
+    # nodes where the conditioning density vanishes
+    with pytest.raises(SingularityError, match="zero density"):
+        check_regularity(_TruncatedGaussianScale(), [1.0, 2.0], epsilon=0.1, beta=1.0)
+
+
+def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
+    family = get_family("gaussian_scale")
+    original = family.require_theta
+    calls = []
+
+    def counting(theta):
+        calls.append(1)
+        return original(theta)
+
+    monkeypatch.setattr(family, "require_theta", counting)
+    density_calls = []
+    density = family.density
+
+    def counting_density(x, theta):
+        density_calls.append(1)
+        return density(x, theta)
+
+    monkeypatch.setattr(family, "density", counting_density)
+    check_regularity(family, np.linspace(0.5, 2.0, 13), epsilon=0.1, beta=1.0)
+    # thousands of quadrature nodes, yet the grid is checked once
+    assert len(density_calls) > 10_000
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------

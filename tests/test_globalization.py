@@ -306,6 +306,79 @@ def test_gaussianize_single_block_flag_for_small_n():
     assert out.partition.n == 4  # even half of eight points
 
 
+def _gaussianize_per_block(family, draw, beta, L, rng, q=0.25):
+    """Reference kernel: the per-block loop that gaussianize replaced.
+
+    One estimate, one odd-row fill and then, block by block, a scalar
+    statistic mean, clip, shift and a standard_normal call of its own.
+    Returns the observations and the clip count.
+    """
+    n = draw.n
+    odd = np.arange(0, n, 2)
+    even = np.arange(1, n, 2)
+    odd_draw = ExperimentDraw(
+        model="original",
+        n=odd.size,
+        design=draw.design[odd],
+        observations=draw.observations[odd],
+        family=draw.family,
+        f_desc=draw.f_desc,
+    )
+    fhat = preliminary_estimate(odd_draw, beta, L, family=family)
+    y = np.empty(n)
+    y[odd] = family.gamma(fhat(draw.design[odd])) + rng.standard_normal(odd.size)
+    part = block_partition(even.size, beta, q)
+    lo, hi = family.working_interval
+    m_lo, m_hi = sorted((float(family.stat_mean(lo)), float(family.stat_mean(hi))))
+    clip_count = 0
+    t_even = draw.design[even]
+    stats_even = np.asarray(family.suff_stat(draw.observations[even]), dtype=float)
+    for labels in part.blocks:
+        rows = labels - 1
+        t_block = t_even[rows]
+        stat_mean = float(stats_even[rows].mean())
+        clipped = min(max(stat_mean, m_lo), m_hi)
+        if clipped != stat_mean:
+            clip_count += 1
+        center = float(t_block.mean())
+        predicted = float(family.stat_mean(fhat(center)))
+        shift = float(family.vst(clipped)) - float(family.vst(predicted))
+        noise = rng.standard_normal(rows.size)
+        noise -= noise.mean()
+        y[even[rows]] = family.gamma(fhat(t_block)) + shift + noise
+    return y, clip_count
+
+
+ORACLE_FUNCTIONS = {
+    "poisson": RegressionFunction.affine(1.5, 1.0),
+    "bernoulli": RegressionFunction.affine(0.25, 0.5),
+    "gaussian_scale": RegressionFunction.affine(2.0, 1.0),
+    "location_normal": RegressionFunction.sinusoid(0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "name,f,n",
+    [(name, f, n) for name, f in ORACLE_FUNCTIONS.items()
+     for n in (16, 17, 64, 256, 1024, 4096)]
+    + [("bernoulli", RegressionFunction.constant(0.94), 512)],
+)
+def test_gaussianize_matches_per_block_reference(name, f, n):
+    family = get_family(name)
+    draw = sample_original(family, f, n, np.random.default_rng(n), seed=n)
+    rng_ref = np.random.default_rng(900 + n)
+    rng_new = np.random.default_rng(900 + n)
+    y_ref, clips_ref = _gaussianize_per_block(family, draw, 1.0, 1.0, rng_ref)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = gaussianize(family, draw, 1.0, 1.0, rng_new)
+    assert out.draw.observations.tobytes() == y_ref.tobytes()
+    assert out.clip_warning_count == clips_ref
+    assert len(caught) == (1 if clips_ref else 0)
+    # risk_transfer_demo reuses one generator, so the stream must end alike
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # estimation on the stabilized scale
 # ---------------------------------------------------------------------------

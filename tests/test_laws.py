@@ -220,6 +220,32 @@ def test_apply_truncation_matches_atom_law():
     assert np.max(dist) < 1e-12
 
 
+def _unmerged_truncated_atoms(base, tp):
+    """One atom per (base atom, kick), as before equal values were merged."""
+    clipped = np.where(np.abs(base.values) <= tp.clip_level, base.values, 0.0)
+    eta = clipped - tp.clip_mean
+    kicks = np.array([-tp.x_n, 0.0, tp.x_n])
+    kick_probs = np.array([tp.p, 1.0 - 2.0 * tp.p, tp.p])
+    vals = (eta[:, None] + kicks[None, :]).ravel()
+    probs = (base.probs[:, None] * kick_probs[None, :]).ravel()
+    keep = probs > 0
+    return AtomLaw.from_unsorted(vals[keep], probs[keep])
+
+
+def test_truncated_atoms_merge_equal_values():
+    base = PoissonScoreLaw(1.0)
+    tp = truncation_params(base, 0.8, 2.0)
+    merged = TruncatedLaw(base, tp).atoms()
+    unmerged = _unmerged_truncated_atoms(base.atoms(), tp)
+    # every Poisson score beyond the clip level lands on one value
+    assert unmerged.values.size == 261
+    assert merged.values.size == 3
+    assert np.all(np.diff(merged.values) > 0)
+    probe = np.concatenate([unmerged.values, np.linspace(-4.0, 4.0, 41)])
+    assert np.max(np.abs(merged.cdf(probe) - unmerged.cdf(probe))) <= 1e-15
+    assert merged.second_moment() == pytest.approx(unmerged.second_moment(), abs=1e-15)
+
+
 def test_truncation_params_rejects_small_kick_constant():
     from lecam_equiv.errors import TruncationConstantError
 
