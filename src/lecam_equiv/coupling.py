@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ArgumentError, NeighborhoodError, TruncationConstantError
+from .errors import (
+    ArgumentError,
+    NeighborhoodError,
+    SingularityError,
+    TruncationConstantError,
+)
 from .experiments import ExperimentDraw, _working_values, design_grid, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
@@ -121,24 +126,31 @@ def _truncation_table(
     clip_level: float,
     c1: float,
 ) -> list[TruncatedLaw]:
-    """Per-point bounded-modification laws; aggregates constant failures."""
-    laws: list[TruncatedLaw] = []
+    """Per-point bounded-modification laws; aggregates constant failures.
+
+    Points with equal (theta, information) share one law object.
+    """
+    keys = [(float(th), float(i_val)) for th, i_val in zip(theta, info)]
+    shared: dict[tuple[float, float], TruncatedLaw | None] = {}
     worst: float | None = None
-    for th, i_val in zip(theta, info):
-        law = family.score_law(float(th))
+    for key in keys:
+        if key in shared:
+            continue
+        law = family.score_law(key[0])
         try:
-            params = truncation_params(law, clip_level, c1, target_second_moment=float(i_val))
+            params = truncation_params(law, clip_level, c1, target_second_moment=key[1])
         except TruncationConstantError as err:
             worst = err.suggested_c1 if worst is None else max(worst, err.suggested_c1)
+            shared[key] = None
             continue
-        laws.append(TruncatedLaw(law, params))
+        shared[key] = TruncatedLaw(law, params)
     if worst is not None:
         raise TruncationConstantError(
             f"kick constant {c1:.4g} too small somewhere on the design; "
             f"at least {worst:.4g} is needed",
             suggested_c1=worst,
         )
-    return laws
+    return [shared[key] for key in keys]
 
 
 def truncate_scores(
@@ -244,8 +256,10 @@ def quantile_couple_scores(
 class CouplingPlan:
     """Per-cell precomputation shared by every replicate draw.
 
-    Holds the design values and the weighted-sum law of the score side
-    (one FFT build).  Building the plan once and passing it to
+    Holds the design values, the weighted-sum law of the score side (one
+    FFT build) and, for families whose log-likelihood ratio is affine in
+    the score, the remainder table: remainder = remainder_weights . scores
+    + remainder_offset.  Building the plan once and passing it to
     build_coupled_draw amortizes the heavy numerics across replicates.
     """
 
@@ -275,6 +289,21 @@ class CouplingPlan:
         self.quadratic = 0.5 * self.sigma2
         laws = [family.score_law(float(th)) for th in self.theta]
         self.all_gaussian = all(law.is_gaussian for law in laws)
+        self.remainder_weights = None
+        self.remainder_offset = 0.0
+        if not self.all_gaussian:
+            shifted = family.require_theta(self.theta + self.h_values)
+            affine = family.log_lr_affine(self.theta, shifted)
+            if affine is not None:
+                a, b = affine
+                if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                    raise SingularityError(
+                        f"{family.name}: log-likelihood ratio is not finite on the design"
+                    )
+                # log z_i = a_i score_i + b_i, so the exact remainder
+                # sum(log z) - (h . scores - quadratic) is affine too
+                self.remainder_weights = a - self.h_values
+                self.remainder_offset = float(np.sum(b)) + self.quadratic
         self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
         self.sigma = self.sum_law.sigma
 
@@ -289,9 +318,10 @@ def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledL
     around that sum so its law is exactly the heteroscedastic product.
     The remainder attached to the score side is the dataset's own exact
     expansion remainder, so the original-side log-likelihood is the
-    dataset's true log-likelihood ratio.  When every score law is
-    already standard normal the two sides coincide identically and the
-    remainder is zero analytically.
+    dataset's true log-likelihood ratio: a dot product with the plan's
+    remainder table, or lase_terms for a family without one.  When
+    every score law is already standard normal the two sides coincide
+    identically and the remainder is zero analytically.
     """
     family, n = plan.family, plan.n
     h_vals = plan.h_values
@@ -309,16 +339,19 @@ def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledL
         loglik_orig = weighted_sum - quad + rho
         loglik_gauss = weighted_sum - quad
     else:
-        draw = ExperimentDraw(
-            model="original",
-            n=n,
-            design=plan.t,
-            observations=np.asarray(x, dtype=float),
-            family=family.name,
-            f_desc=plan.f.descriptor,
-            h_desc=plan.h.descriptor,
-        )
-        rho = lase_terms(family, plan.f, plan.h, draw).remainder
+        if plan.remainder_weights is not None:
+            rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
+        else:
+            draw = ExperimentDraw(
+                model="original",
+                n=n,
+                design=plan.t,
+                observations=np.asarray(x, dtype=float),
+                family=family.name,
+                f_desc=plan.f.descriptor,
+                h_desc=plan.h.descriptor,
+            )
+            rho = lase_terms(family, plan.f, plan.h, draw).remainder
         noise = np.sqrt(plan.info) * rng.standard_normal(n)
         if plan.sigma == 0.0:
             zeta = noise

@@ -95,6 +95,14 @@ class ParametricFamily:
     def score_law(self, theta) -> ScoreLaw:
         raise NotImplementedError
 
+    def log_lr_affine(self, theta, u):
+        """(a, b) with log p(x, u) - log p(x, theta) = a * score(x, theta) + b.
+
+        None when the log-likelihood ratio is not affine in the score.
+        Parameters are not checked here.
+        """
+        return None
+
     # -- sufficient statistic and its variance-stabilizing map --------------
 
     def suff_stat(self, x):
@@ -211,12 +219,16 @@ class Bernoulli(ParametricFamily):
         theta = self.require_theta(theta)
         return rng.binomial(1, theta).astype(float)
 
-    def score_law(self, theta) -> AtomLaw:
-        theta = float(theta)
-        return AtomLaw(
-            values=np.array([-1.0 / (1.0 - theta), 1.0 / theta]),
-            probs=np.array([1.0 - theta, theta]),
-        )
+    def score_law(self, theta) -> "BernoulliScoreLaw":
+        return BernoulliScoreLaw(float(theta))
+
+    def log_lr_affine(self, theta, u):
+        # log z = l0 + x D with x = theta + theta (1 - theta) score
+        theta = np.asarray(theta, dtype=float)
+        h = np.asarray(u, dtype=float) - theta
+        l0 = np.log1p(-h / (1.0 - theta))
+        d = np.log1p(h / theta) - l0
+        return theta * (1.0 - theta) * d, l0 + theta * d
 
     def suff_stat(self, x):
         return np.asarray(x, dtype=float)
@@ -240,6 +252,32 @@ class Bernoulli(ParametricFamily):
         u = np.asarray(u, dtype=float)
         out = np.sqrt(theta * u) + np.sqrt((1.0 - theta) * (1.0 - u))
         return out if out.ndim else float(out)
+
+
+class BernoulliScoreLaw(AtomLaw):
+    """Law of (X - theta)/(theta (1 - theta)) for X ~ Bernoulli(theta).
+
+    Two atoms with a closed-form log cf: factoring out exp(i omega v0)
+    leaves one cosine, one sine, one arctan2 and one log per frequency.
+    """
+
+    def __init__(self, theta: float):
+        theta = float(theta)
+        super().__init__(
+            values=np.array([-1.0 / (1.0 - theta), 1.0 / theta]),
+            probs=np.array([1.0 - theta, theta]),
+        )
+
+    def log_cf(self, omega):
+        # cf = exp(i omega v0) ((1 - theta) + theta exp(i omega (v1 - v0)))
+        omega = np.asarray(omega, dtype=float)
+        (v0, v1), (q, p) = self.values, self.probs
+        arg = omega * (v1 - v0)
+        re = q + p * np.cos(arg)
+        im = p * np.sin(arg)
+        # the modulus vanishes at theta = 1/2: floor it at 1e-300
+        log_mod = np.log(np.maximum(np.hypot(re, im), 1e-300))
+        return log_mod, omega * v0 + np.arctan2(im, re)
 
 
 class Poisson(ParametricFamily):
@@ -285,6 +323,13 @@ class Poisson(ParametricFamily):
 
     def score_law(self, theta) -> "PoissonScoreLaw":
         return PoissonScoreLaw(float(theta))
+
+    def log_lr_affine(self, theta, u):
+        # log z = x log(u/theta) - h with x = theta (1 + score)
+        theta = np.asarray(theta, dtype=float)
+        h = np.asarray(u, dtype=float) - theta
+        a = theta * np.log1p(h / theta)
+        return a, a - h
 
     def suff_stat(self, x):
         return np.asarray(x, dtype=float)
@@ -397,6 +442,14 @@ class GaussianScale(ParametricFamily):
 
     def score_law(self, theta) -> ScaledChi2Law:
         return ScaledChi2Law(float(theta))
+
+    def log_lr_affine(self, theta, u):
+        # log z = -log(u/theta) + k x^2/theta^2 with x^2 = theta^2 + theta^3 score
+        theta = np.asarray(theta, dtype=float)
+        u = np.asarray(u, dtype=float)
+        h = u - theta
+        k = h * (theta + u) / (2.0 * u * u)
+        return theta * k, k - np.log1p(h / theta)
 
     def suff_stat(self, x):
         x = np.asarray(x, dtype=float)

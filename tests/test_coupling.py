@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lecam_equiv import coupling
 from lecam_equiv.coupling import (
     CouplingPlan,
     audit_cc_conditions,
@@ -19,11 +20,18 @@ from lecam_equiv.errors import (
     ArgumentError,
     DomainError,
     NeighborhoodError,
+    SingularityError,
     TruncationConstantError,
 )
-from lecam_equiv.experiments import sample_original, standard_test_pair
-from lecam_equiv.families import get_family
+from lecam_equiv.experiments import (
+    ExperimentDraw,
+    lase_terms,
+    sample_original,
+    standard_test_pair,
+)
+from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
+from lecam_equiv.laws import TruncatedLaw, truncation_params
 
 KS_CRIT_1PCT = 1.628
 
@@ -81,6 +89,44 @@ def test_truncate_scores_small_kick_constant_aggregates_suggestion():
     assert suggested > 0.01
     out = truncate_scores(fam, f, 4, 0.9, np.random.default_rng(0), c1=suggested)
     assert np.all(out.kick_probs <= 0.5)
+
+
+def _per_point_truncation_table(family, theta, info, clip_level, c1):
+    """One law per design point: the reference for the shared table."""
+    laws = []
+    worst = None
+    for th, i_val in zip(theta, info):
+        law = family.score_law(float(th))
+        try:
+            params = truncation_params(law, clip_level, c1, target_second_moment=float(i_val))
+        except TruncationConstantError as err:
+            worst = err.suggested_c1 if worst is None else max(worst, err.suggested_c1)
+            continue
+        laws.append(TruncatedLaw(law, params))
+    if worst is not None:
+        raise TruncationConstantError("reference", suggested_c1=worst)
+    return laws
+
+
+@pytest.mark.parametrize(
+    "f, distinct",
+    [(RegressionFunction.constant(0.4), 1), (RegressionFunction.affine(0.4, 0.2), 256)],
+    ids=["constant", "affine"],
+)
+def test_truncation_table_shares_laws_with_per_point_bytes(monkeypatch, f, distinct):
+    fam = get_family("bernoulli")
+    out = truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3))
+    with pytest.raises(TruncationConstantError) as shared_err:
+        truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3), c1=0.5)
+    monkeypatch.setattr(coupling, "_truncation_table", _per_point_truncation_table)
+    ref = truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3))
+    with pytest.raises(TruncationConstantError) as ref_err:
+        truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3), c1=0.5)
+    assert len({id(law) for law in out.laws}) == distinct
+    assert len(out.laws) == len(ref.laws) == 256
+    for name in ("scores_star", "kick_probs", "clip_means"):
+        assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert shared_err.value.suggested_c1 == ref_err.value.suggested_c1
 
 
 def test_truncate_scores_location_normal_variance():
@@ -190,6 +236,57 @@ def test_coupled_draw_identities(name):
         assert d.log_lik_original == pytest.approx(lhs, abs=1e-10)
         lhs0 = float(np.dot(plan.h_values, d.gaussians)) - q
         assert d.log_lik_gaussian == pytest.approx(lhs0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+@pytest.mark.parametrize("name", ["poisson", "bernoulli", "gaussian_scale"])
+def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
+    fam = get_family(name)
+    f, h = standard_test_pair(fam, n)
+    plan = CouplingPlan(fam, f, h, n, grid_size=256)
+    assert plan.remainder_weights is not None
+    for seed in range(5):
+        d = build_coupled_draw(plan, np.random.default_rng(seed))
+        # a draw samples first, so the same seed reproduces its dataset
+        x = fam.sample(plan.theta, np.random.default_rng(seed))
+        data = ExperimentDraw("original", n, plan.t, x, fam.name, f.descriptor, h.descriptor)
+        assert abs(d.remainder_tilde - lase_terms(fam, f, h, data).remainder) <= 1e-12
+
+
+def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
+    xs = np.linspace(-8.0, 8.0, 801)
+    fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
+    f = RegressionFunction.constant(0.0)
+    h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
+    plan = CouplingPlan(fam, f, h, 16, grid_size=256)
+    assert plan.remainder_weights is None
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return lase_terms(*args)
+
+    monkeypatch.setattr(coupling, "lase_terms", counting)
+    for seed in range(3):
+        build_coupled_draw(plan, np.random.default_rng(seed))
+    assert len(calls) == 3
+
+
+def test_coupling_plan_rejects_shift_outside_the_open_interval():
+    # f sits on the working interval's edge and f + h leaves (0, 1)
+    fam = get_family("bernoulli")
+    f = RegressionFunction.constant(0.05)
+    h = RegressionFunction.constant(-0.06)
+    with pytest.raises(DomainError, match="open interval"):
+        CouplingPlan(fam, f, h, 16, c_rate=4.0, grid_size=256)
+
+
+def test_coupling_plan_rejects_non_finite_log_likelihood_ratio(monkeypatch):
+    fam = get_family("poisson")
+    f, h = standard_test_pair(fam, 16)
+    monkeypatch.setattr(fam, "log_lr_affine", lambda theta, u: (np.full(16, np.inf), 0.0 * u))
+    with pytest.raises(SingularityError):
+        CouplingPlan(fam, f, h, 16, grid_size=256)
 
 
 def test_coupled_draw_zero_shift_is_degenerate():

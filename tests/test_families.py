@@ -211,6 +211,30 @@ def test_affinity_closed_forms_against_direct_integration():
         assert fam.affinity(b, a) == pytest.approx(closed, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, theta, u",
+    [
+        ("bernoulli", 0.3, 0.34),
+        ("bernoulli", 0.5, 0.45),
+        ("poisson", 1.0, 1.3),
+        ("poisson", 4.0, 3.9),
+        ("gaussian_scale", 1.0, 1.5),
+        ("gaussian_scale", 2.0, 1.8),
+    ],
+)
+def test_log_lr_affine_matches_density_ratio(name, theta, u):
+    fam = get_family(name)
+    x = fam.sample(np.full(50, theta), np.random.default_rng(8))
+    a, b = fam.log_lr_affine(theta, u)
+    log_z = np.log(fam.density(x, u)) - np.log(fam.density(x, theta))
+    assert np.allclose(a * fam.score(x, theta) + b, log_z, rtol=0.0, atol=1e-13)
+
+
+def test_log_lr_affine_is_none_without_a_closed_form():
+    xs, dens = normal_table()
+    assert TabulatedLocation(xs, dens).log_lr_affine(0.0, 0.1) is None
+
+
 def ParametricAffinityOracle(fam, a, b):
     """Independent affinity evaluation by summation/quadrature."""
     atoms = fam.support_atoms(a)

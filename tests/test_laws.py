@@ -156,6 +156,25 @@ def test_poisson_score_law_cf_matches_atom_sum():
     assert np.allclose(law.cdf(probe), atoms.cdf(probe), atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_bernoulli_log_cf_matches_atom_law(theta):
+    law = get_family("bernoulli").score_law(theta)
+    oracle = AtomLaw(law.values, law.probs)
+    assert isinstance(law, AtomLaw) and law.atoms() is law
+    omega = np.linspace(-100.0, 100.0, 4001)
+    log_mod, phase = law.log_cf(omega)
+    ref_mod, ref_phase = oracle.log_cf(omega)
+    # as complex numbers: the phases agree mod 2 pi, and at theta = 1/2
+    # the modulus has zeros where the log modulus cannot be compared.
+    # Both forms round cos/sin arguments of size up to |omega| max|v|.
+    tol = 4.0 * np.finfo(float).eps * 100.0 * np.abs(law.values).max()
+    cf = np.exp(log_mod + 1j * phase)
+    ref = np.exp(ref_mod + 1j * ref_phase)
+    assert np.max(np.abs(cf - ref)) < tol
+    away = ref_mod > -1.0
+    assert np.max(np.abs(log_mod - ref_mod)[away]) < 3.0 * tol
+
+
 # ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
