@@ -79,11 +79,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_family(args) -> int:
-    family = (
-        get_family(args.name, table_path=args.table)
-        if args.table
-        else get_family(args.name)
-    )
+    family = get_family(args.name, table_path=args.table)
     lo, hi = family.working_interval
     grid = np.linspace(lo, hi, args.grid_points)
     report = check_regularity(family, grid, args.epsilon, args.beta)

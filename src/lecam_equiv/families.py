@@ -39,10 +39,8 @@ class ParametricFamily:
     """One observation channel p(x, theta), theta in an open interval."""
 
     name: str = "abstract"
-    support_kind: str = "continuous-real"
     theta_interval: tuple[float, float] = (-math.inf, math.inf)
     working_interval: tuple[float, float] = (-math.inf, math.inf)
-    gamma_anchor: float = 0.0
 
     # -- parameter checks ---------------------------------------------------
 
@@ -72,19 +70,8 @@ class ParametricFamily:
         raise NotImplementedError
 
     def gamma(self, theta):
-        """Antiderivative of sqrt(fisher) from the anchor (numeric default)."""
-        theta = self.require_theta(theta)
-        scalar = theta.ndim == 0
-
-        def integrand(v):
-            return math.sqrt(float(self.fisher(v)))
-
-        values = [
-            integrate.quad(integrand, self.gamma_anchor, float(t), limit=200)[0]
-            for t in np.atleast_1d(theta)
-        ]
-        out = np.array(values)
-        return float(out[0]) if scalar else out
+        """Antiderivative of sqrt(fisher), in closed form per family."""
+        raise NotImplementedError
 
     def gamma_inverse(self, y):
         raise NotImplementedError
@@ -147,31 +134,8 @@ class ParametricFamily:
     # -- pairwise structure ---------------------------------------------------
 
     def affinity(self, theta, u):
-        """Integral of sqrt(p(x,theta) p(x,u)); numeric fallback."""
-        theta_a = np.asarray(theta, dtype=float)
-        u_a = np.asarray(u, dtype=float)
-        if theta_a.ndim or u_a.ndim:
-            tb, ub = np.broadcast_arrays(np.atleast_1d(theta_a), np.atleast_1d(u_a))
-            return np.array(
-                [self.affinity(float(a), float(b)) for a, b in zip(tb, ub)]
-            )
-        theta_f, u_f = float(theta_a), float(u_a)
-        atoms = self.support_atoms(theta_f)
-        if atoms is not None:
-            return float(
-                np.sum(np.sqrt(self.density(atoms, theta_f) * self.density(atoms, u_f)))
-            )
-        lo1, hi1 = self.quad_bounds(theta_f)
-        lo2, hi2 = self.quad_bounds(u_f)
-        val = integrate.quad(
-            lambda x: math.sqrt(
-                float(self.density(x, theta_f)) * float(self.density(x, u_f))
-            ),
-            min(lo1, lo2),
-            max(hi1, hi2),
-            limit=400,
-        )[0]
-        return float(val)
+        """Hellinger affinity: the integral of sqrt(p(x, theta) p(x, u))."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +147,8 @@ class Bernoulli(ParametricFamily):
     """Binary channel: P(X=1) = theta."""
 
     name = "bernoulli"
-    support_kind = "binary"
     theta_interval = (0.0, 1.0)
     working_interval = (0.05, 0.95)
-    gamma_anchor = 0.0
 
     def density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -284,10 +246,8 @@ class Poisson(ParametricFamily):
     """Counting channel: X ~ Poisson(theta)."""
 
     name = "poisson"
-    support_kind = "nonnegative-integer"
     theta_interval = (0.0, math.inf)
     working_interval = (0.1, 10.0)
-    gamma_anchor = 0.0
 
     def density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -404,10 +364,8 @@ class GaussianScale(ParametricFamily):
     """Scale channel: X ~ N(0, theta^2)."""
 
     name = "gaussian_scale"
-    support_kind = "continuous-real"
     theta_interval = (0.0, math.inf)
     working_interval = (0.1, 10.0)
-    gamma_anchor = 1.0
 
     def density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -482,10 +440,8 @@ class LocationNormal(ParametricFamily):
     """Location channel: X ~ N(theta, 1)."""
 
     name = "location_normal"
-    support_kind = "continuous-real"
     theta_interval = (-math.inf, math.inf)
     working_interval = (-5.0, 5.0)
-    gamma_anchor = 0.0
 
     def density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -552,9 +508,7 @@ class TabulatedLocation(ParametricFamily):
     """
 
     name = "location_custom"
-    support_kind = "continuous-real"
     theta_interval = (-math.inf, math.inf)
-    gamma_anchor = 0.0
 
     def __init__(self, grid, dens, working_interval=(-1.0, 1.0)):
         grid = np.asarray(grid, dtype=float)
@@ -599,13 +553,13 @@ class TabulatedLocation(ParametricFamily):
         return w / w.sum()
 
     @classmethod
-    def from_file(cls, path, working_interval=(-1.0, 1.0)) -> "TabulatedLocation":
+    def from_file(cls, path) -> "TabulatedLocation":
         data = np.loadtxt(path)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ArgumentError(
                 "location_custom: table must have two columns (x, density)"
             )
-        return cls(data[:, 0], data[:, 1], working_interval)
+        return cls(data[:, 0], data[:, 1])
 
     def density(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -688,8 +642,11 @@ class TabulatedLocation(ParametricFamily):
 BUILTIN_FAMILIES = ("bernoulli", "poisson", "gaussian_scale", "location_normal")
 
 
-def get_family(name: str, table_path: str | None = None, **kwargs) -> ParametricFamily:
-    """Look a family up by its config name."""
+def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
+    """Look a family up by its config name.
+
+    location_custom needs a table_path; an empty one counts as missing.
+    """
     registry = {
         "bernoulli": Bernoulli,
         "poisson": Poisson,
@@ -699,9 +656,9 @@ def get_family(name: str, table_path: str | None = None, **kwargs) -> Parametric
     if name in registry:
         return registry[name]()
     if name == "location_custom":
-        if table_path is None:
+        if not table_path:
             raise ArgumentError("location_custom requires a density table file")
-        return TabulatedLocation.from_file(table_path, **kwargs)
+        return TabulatedLocation.from_file(table_path)
     raise ArgumentError(
         f"unknown family {name!r}; choose from "
         "bernoulli|poisson|gaussian_scale|location_normal|location_custom"
@@ -827,16 +784,16 @@ def check_regularity(
     grid,
     epsilon: float,
     beta: float,
-    delta_r1: float | None = None,
-    delta_r2: float | None = None,
 ) -> RegularityReport:
     """Estimate the regularity suprema over a finite (theta, u) pair grid.
 
     For each grid theta, partners u = theta +- epsilon * {1, 1/2, 1/4}
     are used; a partner outside the open parameter interval, or equal
     to theta, is dropped.  Estimates are maxima over the realized pairs;
-    the report records the grid so reruns are reproducible.  The grid is
-    checked once here, so the per-node integrands skip the checks.
+    the report records the grid so reruns are reproducible.  The
+    exponents are default_delta_r1(beta) and default_delta_r2(beta).
+    The grid is checked once here, so the per-node integrands skip the
+    checks.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -846,8 +803,8 @@ def check_regularity(
     if not 0.5 < beta:
         raise ArgumentError("check_regularity: beta must exceed 1/2")
     family.require_theta(grid)
-    d1 = default_delta_r1(beta) if delta_r1 is None else float(delta_r1)
-    d2 = default_delta_r2(beta) if delta_r2 is None else float(delta_r2)
+    d1 = default_delta_r1(beta)
+    d2 = default_delta_r2(beta)
 
     lo, hi = family.theta_interval
     pairs: list[tuple[float, float]] = []

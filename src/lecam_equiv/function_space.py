@@ -18,8 +18,10 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ArgumentError
 
-# fixed audit grid; recorded here so checks are reproducible
+# fixed audit grid and random pairs; recorded here so checks are reproducible
 GRID_POINTS = 1025
+HOLDER_PAIRS = 256
+HOLDER_SEED = 1023
 
 
 def _dyadic_grid() -> np.ndarray:
@@ -218,16 +220,14 @@ class HolderReport:
         )
 
 
-def holder_check(f, pair_count: int = 256, rng=None) -> HolderReport:
+def holder_check(f) -> HolderReport:
     """Audit |f| <= L and the beta-smoothness ratio on grid + random pairs."""
-    if pair_count < 1:
-        raise ArgumentError("pair_count must be at least 1")
-    rng = np.random.default_rng(1023) if rng is None else rng
+    rng = np.random.default_rng(HOLDER_SEED)
     grid = _dyadic_grid()
     sup_abs = float(np.max(np.abs(f(grid))))
 
-    t = rng.random(pair_count)
-    s = rng.random(pair_count)
+    t = rng.random(HOLDER_PAIRS)
+    s = rng.random(HOLDER_PAIRS)
     keep = t != s
     t, s = t[keep], s[keep]
     # adjacent dyadic pairs catch fine-scale roughness deterministically
@@ -269,12 +269,7 @@ def neighborhood_contains(
 # ---------------------------------------------------------------------------
 
 
-def parse_function(
-    text: str,
-    beta: float = 1.0,
-    L: float = 1.0,
-    range_interval: tuple[float, float] | None = None,
-) -> RegressionFunction:
+def parse_function(text: str, beta: float = 1.0, L: float = 1.0) -> RegressionFunction:
     """Build a RegressionFunction from 'kind(a, b, ...)' descriptor text."""
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
@@ -285,4 +280,4 @@ def parse_function(
         args = tuple(float(a) for a in arg_text.split(",")) if arg_text.strip() else ()
     except ValueError as exc:
         raise ArgumentError(f"non-numeric argument in descriptor {text!r}") from exc
-    return RegressionFunction(kind, args, beta=beta, L=L, range_interval=range_interval)
+    return RegressionFunction(kind, args, beta=beta, L=L)

@@ -26,6 +26,7 @@ from .families import ParametricFamily, get_family
 from .function_space import RegressionFunction, rate_gamma_bar
 
 BLOCK_EXPONENT = 0.9  # module-level exponent feeding the block-size rule
+WINDOW_CONSTANT = 2.0  # window width factor of the window-average estimators
 
 
 # ---------------------------------------------------------------------------
@@ -84,40 +85,38 @@ class BlockPartition:
         return self.m_blocks == 1
 
 
-def _block_count(n: int, beta: float, q: float, exponent: float) -> tuple[int, float, float]:
-    alpha_prime = 1.0 / (2.0 * beta) + q * (exponent - 1.0 / (2.0 * beta))
+def _block_count(n: int, beta: float, q: float) -> tuple[int, float, float]:
+    alpha_prime = 1.0 / (2.0 * beta) + q * (BLOCK_EXPONENT - 1.0 / (2.0 * beta))
     gamma_n = rate_gamma_bar(n, beta, 1.0)
     delta_n = gamma_n ** (2.0 * alpha_prime)
     m = 1 if delta_n >= 1.0 else int(math.floor(1.0 / delta_n))
     return m, delta_n, alpha_prime
 
 
-def block_partition(
-    n: int, beta: float, q: float, exponent: float = BLOCK_EXPONENT
-) -> BlockPartition:
+def block_partition(n: int, beta: float, q: float) -> BlockPartition:
     """Partition {1..n} into blocks whose width tracks the squared rate.
 
     The block scale is delta_n = gamma_bar_n^(2 alpha') with
-    alpha' = 1/(2 beta) + q (exponent - 1/(2 beta)); boundaries sit at
-    the largest design point below each multiple of 1/M_n.
+    alpha' = 1/(2 beta) + q (BLOCK_EXPONENT - 1/(2 beta)); boundaries
+    sit at the largest design point below each multiple of 1/M_n.
     """
     if n < 4:
         raise ArgumentError("need at least 4 design points")
     if not 0.0 < q <= 0.25:
         raise ArgumentError("q must lie in (0, 1/4]")
-    if not 1.0 / (2.0 * beta) < exponent < 1.0:
+    if not 1.0 / (2.0 * beta) < BLOCK_EXPONENT < 1.0:
         raise ArgumentError("block exponent must lie in (1/(2 beta), 1)")
-    m, delta_n, alpha_prime = _block_count(n, beta, q, exponent)
+    m, delta_n, alpha_prime = _block_count(n, beta, q)
     if m > n // 2:
         probe = n
         while True:
             probe *= 2
-            if _block_count(probe, beta, q, exponent)[0] <= probe // 2:
+            if _block_count(probe, beta, q)[0] <= probe // 2:
                 break
         lo, hi = n, probe
         while lo + 1 < hi:
             mid = (lo + hi) // 2
-            if _block_count(mid, beta, q, exponent)[0] <= mid // 2:
+            if _block_count(mid, beta, q)[0] <= mid // 2:
                 hi = mid
             else:
                 lo = mid
@@ -161,7 +160,7 @@ def _window_means(t: np.ndarray, values: np.ndarray, n_windows: int) -> np.ndarr
     return means
 
 
-def _window_estimate(family, draw, values, beta, window_constant, to_mean, from_mean):
+def _window_estimate(family, draw, values, beta, to_mean, from_mean):
     """Step-function estimate from the window means of values.
 
     The means are clipped to the image of the working interval under
@@ -170,7 +169,7 @@ def _window_estimate(family, draw, values, beta, window_constant, to_mean, from_
     if draw.n < 2:
         raise ArgumentError("need at least two observations")
     m = draw.n
-    width = window_constant * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
+    width = WINDOW_CONSTANT * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
     n_windows = max(1, math.ceil(1.0 / width))
     means = _window_means(draw.design, values, n_windows)
     lo, hi = family.working_interval
@@ -186,12 +185,11 @@ def preliminary_estimate(
     draw: ExperimentDraw,
     beta: float,
     L: float,
-    window_constant: float = 2.0,
     family: ParametricFamily | None = None,
 ) -> StepFunction:
     """Window-average estimate of the regression function from a draw.
 
-    Windows have width about window_constant (log m / m)^(1/(2 beta+1));
+    Windows have width about WINDOW_CONSTANT (log m / m)^(1/(2 beta+1));
     within each window the sufficient statistic is averaged, mapped back
     to the parameter scale through the inverse mean map, and clipped to
     the family's working interval.  The returned step function carries
@@ -201,7 +199,7 @@ def preliminary_estimate(
         raise ArgumentError("the preliminary estimator expects original-model data")
     fam = family if family is not None else get_family(draw.family)
     return _window_estimate(
-        fam, draw, fam.suff_stat(draw.observations), beta, window_constant,
+        fam, draw, fam.suff_stat(draw.observations), beta,
         fam.stat_mean, fam.stat_mean_inverse,
     )
 
@@ -241,7 +239,6 @@ def gaussianize(
     L: float,
     rng: np.random.Generator,
     q: float = 0.25,
-    window_constant: float = 2.0,
 ) -> GaussianizedData:
     """Map an original-model draw to synthetic unit-noise Gaussian data.
 
@@ -275,9 +272,7 @@ def gaussianize(
         h_desc=draw.h_desc,
         seed=draw.seed,
     )
-    fhat = preliminary_estimate(
-        odd_draw, beta, L, window_constant=window_constant, family=family
-    )
+    fhat = preliminary_estimate(odd_draw, beta, L, family=family)
 
     stabilized = family.gamma(fhat(draw.design))
     y = np.empty(n)
@@ -341,7 +336,6 @@ def gamma_scale_estimate(
     family: ParametricFamily,
     draw: ExperimentDraw,
     beta: float,
-    window_constant: float = 2.0,
 ) -> StepFunction:
     """Window-average estimator for unit-noise Gaussian-model data.
 
@@ -353,7 +347,7 @@ def gamma_scale_estimate(
     if draw.model not in ("gaussianized", "global-gaussian"):
         raise ArgumentError("expected data on the stabilized Gaussian scale")
     return _window_estimate(
-        family, draw, draw.observations, beta, window_constant,
+        family, draw, draw.observations, beta,
         family.gamma, family.gamma_inverse,
     )
 
@@ -428,7 +422,6 @@ def risk_transfer_demo(
     beta: float = 1.0,
     L: float = 1.0,
     q: float = 0.25,
-    window_constant: float = 2.0,
 ) -> RiskTransferTable:
     """Estimate f from original data and from kernel output, side by side.
 
@@ -448,16 +441,10 @@ def risk_transfer_demo(
     err_b = np.empty(R)
     for r in range(R):
         draw = sample_original(family, f, n, rng, seed=r)
-        fhat_a = preliminary_estimate(
-            draw, beta, L, window_constant=window_constant, family=family
-        )
+        fhat_a = preliminary_estimate(draw, beta, L, family=family)
         err_a[r] = float(np.max(np.abs(fhat_a(t) - truth)))
-        gz = gaussianize(
-            family, draw, beta, L, rng, q=q, window_constant=window_constant
-        )
-        fhat_b = gamma_scale_estimate(
-            family, gz.draw, beta, window_constant=window_constant
-        )
+        gz = gaussianize(family, draw, beta, L, rng, q=q)
+        fhat_b = gamma_scale_estimate(family, gz.draw, beta)
         err_b[r] = float(np.max(np.abs(fhat_b(t) - truth)))
 
     def risk_rows(errors):

@@ -159,9 +159,7 @@ class StudyConfig:
 
     def resolve_family(self):
         try:
-            if self.table_path:
-                return get_family(self.family, table_path=self.table_path)
-            return get_family(self.family)
+            return get_family(self.family, table_path=self.table_path)
         except ArgumentError as exc:
             raise ConfigError(f"cannot resolve family {self.family!r}: {exc}") from exc
 

@@ -111,10 +111,6 @@ class AtomLaw(ScoreLaw):
         v = self.values[inside]
         return float(p @ v), float(p @ v**2), float(p.sum())
 
-    def moment(self, order: float, absolute: bool = False) -> float:
-        v = np.abs(self.values) if absolute else self.values
-        return float(self.probs @ v**order)
-
 
 @dataclass(frozen=True, eq=False)
 class StandardNormalLaw(ScoreLaw):

@@ -124,6 +124,12 @@ def test_check_family_unknown_name_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_family_custom_without_table_exit_two(capsys):
+    code = cli.main(["check-family", "location_custom"])
+    assert code == 2
+    assert "requires a density table file" in capsys.readouterr().err
+
+
 def test_gaussianize_roundtrip(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(

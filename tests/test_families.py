@@ -432,3 +432,49 @@ def test_tabulated_location_rejects_bad_tables():
         TabulatedLocation(xs, -dens)
     with pytest.raises(ArgumentError):
         TabulatedLocation(xs[:4], dens[:4])
+
+
+def test_registry_empty_table_path_is_missing():
+    # the config and the CLI pass "" when no table is given
+    with pytest.raises(ArgumentError, match="requires a density table file"):
+        get_family("location_custom", table_path="")
+
+
+# ---------------------------------------------------------------------------
+# the family interface
+# ---------------------------------------------------------------------------
+
+
+def _interface_families():
+    xs, dens = normal_table(points=401)
+    return [get_family(name) for name in BUILTIN_FAMILIES] + [TabulatedLocation(xs, dens)]
+
+
+@pytest.mark.parametrize("fam", _interface_families(), ids=lambda fam: fam.name)
+def test_every_family_overrides_the_interface(fam):
+    # the base class has no numeric fallbacks: a map a family lacks
+    # raises NotImplementedError here
+    lo, hi = fam.working_interval
+    theta = np.linspace(lo, hi, 7)
+    x = fam.sample(theta, np.random.default_rng(31))
+    m = fam.stat_mean(theta)
+    outputs = {
+        "sample": x,
+        "density": fam.density(x, theta),
+        "score": fam.score(x, theta),
+        "fisher": fam.fisher(theta),
+        "gamma": fam.gamma(theta),
+        "gamma_inverse": fam.gamma_inverse(fam.gamma(theta)),
+        "score_law": [fam.score_law(t).second_moment() for t in theta],
+        "suff_stat": fam.suff_stat(x),
+        "stat_mean": m,
+        "stat_mean_inverse": fam.stat_mean_inverse(m),
+        "vst": fam.vst(m),
+        "affinity": fam.affinity(theta, theta[::-1]),
+        "support": np.concatenate([
+            fam.quad_bounds(t) if fam.support_atoms(t) is None else fam.support_atoms(t)
+            for t in theta
+        ]),
+    }
+    for name, out in outputs.items():
+        assert np.all(np.isfinite(out)), name

@@ -100,10 +100,9 @@ def test_block_partition_argument_checks():
         block_partition(64, beta=1.0, q=0.0)
     with pytest.raises(ArgumentError):
         block_partition(64, beta=1.0, q=0.3)
-    with pytest.raises(ArgumentError):
-        block_partition(64, beta=1.0, q=0.25, exponent=0.5)
-    with pytest.raises(ArgumentError):
-        block_partition(64, beta=1.0, q=0.25, exponent=1.0)
+    # BLOCK_EXPONENT = 0.9 must exceed 1/(2 beta), which fails for beta = 0.55
+    with pytest.raises(ArgumentError, match="block exponent"):
+        block_partition(64, beta=0.55, q=0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +406,8 @@ def test_gamma_scale_estimate_rejects_original_data():
 
 def test_gamma_scale_estimate_fills_empty_windows():
     family = get_family("poisson")
-    n = 16
-    design = np.linspace(0.001, 0.05, n)  # all mass in the first windows
+    n = 4096
+    design = np.linspace(0.001, 0.05, n)  # all mass in the first window
     draw = ExperimentDraw(
         model="global-gaussian",
         n=n,
@@ -417,8 +416,10 @@ def test_gamma_scale_estimate_fills_empty_windows():
         family="poisson",
         f_desc="constant(1.0)",
     )
-    fhat = gamma_scale_estimate(family, draw, beta=1.0, window_constant=0.05)
-    assert fhat.n_windows > 1
+    fhat = gamma_scale_estimate(family, draw, beta=1.0)
+    # four windows, three of them empty and filled from their neighbor
+    assert fhat.n_windows == 4
+    assert np.unique(fhat.window_index(design)).size == 1
     assert np.all(np.isfinite(fhat.values))
     # zero observations sit below the working range of 2 sqrt(theta),
     # so every window clips to the lower endpoint

@@ -1,5 +1,6 @@
 """Tests for the batch study driver: configs, seeds, CSVs, verdicts."""
 
+import configparser
 import dataclasses
 import math
 import os
@@ -132,22 +133,32 @@ def test_config_rejects_unresolvable_names():
 # ---------------------------------------------------------------------------
 
 
+# every key of harness._CONFIG_KEYS, each set to a value other than its default
 FULL_CONFIG = """\
 [study]
 kind = local-hellinger
 family = poisson
 f = affine(1.5, 1.0)
-h = sinusoid(1.0, 1.0)
-beta = 1.0
+h = sinusoid(0.5, 2.0)
+beta = 1.5
 L = 3.0
-c_rate = 1.0
-q = 0.25
-alpha = 0.75
+c_rate = 0.5
+q = 0.2
+alpha = 0.6
 n_grid = 128, 256
 replicates = 20        # per batch
 batches = 2
 seed = 99
+out = results/run1
+table = noise.txt
+loss_caps = 0.5, 2.0, 8.0
 coupling_grid = 4096
+epsilon = 0.02
+grid_points = 9
+audit_eps = 0.75
+audit_threshold = 0.3
+gap_constant = 2.0
+ks_pass_fraction = 0.8
 """
 
 
@@ -164,6 +175,29 @@ def test_parse_config_reads_every_key(tmp_path):
     assert cfg.batches == 2
     assert cfg.master_seed == 99
     assert cfg.coupling_grid == 4096
+    assert cfg.h_desc == "sinusoid(0.5, 2.0)"
+    assert cfg.beta == 1.5
+    assert cfg.c_rate == 0.5
+    assert cfg.q == 0.2
+    assert cfg.alpha == 0.6
+    assert cfg.out_dir == "results/run1"
+    assert cfg.table_path == "noise.txt"
+    assert cfg.loss_caps == (0.5, 2.0, 8.0)
+    assert cfg.epsilon == 0.02
+    assert cfg.grid_points == 9
+    assert cfg.audit_eps == 0.75
+    assert cfg.audit_threshold == 0.3
+    assert cfg.gap_constant == 2.0
+    assert cfg.ks_pass_fraction == 0.8
+    # a key added to the parser later must be added to the fixture too
+    fixture = configparser.ConfigParser()
+    fixture.optionxform = str
+    fixture.read_string(FULL_CONFIG)
+    assert set(fixture["study"]) == set(harness_module._CONFIG_KEYS)
+    defaults = StudyConfig(kind="cc-audit", family="poisson", f_desc="constant(1.0)")
+    for name in (f.name for f in dataclasses.fields(StudyConfig)):
+        if name not in ("kind", "family", "f_desc"):
+            assert getattr(cfg, name) != getattr(defaults, name), name
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
