@@ -29,13 +29,13 @@ f = RegressionFunction.affine(0.25, 0.1)
 print("== one pass through the kernel ==")
 n = 1 << 12
 draw = sample_original(family, f, n, stream_rng(derive_seed(11, n, 0)), seed=0)
-fhat = preliminary_estimate(draw, beta=1.0, L=1.0)
+fhat = preliminary_estimate(family, draw, beta=1.0)
 t = design_grid(n)
 truth = np.asarray(f(t), dtype=float)
 print(f"  preliminary estimate: {fhat.descriptor}, "
       f"sup error {float(np.max(np.abs(fhat(t) - truth))):.4f} "
       f"(target rate {fhat.sup_target:.4f})")
-out = gaussianize(family, draw, 1.0, 1.0, stream_rng(derive_seed(11, n, 1)))
+out = gaussianize(family, draw, 1.0, stream_rng(derive_seed(11, n, 1)))
 print(f"  kernel: {out.kernel_descriptor}")
 
 resid = out.draw.observations - np.asarray(family.gamma(truth), dtype=float)

@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g_p.add_argument("draw_file", help="columnar draw file (original model)")
     g_p.add_argument("--out", default=None, help="output file path")
     g_p.add_argument("--beta", type=float, default=1.0)
-    g_p.add_argument("--L", type=float, default=1.0)
     g_p.add_argument("--q", type=float, default=0.25)
     g_p.add_argument("--seed", type=int, default=0, help="kernel noise seed")
     return parser
@@ -97,9 +96,7 @@ def _cmd_check_family(args) -> int:
 def _cmd_gaussianize(args) -> int:
     draw = read_draw(args.draw_file)
     family = get_family(draw.family)
-    out = gaussianize(
-        family, draw, args.beta, args.L, stream_rng(args.seed), q=args.q
-    )
+    out = gaussianize(family, draw, args.beta, stream_rng(args.seed), q=args.q)
     if args.out is not None:
         path = args.out
     else:

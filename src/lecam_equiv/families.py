@@ -35,8 +35,19 @@ DISCRETE_TAIL_MASS = 1e-22
 # ---------------------------------------------------------------------------
 
 
+def _out(out):
+    """A map's numpy result as a Python float when it is 0-d."""
+    return out if out.ndim else float(out)
+
+
 class ParametricFamily:
-    """One observation channel p(x, theta), theta in an open interval."""
+    """One observation channel p(x, theta), theta in an open interval.
+
+    Families implement the underscored maps (`_density`, `_score`, ...)
+    on float arrays.  The public maps convert their inputs once, check
+    theta in `gamma` and `sample`, and return a Python float for a 0-d
+    result.
+    """
 
     name: str = "abstract"
     theta_interval: tuple[float, float] = (-math.inf, math.inf)
@@ -58,25 +69,43 @@ class ParametricFamily:
         lo, hi = self.working_interval
         return bool(np.all(theta >= lo) and np.all(theta <= hi))
 
-    # -- core maps (overridden per family) ----------------------------------
+    # -- core maps ------------------------------------------------------------
 
     def density(self, x, theta):
-        raise NotImplementedError
+        return _out(self._density(np.asarray(x, dtype=float), np.asarray(theta, dtype=float)))
 
     def score(self, x, theta):
-        raise NotImplementedError
+        return _out(self._score(np.asarray(x, dtype=float), np.asarray(theta, dtype=float)))
 
     def fisher(self, theta):
-        raise NotImplementedError
+        return _out(self._fisher(np.asarray(theta, dtype=float)))
 
     def gamma(self, theta):
         """Antiderivative of sqrt(fisher), in closed form per family."""
-        raise NotImplementedError
+        return _out(self._gamma(self.require_theta(theta)))
 
     def gamma_inverse(self, y):
-        raise NotImplementedError
+        return _out(self._gamma_inverse(np.asarray(y, dtype=float)))
 
     def sample(self, theta, rng: np.random.Generator):
+        return self._sample(self.require_theta(theta), rng)
+
+    def _density(self, x, theta):
+        raise NotImplementedError
+
+    def _score(self, x, theta):
+        raise NotImplementedError
+
+    def _fisher(self, theta):
+        raise NotImplementedError
+
+    def _gamma(self, theta):
+        raise NotImplementedError
+
+    def _gamma_inverse(self, y):
+        raise NotImplementedError
+
+    def _sample(self, theta, rng):
         raise NotImplementedError
 
     def score_law(self, theta) -> ScoreLaw:
@@ -103,6 +132,9 @@ class ParametricFamily:
 
     def vst(self, m):
         """Map F on the statistic-mean scale with F(stat_mean(t)) = gamma(t)."""
+        return _out(self._vst(np.asarray(m, dtype=float)))
+
+    def _vst(self, m):
         raise NotImplementedError
 
     # -- expectations --------------------------------------------------------
@@ -135,6 +167,9 @@ class ParametricFamily:
 
     def affinity(self, theta, u):
         """Hellinger affinity: the integral of sqrt(p(x, theta) p(x, u))."""
+        return _out(self._affinity(np.asarray(theta, dtype=float), np.asarray(u, dtype=float)))
+
+    def _affinity(self, theta, u):
         raise NotImplementedError
 
 
@@ -150,35 +185,22 @@ class Bernoulli(ParametricFamily):
     theta_interval = (0.0, 1.0)
     working_interval = (0.05, 0.95)
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.where(x == 1.0, theta, np.where(x == 0.0, 1.0 - theta, 0.0))
-        return out if out.ndim else float(out)
+    def _density(self, x, theta):
+        return np.where(x == 1.0, theta, np.where(x == 0.0, 1.0 - theta, 0.0))
 
-    def score(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = (x - theta) / (theta * (1.0 - theta))
-        return out if out.ndim else float(out)
+    def _score(self, x, theta):
+        return (x - theta) / (theta * (1.0 - theta))
 
-    def fisher(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = 1.0 / (theta * (1.0 - theta))
-        return out if out.ndim else float(out)
+    def _fisher(self, theta):
+        return 1.0 / (theta * (1.0 - theta))
 
-    def gamma(self, theta):
-        theta = self.require_theta(theta)
-        out = 2.0 * np.arcsin(np.sqrt(theta))
-        return out if out.ndim else float(out)
+    def _gamma(self, theta):
+        return 2.0 * np.arcsin(np.sqrt(theta))
 
-    def gamma_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.sin(y / 2.0) ** 2
-        return out if out.ndim else float(out)
+    def _gamma_inverse(self, y):
+        return np.sin(y / 2.0) ** 2
 
-    def sample(self, theta, rng):
-        theta = self.require_theta(theta)
+    def _sample(self, theta, rng):
         return rng.binomial(1, theta).astype(float)
 
     def score_law(self, theta) -> "BernoulliScoreLaw":
@@ -201,19 +223,14 @@ class Bernoulli(ParametricFamily):
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
 
-    def vst(self, m):
-        m = np.asarray(m, dtype=float)
-        out = 2.0 * np.arcsin(np.sqrt(np.clip(m, 0.0, 1.0)))
-        return out if out.ndim else float(out)
+    def _vst(self, m):
+        return 2.0 * np.arcsin(np.sqrt(np.clip(m, 0.0, 1.0)))
 
     def support_atoms(self, theta):
         return np.array([0.0, 1.0])
 
-    def affinity(self, theta, u):
-        theta = np.asarray(theta, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.sqrt(theta * u) + np.sqrt((1.0 - theta) * (1.0 - u))
-        return out if out.ndim else float(out)
+    def _affinity(self, theta, u):
+        return np.sqrt(theta * u) + np.sqrt((1.0 - theta) * (1.0 - u))
 
 
 class BernoulliScoreLaw(AtomLaw):
@@ -249,36 +266,24 @@ class Poisson(ParametricFamily):
     theta_interval = (0.0, math.inf)
     working_interval = (0.1, 10.0)
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        out = np.where(
+    def _density(self, x, theta):
+        return np.where(
             (x >= 0) & (x == np.floor(x)), stats.poisson.pmf(np.floor(x), theta), 0.0
         )
-        return out if out.ndim else float(out)
 
-    def score(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = x / theta - 1.0
-        return out if out.ndim else float(out)
+    def _score(self, x, theta):
+        return x / theta - 1.0
 
-    def fisher(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = 1.0 / theta
-        return out if out.ndim else float(out)
+    def _fisher(self, theta):
+        return 1.0 / theta
 
-    def gamma(self, theta):
-        theta = self.require_theta(theta)
-        out = 2.0 * np.sqrt(theta)
-        return out if out.ndim else float(out)
+    def _gamma(self, theta):
+        return 2.0 * np.sqrt(theta)
 
-    def gamma_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        out = (y / 2.0) ** 2
-        return out if out.ndim else float(out)
+    def _gamma_inverse(self, y):
+        return (y / 2.0) ** 2
 
-    def sample(self, theta, rng):
-        theta = self.require_theta(theta)
+    def _sample(self, theta, rng):
         return rng.poisson(theta).astype(float)
 
     def score_law(self, theta) -> "PoissonScoreLaw":
@@ -300,10 +305,8 @@ class Poisson(ParametricFamily):
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
 
-    def vst(self, m):
-        m = np.asarray(m, dtype=float)
-        out = 2.0 * np.sqrt(np.maximum(m, 0.0))
-        return out if out.ndim else float(out)
+    def _vst(self, m):
+        return 2.0 * np.sqrt(np.maximum(m, 0.0))
 
     def support_atoms(self, theta):
         # mean + 20 sigma + margin leaves tail mass far below 1e-22 even
@@ -312,11 +315,8 @@ class Poisson(ParametricFamily):
         cut = int(math.ceil(mu + 20.0 * math.sqrt(mu) + 60.0))
         return np.arange(0.0, cut + 1.0)
 
-    def affinity(self, theta, u):
-        theta = np.asarray(theta, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.exp(-0.5 * (np.sqrt(theta) - np.sqrt(u)) ** 2)
-        return out if out.ndim else float(out)
+    def _affinity(self, theta, u):
+        return np.exp(-0.5 * (np.sqrt(theta) - np.sqrt(u)) ** 2)
 
 
 class PoissonScoreLaw(ScoreLaw):
@@ -339,13 +339,11 @@ class PoissonScoreLaw(ScoreLaw):
 
     def cdf(self, s):
         s = np.asarray(s, dtype=float)
-        out = stats.poisson.cdf(np.floor(self.theta * (s + 1.0) + 1e-12), self.theta)
-        return out if out.ndim else float(out)
+        return _out(stats.poisson.cdf(np.floor(self.theta * (s + 1.0) + 1e-12), self.theta))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
-        out = stats.poisson.ppf(u, self.theta) / self.theta - 1.0
-        return out if out.ndim else float(out)
+        return _out(stats.poisson.ppf(u, self.theta) / self.theta - 1.0)
 
     def sample(self, rng, size):
         return rng.poisson(self.theta, size) / self.theta - 1.0
@@ -367,35 +365,22 @@ class GaussianScale(ParametricFamily):
     theta_interval = (0.0, math.inf)
     working_interval = (0.1, 10.0)
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.exp(-0.5 * (x / theta) ** 2) / (np.sqrt(2.0 * np.pi) * theta)
-        return out if out.ndim else float(out)
+    def _density(self, x, theta):
+        return np.exp(-0.5 * (x / theta) ** 2) / (np.sqrt(2.0 * np.pi) * theta)
 
-    def score(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = (x * x - theta * theta) / theta**3
-        return out if out.ndim else float(out)
+    def _score(self, x, theta):
+        return (x * x - theta * theta) / theta**3
 
-    def fisher(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = 2.0 / theta**2
-        return out if out.ndim else float(out)
+    def _fisher(self, theta):
+        return 2.0 / theta**2
 
-    def gamma(self, theta):
-        theta = self.require_theta(theta)
-        out = math.sqrt(2.0) * np.log(theta)
-        return out if out.ndim else float(out)
+    def _gamma(self, theta):
+        return math.sqrt(2.0) * np.log(theta)
 
-    def gamma_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.exp(y / math.sqrt(2.0))
-        return out if out.ndim else float(out)
+    def _gamma_inverse(self, y):
+        return np.exp(y / math.sqrt(2.0))
 
-    def sample(self, theta, rng):
-        theta = self.require_theta(theta)
+    def _sample(self, theta, rng):
         return theta * rng.standard_normal(np.shape(theta) or None)
 
     def score_law(self, theta) -> ScaledChi2Law:
@@ -421,19 +406,14 @@ class GaussianScale(ParametricFamily):
         m = np.asarray(m, dtype=float)
         return np.sqrt(np.maximum(m, 0.0))
 
-    def vst(self, m):
-        m = np.asarray(m, dtype=float)
-        out = np.log(np.maximum(m, 1e-300)) / math.sqrt(2.0)
-        return out if out.ndim else float(out)
+    def _vst(self, m):
+        return np.log(np.maximum(m, 1e-300)) / math.sqrt(2.0)
 
     def quad_bounds(self, theta):
         return (-16.0 * theta, 16.0 * theta)
 
-    def affinity(self, theta, u):
-        theta = np.asarray(theta, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.sqrt(2.0 * theta * u / (theta * theta + u * u))
-        return out if out.ndim else float(out)
+    def _affinity(self, theta, u):
+        return np.sqrt(2.0 * theta * u / (theta * theta + u * u))
 
 
 class LocationNormal(ParametricFamily):
@@ -443,33 +423,22 @@ class LocationNormal(ParametricFamily):
     theta_interval = (-math.inf, math.inf)
     working_interval = (-5.0, 5.0)
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.exp(-0.5 * (x - theta) ** 2) / math.sqrt(2.0 * np.pi)
-        return out if out.ndim else float(out)
+    def _density(self, x, theta):
+        return np.exp(-0.5 * (x - theta) ** 2) / math.sqrt(2.0 * np.pi)
 
-    def score(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = x - theta
-        return out if out.ndim else float(out)
+    def _score(self, x, theta):
+        return x - theta
 
-    def fisher(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.ones_like(theta)
-        return out if out.ndim else 1.0
+    def _fisher(self, theta):
+        return np.ones_like(theta)
 
-    def gamma(self, theta):
-        theta = self.require_theta(theta)
-        return theta if theta.ndim else float(theta)
+    def _gamma(self, theta):
+        return theta
 
-    def gamma_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return y if y.ndim else float(y)
+    def _gamma_inverse(self, y):
+        return y
 
-    def sample(self, theta, rng):
-        theta = self.require_theta(theta)
+    def _sample(self, theta, rng):
         return theta + rng.standard_normal(np.shape(theta) or None)
 
     def score_law(self, theta) -> StandardNormalLaw:
@@ -484,18 +453,14 @@ class LocationNormal(ParametricFamily):
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float)
 
-    def vst(self, m):
-        m = np.asarray(m, dtype=float)
-        return m if m.ndim else float(m)
+    def _vst(self, m):
+        return m
 
     def quad_bounds(self, theta):
         return (theta - 16.0, theta + 16.0)
 
-    def affinity(self, theta, u):
-        theta = np.asarray(theta, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.exp(-((theta - u) ** 2) / 8.0)
-        return out if out.ndim else float(out)
+    def _affinity(self, theta, u):
+        return np.exp(-((theta - u) ** 2) / 8.0)
 
 
 class TabulatedLocation(ParametricFamily):
@@ -538,8 +503,8 @@ class TabulatedLocation(ParametricFamily):
         weights = self._point_weights()
         mean_score = float(weights @ score_tab)
         self._score_tab = score_tab - mean_score
-        self._fisher = float(weights @ self._score_tab**2)
-        if self._fisher <= 0:
+        self._info = float(weights @ self._score_tab**2)
+        if self._info <= 0:
             raise ArgumentError("location_custom: zero Fisher information")
         self._noise_mean = float(weights @ grid)
 
@@ -561,35 +526,22 @@ class TabulatedLocation(ParametricFamily):
             )
         return cls(data[:, 0], data[:, 1])
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.interp(x - theta, self.grid, self.dens, left=0.0, right=0.0)
-        return out if out.ndim else float(out)
+    def _density(self, x, theta):
+        return np.interp(x - theta, self.grid, self.dens, left=0.0, right=0.0)
 
-    def score(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.interp(x - theta, self.grid, self._score_tab, left=0.0, right=0.0)
-        return out if out.ndim else float(out)
+    def _score(self, x, theta):
+        return np.interp(x - theta, self.grid, self._score_tab, left=0.0, right=0.0)
 
-    def fisher(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, self._fisher)
-        return out if out.ndim else self._fisher
+    def _fisher(self, theta):
+        return np.full_like(theta, self._info)
 
-    def gamma(self, theta):
-        theta = self.require_theta(theta)
-        out = math.sqrt(self._fisher) * theta
-        return out if out.ndim else float(out)
+    def _gamma(self, theta):
+        return math.sqrt(self._info) * theta
 
-    def gamma_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        out = y / math.sqrt(self._fisher)
-        return out if out.ndim else float(out)
+    def _gamma_inverse(self, y):
+        return y / math.sqrt(self._info)
 
-    def sample(self, theta, rng):
-        theta = self.require_theta(theta)
+    def _sample(self, theta, rng):
         u = rng.random(np.shape(theta) or None)
         noise = np.interp(u, self._cdf, self.grid)
         return theta + noise
@@ -606,10 +558,8 @@ class TabulatedLocation(ParametricFamily):
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float) - self._noise_mean
 
-    def vst(self, m):
-        m = np.asarray(m, dtype=float)
-        out = math.sqrt(self._fisher) * (m - self._noise_mean)
-        return out if out.ndim else float(out)
+    def _vst(self, m):
+        return math.sqrt(self._info) * (m - self._noise_mean)
 
     def quad_bounds(self, theta):
         return (self.grid[0] + theta, self.grid[-1] + theta)
@@ -619,20 +569,18 @@ class TabulatedLocation(ParametricFamily):
         w = self._point_weights()
         return float(w @ fn(self.grid + theta))
 
-    def affinity(self, theta, u):
-        theta_a = np.asarray(theta, dtype=float)
-        u_a = np.asarray(u, dtype=float)
-        if theta_a.ndim or u_a.ndim:
-            tb, ub = np.broadcast_arrays(np.atleast_1d(theta_a), np.atleast_1d(u_a))
+    def _affinity(self, theta, u):
+        if theta.ndim or u.ndim:
+            tb, ub = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(u))
             return np.array(
                 [self.affinity(float(a), float(b)) for a, b in zip(tb, ub)]
             )
-        theta_f, u_f = float(theta_a), float(u_a)
+        theta_f, u_f = float(theta), float(u)
         lo = min(self.grid[0] + theta_f, self.grid[0] + u_f)
         hi = max(self.grid[-1] + theta_f, self.grid[-1] + u_f)
         xs = np.linspace(lo, hi, 4 * self.grid.size)
         vals = np.sqrt(self.density(xs, theta_f) * self.density(xs, u_f))
-        return float(np.trapezoid(vals, xs))
+        return np.trapezoid(vals, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +594,7 @@ def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
     """Look a family up by its config name.
 
     location_custom needs a table_path; an empty one counts as missing.
+    Any other family rejects a nonempty table_path.
     """
     registry = {
         "bernoulli": Bernoulli,
@@ -654,6 +603,8 @@ def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
         "location_normal": LocationNormal,
     }
     if name in registry:
+        if table_path:
+            raise ArgumentError(f"{name} takes no density table; only location_custom does")
         return registry[name]()
     if name == "location_custom":
         if not table_path:
@@ -714,8 +665,7 @@ def _secant_score(family: ParametricFamily, x, theta: float, u: float):
             f"{family.name}: zero density at the conditioning parameter"
         )
     p_u = np.asarray(family.density(x, u), dtype=float)
-    out = (2.0 / (u - theta)) * (np.sqrt(p_u / p_t) - 1.0)
-    return out if out.ndim else float(out)
+    return _out((2.0 / (u - theta)) * (np.sqrt(p_u / p_t) - 1.0))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .distances import DistanceReport
 from .errors import ArgumentError
-from .experiments import ExperimentDraw, design_grid, sample_original
-from .families import ParametricFamily, get_family
+from .experiments import ExperimentDraw, _working_values, design_grid, sample_original
+from .families import ParametricFamily
 from .function_space import RegressionFunction, rate_gamma_bar
 
 BLOCK_EXPONENT = 0.9  # module-level exponent feeding the block-size rule
@@ -182,10 +182,9 @@ def _window_estimate(family, draw, values, beta, to_mean, from_mean):
 
 
 def preliminary_estimate(
+    family: ParametricFamily,
     draw: ExperimentDraw,
     beta: float,
-    L: float,
-    family: ParametricFamily | None = None,
 ) -> StepFunction:
     """Window-average estimate of the regression function from a draw.
 
@@ -197,10 +196,9 @@ def preliminary_estimate(
     """
     if draw.model != "original":
         raise ArgumentError("the preliminary estimator expects original-model data")
-    fam = family if family is not None else get_family(draw.family)
     return _window_estimate(
-        fam, draw, fam.suff_stat(draw.observations), beta,
-        fam.stat_mean, fam.stat_mean_inverse,
+        family, draw, family.suff_stat(draw.observations), beta,
+        family.stat_mean, family.stat_mean_inverse,
     )
 
 
@@ -236,7 +234,6 @@ def gaussianize(
     family: ParametricFamily,
     draw: ExperimentDraw,
     beta: float,
-    L: float,
     rng: np.random.Generator,
     q: float = 0.25,
 ) -> GaussianizedData:
@@ -272,7 +269,7 @@ def gaussianize(
         h_desc=draw.h_desc,
         seed=draw.seed,
     )
-    fhat = preliminary_estimate(odd_draw, beta, L, family=family)
+    fhat = preliminary_estimate(family, odd_draw, beta)
 
     stabilized = family.gamma(fhat(draw.design))
     y = np.empty(n)
@@ -373,7 +370,7 @@ def homoscedastic_transform_check(
     if n <= 0:
         raise ArgumentError("need at least one design point")
     t = design_grid(n)
-    theta = family.require_theta(np.asarray(f(t), dtype=float))
+    theta = _working_values(family, f, n)
     shifted = family.require_theta(theta + np.asarray(h(t), dtype=float))
     m1 = np.asarray(family.gamma(shifted), dtype=float) - np.asarray(
         family.gamma(theta), dtype=float
@@ -420,7 +417,6 @@ def risk_transfer_demo(
     rng: np.random.Generator,
     R: int,
     beta: float = 1.0,
-    L: float = 1.0,
     q: float = 0.25,
 ) -> RiskTransferTable:
     """Estimate f from original data and from kernel output, side by side.
@@ -441,9 +437,9 @@ def risk_transfer_demo(
     err_b = np.empty(R)
     for r in range(R):
         draw = sample_original(family, f, n, rng, seed=r)
-        fhat_a = preliminary_estimate(draw, beta, L, family=family)
+        fhat_a = preliminary_estimate(family, draw, beta)
         err_a[r] = float(np.max(np.abs(fhat_a(t) - truth)))
-        gz = gaussianize(family, draw, beta, L, rng, q=q)
+        gz = gaussianize(family, draw, beta, rng, q=q)
         fhat_b = gamma_scale_estimate(family, gz.draw, beta)
         err_b[r] = float(np.max(np.abs(fhat_b(t) - truth)))
 

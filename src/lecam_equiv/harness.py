@@ -390,7 +390,7 @@ def _run_globalize(config: StudyConfig, unit):
         try:
             draw = sample_original(family, f, n, stream_rng(seed), seed=r)
             out = gaussianize(
-                family, draw, config.beta, config.L,
+                family, draw, config.beta,
                 stream_rng(derive_seed(config.master_seed, n, r + (1 << 32))),
                 q=config.q,
             )
@@ -429,8 +429,7 @@ def _run_risk_transfer(config: StudyConfig, unit):
     try:
         table = risk_transfer_demo(
             config.resolve_family(), config.resolve_f(), n, config.loss_caps,
-            stream_rng(seed), R=config.replicates, beta=config.beta, L=config.L,
-            q=config.q,
+            stream_rng(seed), R=config.replicates, beta=config.beta, q=config.q,
         )
     except NumericError as exc:
         _numeric_context(exc, n, batch, seed)

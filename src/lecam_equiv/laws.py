@@ -75,9 +75,6 @@ class AtomLaw(ScoreLaw):
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
 
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.values))
-
     def cdf(self, s):
         s = np.asarray(s, dtype=float)
         cum = np.cumsum(self.probs)

@@ -130,6 +130,12 @@ def test_check_family_custom_without_table_exit_two(capsys):
     assert "requires a density table file" in capsys.readouterr().err
 
 
+def test_check_family_builtin_with_table_exit_two(capsys):
+    code = cli.main(["check-family", "poisson", "--table", "does-not-exist.txt"])
+    assert code == 2
+    assert "takes no density table" in capsys.readouterr().err
+
+
 def test_gaussianize_roundtrip(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(

@@ -10,6 +10,7 @@ from lecam_equiv.errors import ArgumentError, DomainError, SingularityError
 from lecam_equiv.families import (
     BUILTIN_FAMILIES,
     GaussianScale,
+    ParametricFamily,
     TabulatedLocation,
     check_regularity,
     extended_tangent,
@@ -19,6 +20,8 @@ from lecam_equiv.families import (
     get_family,
     normalization_defect,
 )
+
+import lecam_equiv.families as families_module
 
 
 def working_grid(family, count=20):
@@ -342,10 +345,8 @@ def test_regularity_empty_grid_raises():
 class _TruncatedGaussianScale(GaussianScale):
     """N(0, theta^2) with the density cut to 0 beyond 8 theta."""
 
-    def density(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) > 8.0 * theta, 0.0, super().density(x, theta))
-        return out if out.ndim else float(out)
+    def _density(self, x, theta):
+        return np.where(np.abs(x) > 8.0 * theta, 0.0, super()._density(x, theta))
 
 
 def test_regularity_zero_density_inside_the_window_raises():
@@ -389,6 +390,8 @@ def test_registry_rejects_unknown_and_incomplete():
         get_family("weibull")
     with pytest.raises(ArgumentError):
         get_family("location_custom")
+    with pytest.raises(ArgumentError, match="takes no density table"):
+        get_family("poisson", table_path="does-not-exist.txt")
 
 
 def normal_table(half_width=8.0, points=3201):
@@ -445,6 +448,11 @@ def test_registry_empty_table_path_is_missing():
 # ---------------------------------------------------------------------------
 
 
+PUBLIC_MAPS = (
+    "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "affinity"
+)
+
+
 def _interface_families():
     xs, dens = normal_table(points=401)
     return [get_family(name) for name in BUILTIN_FAMILIES] + [TabulatedLocation(xs, dens)]
@@ -478,3 +486,21 @@ def test_every_family_overrides_the_interface(fam):
     }
     for name, out in outputs.items():
         assert np.all(np.isfinite(out)), name
+    # a scalar point gives a Python float from every map but sample
+    t, x0 = float(theta[3]), float(x[3])
+    scalars = {
+        "density": fam.density(x0, t),
+        "score": fam.score(x0, t),
+        "fisher": fam.fisher(t),
+        "gamma": fam.gamma(t),
+        "gamma_inverse": fam.gamma_inverse(fam.gamma(t)),
+        "vst": fam.vst(float(fam.stat_mean(t))),
+        "affinity": fam.affinity(t, hi),
+    }
+    for name, out in scalars.items():
+        assert type(out) is float, name
+    # families implement the underscored array maps; only the base class
+    # converts inputs and outputs
+    for cls in vars(families_module).values():
+        if isinstance(cls, type) and issubclass(cls, ParametricFamily) and cls is not ParametricFamily:
+            assert not set(PUBLIC_MAPS) & set(cls.__dict__), cls.__name__

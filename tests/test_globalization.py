@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lecam_equiv.errors import ArgumentError
+from lecam_equiv.errors import ArgumentError, DomainError
 from lecam_equiv.experiments import ExperimentDraw, design_grid, sample_original, sample_global_gaussian
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction, rate_gamma_bar
@@ -120,7 +120,7 @@ def test_preliminary_estimate_sup_error_bernoulli():
     for s in range(seeds):
         rng = np.random.default_rng(500 + s)
         draw = sample_original(family, f, n, rng, seed=s)
-        fhat = preliminary_estimate(draw, beta=1.0, L=1.0, family=family)
+        fhat = preliminary_estimate(family, draw, beta=1.0)
         if np.max(np.abs(fhat(t) - 0.5)) <= 0.08:
             hits += 1
     assert hits >= 0.9 * seeds
@@ -137,7 +137,7 @@ def test_preliminary_estimate_error_decreases_with_n():
         for s in range(15):
             rng = np.random.default_rng(900 + s)
             draw = sample_original(family, f, n, rng, seed=s)
-            fhat = preliminary_estimate(draw, beta=1.0, L=1.0, family=family)
+            fhat = preliminary_estimate(family, draw, beta=1.0)
             errs.append(float(np.max(np.abs(fhat(t) - truth))))
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2]
@@ -154,7 +154,7 @@ def test_preliminary_estimate_clips_to_working_interval():
         family="bernoulli",
         f_desc="constant(0.5)",
     )
-    fhat = preliminary_estimate(draw, beta=1.0, L=1.0, family=family)
+    fhat = preliminary_estimate(family, draw, beta=1.0)
     hi = family.working_interval[1]
     assert np.all(fhat.values == hi)
 
@@ -164,14 +164,14 @@ def test_preliminary_estimate_rejects_other_models():
     rng = np.random.default_rng(3)
     draw = sample_global_gaussian(family, RegressionFunction.constant(1.0), 64, rng)
     with pytest.raises(ArgumentError):
-        preliminary_estimate(draw, beta=1.0, L=1.0, family=family)
+        preliminary_estimate(family, draw, beta=1.0)
 
 
 def test_preliminary_estimate_reports_target_rate():
     family = get_family("poisson")
     rng = np.random.default_rng(4)
     draw = sample_original(family, RegressionFunction.constant(1.0), 512, rng)
-    fhat = preliminary_estimate(draw, beta=1.0, L=1.0, family=family)
+    fhat = preliminary_estimate(family, draw, beta=1.0)
     assert fhat.sup_target == rate_gamma_bar(512, 1.0, 1.0)
 
 
@@ -195,8 +195,8 @@ def test_gaussianize_never_reads_the_truth_descriptor():
         h_desc=draw.h_desc,
         seed=draw.seed,
     )
-    out_a = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(77))
-    out_b = gaussianize(family, relabeled, 1.0, 1.0, np.random.default_rng(77))
+    out_a = gaussianize(family, draw, 1.0, np.random.default_rng(77))
+    out_b = gaussianize(family, relabeled, 1.0, np.random.default_rng(77))
     assert np.array_equal(out_a.draw.observations, out_b.draw.observations)
 
 
@@ -205,8 +205,8 @@ def test_gaussianize_is_deterministic_given_seed():
     f = RegressionFunction.affine(1.5, 1.0)
     rng = np.random.default_rng(12)
     draw = sample_original(family, f, 256, rng, seed=2)
-    out_a = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(5))
-    out_b = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(5))
+    out_a = gaussianize(family, draw, 1.0, np.random.default_rng(5))
+    out_b = gaussianize(family, draw, 1.0, np.random.default_rng(5))
     assert np.array_equal(out_a.draw.observations, out_b.draw.observations)
 
 
@@ -215,7 +215,7 @@ def test_gaussianize_output_shape_and_tags():
     f = RegressionFunction.affine(2.0, 1.0)
     rng = np.random.default_rng(13)
     draw = sample_original(family, f, 300, rng, seed=3)
-    out = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(6))
+    out = gaussianize(family, draw, 1.0, np.random.default_rng(6))
     assert out.draw.model == "gaussianized"
     assert out.draw.n == 300
     assert np.array_equal(out.draw.design, draw.design)
@@ -237,7 +237,7 @@ def test_gaussianize_location_residuals_look_standard_normal():
     for s in range(seeds):
         rng = np.random.default_rng(2000 + s)
         draw = sample_original(family, f, n, rng, seed=s)
-        out = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(3000 + s))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(3000 + s))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
         if ks < KS_CRIT_1PCT / math.sqrt(n):
@@ -256,7 +256,7 @@ def test_gaussianize_bernoulli_residuals_look_standard_normal():
     for s in range(seeds):
         rng = np.random.default_rng(4000 + s)
         draw = sample_original(family, f, n, rng, seed=s)
-        out = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(5000 + s))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(5000 + s))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
         if ks < KS_CRIT_1PCT / math.sqrt(n):
@@ -270,13 +270,13 @@ def test_gaussianize_argument_checks():
     rng = np.random.default_rng(14)
     draw = sample_original(bern, RegressionFunction.constant(0.5), 64, rng)
     with pytest.raises(ArgumentError):
-        gaussianize(pois, draw, 1.0, 1.0, np.random.default_rng(0))
+        gaussianize(pois, draw, 1.0, np.random.default_rng(0))
     small = sample_original(bern, RegressionFunction.constant(0.5), 6, rng)
     with pytest.raises(ArgumentError):
-        gaussianize(bern, small, 1.0, 1.0, np.random.default_rng(0))
-    out = gaussianize(bern, draw, 1.0, 1.0, np.random.default_rng(0))
+        gaussianize(bern, small, 1.0, np.random.default_rng(0))
+    out = gaussianize(bern, draw, 1.0, np.random.default_rng(0))
     with pytest.raises(ArgumentError):
-        gaussianize(bern, out.draw, 1.0, 1.0, np.random.default_rng(0))
+        gaussianize(bern, out.draw, 1.0, np.random.default_rng(0))
 
 
 def test_gaussianize_warns_when_block_statistics_clip():
@@ -291,7 +291,7 @@ def test_gaussianize_warns_when_block_statistics_clip():
         f_desc="constant(0.5)",
     )
     with pytest.warns(RuntimeWarning):
-        out = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(9))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(9))
     assert out.clip_warning_count >= 1
     assert np.all(np.isfinite(out.draw.observations))
 
@@ -300,12 +300,12 @@ def test_gaussianize_single_block_flag_for_small_n():
     family = get_family("location_normal")
     rng = np.random.default_rng(15)
     draw = sample_original(family, RegressionFunction.constant(0.0), 8, rng)
-    out = gaussianize(family, draw, 1.0, 1.0, np.random.default_rng(1))
+    out = gaussianize(family, draw, 1.0, np.random.default_rng(1))
     assert out.single_block
     assert out.partition.n == 4  # even half of eight points
 
 
-def _gaussianize_per_block(family, draw, beta, L, rng, q=0.25):
+def _gaussianize_per_block(family, draw, beta, rng, q=0.25):
     """Reference kernel: the per-block loop that gaussianize replaced.
 
     One estimate, one odd-row fill and then, block by block, a scalar
@@ -323,7 +323,7 @@ def _gaussianize_per_block(family, draw, beta, L, rng, q=0.25):
         family=draw.family,
         f_desc=draw.f_desc,
     )
-    fhat = preliminary_estimate(odd_draw, beta, L, family=family)
+    fhat = preliminary_estimate(family, odd_draw, beta)
     y = np.empty(n)
     y[odd] = family.gamma(fhat(draw.design[odd])) + rng.standard_normal(odd.size)
     part = block_partition(even.size, beta, q)
@@ -367,10 +367,10 @@ def test_gaussianize_matches_per_block_reference(name, f, n):
     draw = sample_original(family, f, n, np.random.default_rng(n), seed=n)
     rng_ref = np.random.default_rng(900 + n)
     rng_new = np.random.default_rng(900 + n)
-    y_ref, clips_ref = _gaussianize_per_block(family, draw, 1.0, 1.0, rng_ref)
+    y_ref, clips_ref = _gaussianize_per_block(family, draw, 1.0, rng_ref)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = gaussianize(family, draw, 1.0, 1.0, rng_new)
+        out = gaussianize(family, draw, 1.0, rng_new)
     assert out.draw.observations.tobytes() == y_ref.tobytes()
     assert out.clip_warning_count == clips_ref
     assert len(caught) == (1 if clips_ref else 0)
@@ -481,6 +481,14 @@ def test_homoscedastic_check_argument_checks():
             RegressionFunction.constant(1.0),
             RegressionFunction.constant(0.0),
             0,
+        )
+    # f must stay in the working interval, as for every other design entry
+    with pytest.raises(DomainError, match="working interval"):
+        homoscedastic_transform_check(
+            get_family("bernoulli"),
+            RegressionFunction.constant(0.02),
+            RegressionFunction.constant(0.0),
+            256,
         )
 
 

@@ -126,6 +126,9 @@ def test_config_rejects_unresolvable_names():
         _config(f_desc="affine(0.25")
     with pytest.raises(ConfigError):
         _config(h_desc="mystery(1.0)")
+    # a table belongs to location_custom only; a built-in would ignore it
+    with pytest.raises(ConfigError, match="takes no density table"):
+        _config(table_path="does-not-exist.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def test_config_rejects_unresolvable_names():
 FULL_CONFIG = """\
 [study]
 kind = local-hellinger
-family = poisson
+family = location_custom
 f = affine(1.5, 1.0)
 h = sinusoid(0.5, 2.0)
 beta = 1.5
@@ -162,12 +165,16 @@ ks_pass_fraction = 0.8
 """
 
 
-def test_parse_config_reads_every_key(tmp_path):
+def test_parse_config_reads_every_key(tmp_path, monkeypatch):
+    # the relative table path resolves against the working directory
+    xs = np.linspace(-8.0, 8.0, 401)
+    np.savetxt(tmp_path / "noise.txt", np.column_stack([xs, np.exp(-0.5 * xs * xs)]))
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "study.ini"
     path.write_text(FULL_CONFIG)
     cfg = parse_config(path)
     assert cfg.kind == "local-hellinger"
-    assert cfg.family == "poisson"
+    assert cfg.family == "location_custom"
     assert cfg.f_desc == "affine(1.5, 1.0)"
     assert cfg.L == 3.0
     assert cfg.n_grid == (128, 256)
