@@ -79,6 +79,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_family(args) -> int:
     family = get_family(args.name, table_path=args.table)
+    if args.grid_points < 1:
+        raise ArgumentError("--grid-points must be at least 1")
     lo, hi = family.working_interval
     grid = np.linspace(lo, hi, args.grid_points)
     report = check_regularity(family, grid, args.epsilon, args.beta)

@@ -5,9 +5,8 @@ original-model draw drive both log-likelihood ratios: the weighted
 score sum is pushed through its own distribution function onto a
 Gaussian of matching variance (a sum-level quantile coupling), and the
 per-point Gaussian vector is then filled in around that coupled sum so
-that it has exactly the heteroscedastic product law.  A pointwise
-quantile coupler and a bounded-score modification are provided
-separately for marginal-law audits.
+that it has exactly the heteroscedastic product law.  The bounded-score
+modification of the raw scores is provided separately.
 """
 
 from __future__ import annotations
@@ -197,55 +196,6 @@ def truncate_scores(
         clip_means=clip_means,
         laws=laws,
     )
-
-
-# ---------------------------------------------------------------------------
-# pointwise quantile coupling
-# ---------------------------------------------------------------------------
-
-
-def quantile_couple_scores(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    n: int,
-    rng: np.random.Generator,
-    alpha: float | None = None,
-    c_rate: float = 1.0,
-    c1: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate quantile coupling of scores to Gaussians.
-
-    Draws eps_i i.i.d. standard normal, sets the Gaussian coordinate
-    zeta_i = sqrt(I(f(t_i))) eps_i, and the score coordinate through
-    the generalized inverse of its distribution function evaluated at
-    Phi(eps_i).  Because Phi(eps_i) has a continuous law, the
-    generalized inverse alone reproduces atomic marginals exactly; the
-    randomized tie handling lives in the forward direction (jittered
-    distribution-function transforms), not here.  When alpha is given
-    the coupled score follows the bounded-modification law at that
-    exponent instead of the raw score law.
-    """
-    if n <= 0:
-        raise ArgumentError("need at least one design point")
-    t, theta, info = _design_setup(family, f, n)
-    eps = rng.standard_normal(n)
-    gaussians = np.sqrt(info) * eps
-    if alpha is None:
-        laws = [family.score_law(float(th)) for th in theta]
-    else:
-        if not 0.0 < alpha < 1.0:
-            raise ArgumentError("alpha must lie in (0, 1)")
-        clip_level = (c_rate / math.sqrt(n)) ** (alpha - 1.0)
-        laws = _truncation_table(family, theta, info, clip_level, c1)
-    u = special.ndtr(eps)
-    scores = np.empty(n)
-    for i, law in enumerate(laws):
-        if law.is_gaussian:
-            # identical laws couple through the identity map
-            scores[i] = eps[i] * math.sqrt(law.second_moment())
-        else:
-            scores[i] = law.ppf(u[i])
-    return scores, gaussians
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,18 @@ def read_draw(path) -> ExperimentDraw:
                     key, value = body.split("=", 1)
                     header[key.strip()] = value.strip()
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ArgumentError(f"malformed draw row: {line!r}")
-            rows.append((float(parts[1]), float(parts[2])))
+            try:
+                _, t, x = line.split(",")
+                rows.append((float(t), float(x)))
+            except ValueError as exc:
+                raise ArgumentError(f"malformed draw row: {line!r}") from exc
     for key in ("family", "model", "n", "seed"):
         if key not in header:
             raise ArgumentError(f"draw file is missing the '# {key} =' header")
-    n = int(header["n"])
+    try:
+        n, seed = int(header["n"]), int(header["seed"])
+    except ValueError as exc:
+        raise ArgumentError("draw file headers n and seed must be integers") from exc
     if len(rows) != n:
         raise ArgumentError(f"draw file declares n={n} but has {len(rows)} rows")
     design = np.array([r[0] for r in rows])
@@ -105,7 +109,7 @@ def read_draw(path) -> ExperimentDraw:
         family=header["family"],
         f_desc=header.get("f", ""),
         h_desc=header.get("h", ""),
-        seed=int(header["seed"]),
+        seed=seed,
     )
 
 

@@ -88,7 +88,8 @@ class ParametricFamily:
         return _out(self._gamma_inverse(np.asarray(y, dtype=float)))
 
     def sample(self, theta, rng: np.random.Generator):
-        return self._sample(self.require_theta(theta), rng)
+        x = self._sample(self.require_theta(theta), rng)
+        return _out(np.asarray(x, dtype=float))
 
     def _density(self, x, theta):
         raise NotImplementedError
@@ -201,7 +202,7 @@ class Bernoulli(ParametricFamily):
         return np.sin(y / 2.0) ** 2
 
     def _sample(self, theta, rng):
-        return rng.binomial(1, theta).astype(float)
+        return rng.binomial(1, theta)
 
     def score_law(self, theta) -> "BernoulliScoreLaw":
         return BernoulliScoreLaw(float(theta))
@@ -284,7 +285,7 @@ class Poisson(ParametricFamily):
         return (y / 2.0) ** 2
 
     def _sample(self, theta, rng):
-        return rng.poisson(theta).astype(float)
+        return rng.poisson(theta)
 
     def score_law(self, theta) -> "PoissonScoreLaw":
         return PoissonScoreLaw(float(theta))
@@ -336,17 +337,6 @@ class PoissonScoreLaw(ScoreLaw):
 
     def second_moment(self) -> float:
         return 1.0 / self.theta
-
-    def cdf(self, s):
-        s = np.asarray(s, dtype=float)
-        return _out(stats.poisson.cdf(np.floor(self.theta * (s + 1.0) + 1e-12), self.theta))
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        return _out(stats.poisson.ppf(u, self.theta) / self.theta - 1.0)
-
-    def sample(self, rng, size):
-        return rng.poisson(self.theta, size) / self.theta - 1.0
 
     def log_cf(self, omega):
         # log cf = theta (exp(it) - 1) - i omega with t = omega/theta
@@ -748,7 +738,7 @@ def check_regularity(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ArgumentError("check_regularity: empty parameter grid")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ArgumentError("check_regularity: epsilon must be nonnegative")
     if not 0.5 < beta:
         raise ArgumentError("check_regularity: beta must exceed 1/2")

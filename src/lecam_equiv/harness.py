@@ -127,7 +127,7 @@ class StudyConfig:
             raise ConfigError("batches must be at least 1")
         if not self.beta > 0.5:
             raise ConfigError("beta must exceed 1/2")
-        if self.L <= 0 or self.c_rate <= 0:
+        if not (self.L > 0 and self.c_rate > 0):
             raise ConfigError("L and c_rate must be positive")
         if not 0.0 < self.q <= 0.25:
             raise ConfigError("q must lie in (0, 1/4]")
@@ -135,18 +135,18 @@ class StudyConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         caps = tuple(float(c) for c in self.loss_caps)
         object.__setattr__(self, "loss_caps", caps)
-        if len(caps) == 0 or any(c <= 0 for c in caps):
+        if len(caps) == 0 or not all(c > 0 for c in caps):
             raise ConfigError("loss_caps must list positive values")
         if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ConfigError("loss_caps must be strictly increasing")
         g = self.coupling_grid
         if g < 256 or (g & (g - 1)) != 0:
             raise ConfigError("coupling_grid must be a power of two, at least 256")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ConfigError("epsilon must be nonnegative")
         if self.grid_points < 3:
             raise ConfigError("grid_points must be at least 3")
-        if self.audit_eps <= 0 or self.gap_constant <= 0:
+        if not (self.audit_eps > 0 and self.gap_constant > 0):
             raise ConfigError("audit_eps and gap_constant must be positive")
         if not 0.0 < self.audit_threshold <= 1.0:
             raise ConfigError("audit_threshold must lie in (0, 1]")

@@ -1,11 +1,12 @@
 """Distribution objects for per-observation score variables.
 
 Each regression design point i carries the law of the score
-l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The coupling and
-truncation machinery needs four things from such a law: exact low-order
-moments, a distribution function, a (generalized inverse) quantile
-function, and a log characteristic function for building laws of
-weighted sums.  Discrete families get exact atom enumeration; the
+l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The sum-law build and
+the bounded-score truncation need three things from such a law: exact
+low-order moments (plain and clipped), a log characteristic function
+for building laws of weighted sums, and, where the support is finite,
+its atoms.  `is_gaussian` marks the standard normal law, whose weighted
+sums need no FFT.  Discrete families get exact atom enumeration; the
 continuous built-ins get closed forms.
 """
 
@@ -30,16 +31,6 @@ class ScoreLaw:
         return None
 
     def second_moment(self) -> float:
-        raise NotImplementedError
-
-    def cdf(self, s):
-        raise NotImplementedError
-
-    def ppf(self, u):
-        """Generalized inverse: smallest s with cdf(s) >= u."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
     def log_cf(self, omega):
@@ -75,26 +66,6 @@ class AtomLaw(ScoreLaw):
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
 
-    def cdf(self, s):
-        s = np.asarray(s, dtype=float)
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(self.values, s, side="right")
-        out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
-        return out if out.ndim else float(out)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        cum = np.cumsum(self.probs)
-        # guard the top against cumulative rounding below 1
-        cum[-1] = max(cum[-1], 1.0)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, len(self.values) - 1)
-        out = self.values[idx]
-        return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size: int):
-        return self.ppf(rng.random(size))
-
     def log_cf(self, omega):
         arg = np.outer(np.asarray(omega, dtype=float), self.values)
         re = np.cos(arg) @ self.probs
@@ -117,15 +88,6 @@ class StandardNormalLaw(ScoreLaw):
 
     def second_moment(self) -> float:
         return 1.0
-
-    def cdf(self, s):
-        return special.ndtr(np.asarray(s, dtype=float))
-
-    def ppf(self, u):
-        return special.ndtri(np.asarray(u, dtype=float))
-
-    def sample(self, rng: np.random.Generator, size: int):
-        return rng.standard_normal(size)
 
     def log_cf(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -151,20 +113,6 @@ class ScaledChi2Law(ScoreLaw):
 
     def second_moment(self) -> float:
         return 2.0 / self.theta**2
-
-    def cdf(self, s):
-        s = np.asarray(s, dtype=float)
-        w = 1.0 + self.theta * s
-        out = np.where(w > 0, stats.chi2.cdf(np.maximum(w, 0.0), df=1), 0.0)
-        return out if out.ndim else float(out)
-
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = (stats.chi2.ppf(u, df=1) - 1.0) / self.theta
-        return out if out.ndim else float(out)
-
-    def sample(self, rng: np.random.Generator, size: int):
-        return (rng.chisquare(1, size) - 1.0) / self.theta
 
     def log_cf(self, omega):
         # cf = (1 - 2it)^(-1/2) exp(-it) with t = omega/theta
@@ -281,53 +229,6 @@ class TruncatedLaw(ScoreLaw):
         tp = self.params
         m1, m2, _ = self.base.clipped_moments(tp.clip_level)
         return (m2 - m1 * m1) + 2.0 * tp.p * tp.x_n**2
-
-    def _eta_cdf(self, s):
-        """CDF of the recentered clipped score eta' (continuous base)."""
-        tp = self.params
-        t = np.asarray(s, dtype=float) + tp.clip_mean  # back to xi' scale
-        f = np.asarray(self.base.cdf(t), dtype=float)
-        f_neg = float(np.asarray(self.base.cdf(-tp.clip_level)))
-        _, _, p_in = self.base.clipped_moments(tp.clip_level)
-        out = f - f_neg
-        # the zero atom carries the clipped-out mass 1 - p_in
-        out = out + np.where(t >= 0.0, 1.0 - p_in, 0.0)
-        out = np.where(t < -tp.clip_level, 0.0, out)
-        out = np.where(t >= tp.clip_level, 1.0, out)
-        return np.clip(out, 0.0, 1.0)
-
-    def cdf(self, s):
-        if self._atoms is not None:
-            return self._atoms.cdf(s)
-        tp = self.params
-        s = np.asarray(s, dtype=float)
-        out = (
-            tp.p * self._eta_cdf(s + tp.x_n)
-            + (1.0 - 2.0 * tp.p) * self._eta_cdf(s)
-            + tp.p * self._eta_cdf(s - tp.x_n)
-        )
-        return out if np.ndim(out) else float(out)
-
-    def ppf(self, u):
-        if self._atoms is not None:
-            return self._atoms.ppf(u)
-        tp = self.params
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        span = tp.clip_level + abs(tp.clip_mean) + tp.x_n + 1.0
-        lo = np.full(u.shape, -span)
-        hi = np.full(u.shape, span)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = hi
-        return out if out.shape != (1,) else float(out[0])
-
-    def sample(self, rng: np.random.Generator, size: int):
-        tp = self.params
-        xi = self.base.sample(rng, size)
-        return apply_truncation(xi, tp.clip_level, tp.clip_mean, tp.p, tp.x_n, rng)
 
     def log_cf(self, omega):
         if self._atoms is not None:

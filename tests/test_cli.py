@@ -136,6 +136,13 @@ def test_check_family_builtin_with_table_exit_two(capsys):
     assert "takes no density table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--grid-points", "-1"], ["--epsilon", "nan"]])
+def test_check_family_bad_number_exit_two(flags, capsys):
+    code = cli.main(["check-family", "bernoulli", *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gaussianize_roundtrip(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(
@@ -197,6 +204,26 @@ def test_gaussianize_rejects_wrong_model_exit_two(tmp_path, capsys):
     assert cli.main(["gaussianize", str(src), "--out", str(mid)]) == 0
     code = cli.main(["gaussianize", str(mid), "--out", str(tmp_path / "twice.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("# n = 8", "# n = eight"), ("# seed = 7", "# seed = x7"), ("0.125, ", "0.125x, ")],
+    ids=["n_header", "seed_header", "row_value"],
+)
+def test_gaussianize_non_numeric_draw_file_exit_two(tmp_path, capsys, old, new):
+    draw = sample_original(
+        get_family("bernoulli"), RegressionFunction.constant(0.5), 8,
+        np.random.default_rng(7), seed=7,
+    )
+    src = tmp_path / "draw.csv"
+    write_draw(draw, src)
+    text = src.read_text()
+    assert old in text
+    src.write_text(text.replace(old, new, 1))
+    code = cli.main(["gaussianize", str(src), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_console_script_is_installed():

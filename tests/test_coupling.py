@@ -1,4 +1,4 @@
-"""Bounded scores, quantile couplings, joint draws, and condition audits."""
+"""Bounded scores, joint draws, and condition audits."""
 
 import math
 from collections import namedtuple
@@ -12,7 +12,6 @@ from lecam_equiv.coupling import (
     CouplingPlan,
     audit_cc_conditions,
     build_coupled_draw,
-    quantile_couple_scores,
     truncate_scores,
 )
 from lecam_equiv.distances import exp_moment_margins, mc_hellinger_coupled
@@ -136,6 +135,7 @@ def test_truncate_scores_location_normal_variance():
     out = truncate_scores(fam, f, 100000, 0.8, np.random.default_rng(17))
     assert np.all(out.kick_probs > 0.0)
     assert abs(out.scores_star.var() - 1.0) < 0.02
+    assert np.all(out.bound_margins() >= 0.0)
 
 
 def test_truncate_scores_validates_alpha():
@@ -162,57 +162,22 @@ def test_truncated_laws_satisfy_exp_moment_inequality():
         assert np.all(margins >= -1e-12)
 
 
-# ---------------------------------------------------------------------------
-# pointwise quantile coupling
-# ---------------------------------------------------------------------------
-
-
-def test_quantile_coupling_location_normal_is_identity():
-    fam = get_family("location_normal")
-    f = RegressionFunction.affine(0.0, 0.5)
-    scores, gaussians = quantile_couple_scores(fam, f, 512, np.random.default_rng(4))
-    assert np.array_equal(scores, gaussians)
-
-
-def test_quantile_coupling_preserves_bernoulli_marginals():
+def test_truncated_scores_follow_truncated_atom_law():
+    # realized bounded scores must follow the truncated law the table
+    # reports: per-atom frequencies against the atom probabilities, at 5
+    # binomial standard errors.  At theta = 0.25 the score atom 4 lies
+    # beyond the clip level 2.82, so the clip and the kicks both act.
     fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.4)
-    n = 100000
-    scores, gaussians = quantile_couple_scores(fam, f, n, np.random.default_rng(8))
-    law = fam.score_law(0.4)
-    assert set(np.unique(scores)) == set(law.values)
-    upper = law.values[-1]
-    freq = float(np.mean(scores == upper))
-    assert abs(freq - 0.4) < 3.0 * math.sqrt(0.4 * 0.6 / n)
-    # the gaussian side is exactly standard normal times sqrt(I)
-    z = gaussians / math.sqrt(fam.fisher(0.4))
-    ks = stats.kstest(z, "norm").statistic
-    assert ks < KS_CRIT_1PCT / math.sqrt(n)
-
-
-def test_quantile_coupling_marginal_ks_vs_direct_truncated_draws():
-    # criterion shape: coupled scores and directly modified scores must
-    # share a marginal law (two-sample KS below the 1% critical value)
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.4)
+    f = RegressionFunction.constant(0.25)
     n = 4000
-    alpha = 0.75
-    coupled, _ = quantile_couple_scores(
-        fam, f, n, np.random.default_rng(31), alpha=alpha
-    )
-    direct = truncate_scores(fam, f, n, alpha, np.random.default_rng(32)).scores_star
-    ks = stats.ks_2samp(coupled, direct, method="asymp").statistic
-    assert ks < KS_CRIT_1PCT * math.sqrt(2.0 / n)
-
-
-def test_quantile_coupling_is_comonotone():
-    # one shared uniform drives both coordinates, so the score must be a
-    # nondecreasing function of the gaussian at any fixed design point
-    fam = get_family("poisson")
-    f = RegressionFunction.constant(2.0)
-    scores, gaussians = quantile_couple_scores(fam, f, 5000, np.random.default_rng(6))
-    order = np.argsort(gaussians)
-    assert np.all(np.diff(scores[order]) >= 0.0)
+    out = truncate_scores(fam, f, n, 0.75, np.random.default_rng(32))
+    atoms = out.laws[0].atoms()
+    assert atoms.values.size == 6  # two clipped atoms, each with three kicks
+    idx = np.searchsorted(atoms.values, out.scores_star)
+    assert np.array_equal(atoms.values[np.minimum(idx, atoms.values.size - 1)], out.scores_star)
+    freq = np.bincount(idx, minlength=atoms.values.size) / n
+    stderr = np.sqrt(atoms.probs * (1.0 - atoms.probs) / n)
+    assert np.all(np.abs(freq - atoms.probs) <= 5.0 * stderr + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +327,9 @@ def test_coupled_hellinger_estimate_decreases_with_n():
     [
         lambda fam, f, rng: CouplingPlan(fam, f, RegressionFunction.constant(0.0), 16),
         lambda fam, f, rng: truncate_scores(fam, f, 16, 0.75, rng),
-        lambda fam, f, rng: quantile_couple_scores(fam, f, 16, rng),
         lambda fam, f, rng: sample_original(fam, f, 16, rng),
     ],
-    ids=["coupling_plan", "truncate_scores", "quantile_couple_scores", "sample_original"],
+    ids=["coupling_plan", "truncate_scores", "sample_original"],
 )
 def test_working_interval_violation_is_a_domain_error(entry):
     # 0.99 is a valid Bernoulli parameter but outside the working interval

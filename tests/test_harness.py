@@ -108,6 +108,10 @@ def test_config_rejects_bad_scalars():
         _config(beta=0.5)
     with pytest.raises(ConfigError):
         _config(batches=0)
+    # NaN fails every comparison, so each check must be written to reject it
+    for key in ("L", "c_rate", "epsilon", "audit_eps", "gap_constant"):
+        with pytest.raises(ConfigError):
+            _config(**{key: math.nan})
 
 
 def test_config_rejects_bad_loss_caps_and_grid():
@@ -115,6 +119,8 @@ def test_config_rejects_bad_loss_caps_and_grid():
         _config(loss_caps=())
     with pytest.raises(ConfigError):
         _config(loss_caps=(1.0, 0.5))
+    with pytest.raises(ConfigError):
+        _config(loss_caps=(0.25, math.nan))
     with pytest.raises(ConfigError):
         _config(coupling_grid=1000)  # not a power of two
 

@@ -1,4 +1,4 @@
-"""Score-law machinery: quantiles, clipped moments, truncation, sum laws."""
+"""Score-law machinery: clipped moments, characteristic functions, truncation, sum laws."""
 
 import math
 
@@ -23,22 +23,6 @@ from lecam_equiv.laws import (
 # ---------------------------------------------------------------------------
 # atom laws
 # ---------------------------------------------------------------------------
-
-
-def test_atom_law_cdf_ppf_round_trip():
-    law = AtomLaw.from_unsorted([1.5, -2.0, 0.25], [0.2, 0.5, 0.3])
-    # cdf steps: -2.0 -> 0.5, 0.25 -> 0.8, 1.5 -> 1.0
-    assert law.cdf(-2.0) == pytest.approx(0.5)
-    assert law.cdf(0.0) == pytest.approx(0.5)
-    assert law.cdf(0.25) == pytest.approx(0.8)
-    assert law.cdf(2.0) == pytest.approx(1.0)
-    assert law.cdf(-3.0) == pytest.approx(0.0)
-    # generalized inverse picks the smallest atom whose cdf reaches u
-    assert law.ppf(0.4) == -2.0
-    assert law.ppf(0.5) == -2.0
-    assert law.ppf(0.51) == 0.25
-    assert law.ppf(0.81) == 1.5
-    assert law.ppf(1.0) == 1.5
 
 
 def test_atom_law_clipped_moments():
@@ -109,9 +93,6 @@ def test_scaled_chi2_law_matches_quadrature():
         assert m1 == pytest.approx(q1, abs=1e-8)
         assert m2 == pytest.approx(q2, abs=1e-8)
         assert p == pytest.approx(qp, abs=1e-8)
-    # cdf/ppf round trip
-    u = np.linspace(0.05, 0.95, 10)
-    assert np.allclose(law.cdf(law.ppf(u)), u, atol=1e-10)
 
 
 def test_scaled_chi2_cf_matches_quadrature():
@@ -149,11 +130,6 @@ def test_poisson_score_law_cf_matches_atom_sum():
     omega = np.linspace(-3.0, 3.0, 13)
     direct = np.exp(1j * np.outer(omega, atoms.values)) @ atoms.probs
     assert np.allclose(_cf(law, omega), direct, atol=1e-12)
-    # cdf consistency off the atom lattice and exactly on stored atoms
-    s = np.array([-1.05, -0.13, 0.04, 0.77, 2.31])
-    assert np.allclose(law.cdf(s), atoms.cdf(s), atol=1e-12)
-    probe = atoms.values[:6]
-    assert np.allclose(law.cdf(probe), atoms.cdf(probe), atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.7, 0.95])
@@ -195,41 +171,16 @@ def test_truncation_restores_second_moment_exactly():
         ), type(law).__name__
 
 
-def test_truncated_samples_respect_bound_and_law():
-    rng = np.random.default_rng(99)
-    law = StandardNormalLaw()
-    tp = truncation_params(law, clip_level=1.5, c1=2.0)
-    trunc = TruncatedLaw(law, tp)
-    draws = trunc.sample(rng, 50_000)
-    bound = 2.0 * tp.clip_level + tp.x_n
-    assert np.all(np.abs(draws) <= bound + 1e-12)
-    assert abs(draws.mean()) < 6.0 / math.sqrt(50_000)
-    assert np.mean(draws**2) == pytest.approx(trunc.second_moment(), rel=0.03)
-    # cdf agrees with the empirical distribution of direct sampling
-    probe = np.linspace(-3.0, 3.0, 25)
-    emp = np.searchsorted(np.sort(draws), probe, side="right") / draws.size
-    assert np.max(np.abs(emp - trunc.cdf(probe))) < 0.01
-
-
-def test_truncated_continuous_ppf_inverts_cdf():
-    law = StandardNormalLaw()
-    tp = truncation_params(law, clip_level=1.0, c1=1.5)
-    trunc = TruncatedLaw(law, tp)
-    for u in (0.05, 0.3, 0.5, 0.7, 0.95):
-        s = trunc.ppf(u)
-        # generalized inverse: cdf(s) >= u and cdf just below s is < u
-        assert trunc.cdf(s) >= u - 1e-9
-        assert trunc.cdf(s - 1e-6) <= u + 1e-6
-
-
 def test_apply_truncation_matches_atom_law():
     rng = np.random.default_rng(42)
     # atoms -4/3 (p=3/4) and 4 (p=1/4); clip at 2 keeps only the first
-    base = get_family("bernoulli").score_law(0.25)
+    fam = get_family("bernoulli")
+    base = fam.score_law(0.25)
     tp = truncation_params(base, clip_level=2.0, c1=2.0)
     trunc = TruncatedLaw(base, tp)
     assert tp.p <= 0.5
-    xi = base.sample(rng, 100_000)
+    theta = np.full(100_000, 0.25)
+    xi = fam.score(fam.sample(theta, rng), theta)
     star = apply_truncation(xi, tp.clip_level, tp.clip_mean, tp.p, tp.x_n, rng)
     assert np.mean(star**2) == pytest.approx(trunc.second_moment(), rel=0.02)
     # every realized value sits on a truncated-law atom
@@ -251,6 +202,11 @@ def _unmerged_truncated_atoms(base, tp):
     return AtomLaw.from_unsorted(vals[keep], probs[keep])
 
 
+def _atom_cdf(law, s):
+    """P(xi <= s) summed from the atoms, for each probe value s."""
+    return np.array([law.probs[law.values <= v].sum() for v in s])
+
+
 def test_truncated_atoms_merge_equal_values():
     base = PoissonScoreLaw(1.0)
     tp = truncation_params(base, 0.8, 2.0)
@@ -261,7 +217,7 @@ def test_truncated_atoms_merge_equal_values():
     assert merged.values.size == 3
     assert np.all(np.diff(merged.values) > 0)
     probe = np.concatenate([unmerged.values, np.linspace(-4.0, 4.0, 41)])
-    assert np.max(np.abs(merged.cdf(probe) - unmerged.cdf(probe))) <= 1e-15
+    assert np.max(np.abs(_atom_cdf(merged, probe) - _atom_cdf(unmerged, probe))) <= 1e-15
     assert merged.second_moment() == pytest.approx(unmerged.second_moment(), abs=1e-15)
 
 
@@ -305,8 +261,8 @@ def test_weighted_sum_law_uniformizes_discrete_sums():
     weights = 0.08 * np.sin(2.0 * np.pi * np.arange(1, n + 1) / n) + 0.15
     laws = [fam.score_law(t) for t in thetas]
     sum_law = WeightedSumLaw(laws, weights)
-    scores = np.array([law.sample(rng, 4000) for law in laws])
-    t = weights @ scores
+    theta = np.tile(thetas, (4000, 1))
+    t = fam.score(fam.sample(theta, rng), theta) @ weights
     # sigma matches the analytic variance
     var = float(np.sum(weights**2 * fam.fisher(thetas)))
     assert sum_law.sigma == pytest.approx(math.sqrt(var), abs=1e-12)
@@ -322,7 +278,9 @@ def test_weighted_sum_law_poisson_mixture():
     weights = np.full(n, 0.11)
     laws = [PoissonScoreLaw(t) for t in thetas]
     sum_law = WeightedSumLaw(laws, weights)
-    t = weights @ np.array([law.sample(rng, 4000) for law in laws])
+    fam = get_family("poisson")
+    theta = np.tile(thetas, (4000, 1))
+    t = fam.score(fam.sample(theta, rng), theta) @ weights
     u = sum_law.uniformize(t, rng)
     assert stats.kstest(u, "uniform").statistic < 1.63 / math.sqrt(4000)
 
