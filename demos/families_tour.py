@@ -7,12 +7,7 @@ regularity audit used to qualify a family for the pipeline.
 
 import numpy as np
 
-from lecam_equiv.families import (
-    check_regularity,
-    fisher_info_quadrature,
-    gamma_transform,
-    get_family,
-)
+from lecam_equiv.families import check_regularity, fisher_info_quadrature, get_family
 
 for name in ("bernoulli", "poisson", "gaussian_scale", "location_normal"):
     family = get_family(name)
@@ -20,7 +15,7 @@ for name in ("bernoulli", "poisson", "gaussian_scale", "location_normal"):
     grid = np.linspace(lo, hi, 7)
     print(f"== {name} (working interval [{lo}, {hi}]) ==")
     print("  theta:          ", np.round(grid, 3))
-    print("  gamma(theta):   ", np.round(gamma_transform(family, grid), 4))
+    print("  gamma(theta):   ", np.round(family.gamma(grid), 4))
     print("  fisher(theta):  ", np.round(np.asarray(family.fisher(grid), dtype=float), 4))
 
     # gamma'(theta) should equal sqrt(fisher) -- the stabilization identity

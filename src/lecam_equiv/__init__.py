@@ -25,7 +25,6 @@ from .coupling import (
 )
 from .distances import (
     DistanceReport,
-    exp_moment_margins,
     hellinger_gaussian,
     hellinger_sq_1d,
     hellinger_sq_product,
@@ -44,7 +43,6 @@ from .experiments import (
     lase_terms,
     lindeberg_sum,
     read_draw,
-    sample_local_gaussian,
     sample_original,
     standard_test_pair,
     write_draw,
@@ -52,8 +50,6 @@ from .experiments import (
 from .families import (
     ParametricFamily,
     check_regularity,
-    fisher_info,
-    gamma_transform,
     get_family,
 )
 from .function_space import (
@@ -85,8 +81,6 @@ __all__ = [
     # families
     "ParametricFamily",
     "get_family",
-    "gamma_transform",
-    "fisher_info",
     "check_regularity",
     # function space
     "RegressionFunction",
@@ -97,7 +91,6 @@ __all__ = [
     # experiments
     "ExperimentDraw",
     "sample_original",
-    "sample_local_gaussian",
     "standard_test_pair",
     "lase_terms",
     "LaseTerms",
@@ -110,7 +103,6 @@ __all__ = [
     "hellinger_gaussian",
     "tv_and_deficiency_bound",
     "mc_hellinger_coupled",
-    "exp_moment_margins",
     "DistanceReport",
     # coupling
     "CouplingPlan",

@@ -259,31 +259,3 @@ def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
         replicate_count=r,
         **report_fields,
     )
-
-
-# ---------------------------------------------------------------------------
-# exponential moment audit
-# ---------------------------------------------------------------------------
-
-
-def exp_moment_margins(values, probs, lam_grid) -> np.ndarray:
-    """Margins of the bounded-variable exponential moment inequality.
-
-    For a zero-mean variable with |value| <= a and |lambda| <= 1 the
-    moment generating function satisfies E exp(lam x) <= exp((e^a/2)
-    lam^2 E x^2).  Returns rhs - lhs per lambda; all entries should be
-    nonnegative.
-    """
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    lam = np.asarray(lam_grid, dtype=float)
-    if np.any(np.abs(lam) > 1.0 + 1e-12):
-        raise ArgumentError("the inequality is stated for |lambda| <= 1")
-    mean = float(probs @ values)
-    if abs(mean) > 1e-10:
-        raise ArgumentError("the inequality requires a zero-mean variable")
-    a = float(np.max(np.abs(values)))
-    m2 = float(probs @ values**2)
-    lhs = np.exp(np.outer(lam, values)) @ probs
-    rhs = np.exp(0.5 * math.exp(a) * lam**2 * m2)
-    return rhs - lhs

@@ -1,13 +1,11 @@
-"""Samplers and log-likelihood expansions for the three experiment models.
+"""Samplers, the draw file format and the log-likelihood expansion.
 
 The original experiment observes X_i ~ p(., f(i/n)) at design points
-i/n.  Its local Gaussian approximation observes the shift h(i/n) with
-noise of variance 1/I(f(i/n)); the global Gaussian approximation
-observes gamma(f(i/n)) with unit noise.  The expansion machinery splits
-the original log-likelihood ratio between f and f+h into a weighted
-score sum minus a quadratic penalty plus a remainder, with all
-per-point expectations computed exactly from affinities rather than by
-Monte Carlo.
+i/n; its global Gaussian approximation observes gamma(f(i/n)) with unit
+noise.  The expansion splits the original log-likelihood ratio between
+f and f+h into a weighted score sum minus a quadratic penalty plus a
+remainder, with all per-point expectations computed exactly from
+affinities rather than by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -17,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, NeighborhoodError, SingularityError
+from .errors import ArgumentError, DomainError, SingularityError
 from .families import ParametricFamily
-from .function_space import RegressionFunction, neighborhood_contains
+from .function_space import RegressionFunction
 
-MODEL_TAGS = ("original", "local-gaussian", "global-gaussian", "gaussianized")
+MODEL_TAGS = ("original", "global-gaussian", "gaussianized")
 
 
 # ---------------------------------------------------------------------------
@@ -150,36 +148,6 @@ def sample_original(
     )
 
 
-def sample_local_gaussian(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    h: RegressionFunction,
-    n: int,
-    rng: np.random.Generator,
-    radius: float | None = None,
-    seed: int = 0,
-) -> ExperimentDraw:
-    """Heteroscedastic shifts: Y_i = h(i/n) + I(f(i/n))^(-1/2) eps_i."""
-    if radius is not None and not neighborhood_contains(f, h, radius):
-        raise NeighborhoodError(
-            f"shift leaves the radius-{radius:.6g} neighborhood of the base function"
-        )
-    theta = _working_values(family, f, n)
-    t = design_grid(n)
-    info = np.asarray(family.fisher(theta), dtype=float)
-    obs = np.asarray(h(t), dtype=float) + rng.standard_normal(n) / np.sqrt(info)
-    return ExperimentDraw(
-        model="local-gaussian",
-        n=n,
-        design=t,
-        observations=obs,
-        family=family.name,
-        f_desc=f.descriptor,
-        h_desc=h.descriptor,
-        seed=seed,
-    )
-
-
 def sample_global_gaussian(
     family: ParametricFamily,
     f: RegressionFunction,
@@ -203,41 +171,8 @@ def sample_global_gaussian(
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood ratios and their expansion
+# the log-likelihood ratio and its expansion
 # ---------------------------------------------------------------------------
-
-
-def _theta_pair(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    h: RegressionFunction,
-    draw: ExperimentDraw,
-) -> tuple[np.ndarray, np.ndarray]:
-    t = draw.design
-    theta = np.asarray(f(t), dtype=float)
-    shifted = theta + np.asarray(h(t), dtype=float)
-    family.require_theta(theta)
-    family.require_theta(shifted)
-    return theta, shifted
-
-
-def loglik_ratio_original(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    h: RegressionFunction,
-    draw: ExperimentDraw,
-) -> float:
-    """Sum of log p(X_i, f+h) - log p(X_i, f) over the draw."""
-    theta, shifted = _theta_pair(family, f, h, draw)
-    if draw.n == 0:
-        return 0.0
-    p0 = np.asarray(family.density(draw.observations, theta), dtype=float)
-    p1 = np.asarray(family.density(draw.observations, shifted), dtype=float)
-    if np.any(p0 <= 0.0) or np.any(p1 <= 0.0):
-        raise SingularityError(
-            f"{family.name}: zero density on the draw; shared-support assumption broken"
-        )
-    return float(np.sum(np.log(p1) - np.log(p0)))
 
 
 @dataclass(frozen=True)
@@ -268,12 +203,15 @@ def lase_terms(
     draw: ExperimentDraw,
 ) -> LaseTerms:
     """Expansion terms with exact per-point expectations via affinities."""
-    theta, shifted = _theta_pair(family, f, h, draw)
+    t = draw.design
+    theta = np.asarray(f(t), dtype=float)
+    h_vals = np.asarray(h(t), dtype=float)
+    shifted = theta + h_vals
+    family.require_theta(theta)
+    family.require_theta(shifted)
     if draw.n == 0:
         return LaseTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     x = draw.observations
-    t = draw.design
-    h_vals = np.asarray(h(t), dtype=float)
 
     p0 = np.asarray(family.density(x, theta), dtype=float)
     p1 = np.asarray(family.density(x, shifted), dtype=float)

@@ -611,12 +611,6 @@ def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
 # ---------------------------------------------------------------------------
 
 
-def fisher_info(family: ParametricFamily, theta):
-    """Closed-form Fisher information, domain-checked."""
-    family.require_theta(theta)
-    return family.fisher(theta)
-
-
 def fisher_info_quadrature(family: ParametricFamily, theta) -> float:
     """Independent numeric Fisher information: E_theta score(X, theta)^2."""
     family.require_theta(theta)
@@ -624,27 +618,8 @@ def fisher_info_quadrature(family: ParametricFamily, theta) -> float:
     return family.expect(t, lambda x: np.asarray(family.score(x, t)) ** 2)
 
 
-def gamma_transform(family: ParametricFamily, theta):
-    """Variance-stabilizing antiderivative, anchored per family."""
-    return family.gamma(theta)
-
-
-def normalization_defect(family: ParametricFamily, theta) -> float:
-    """|integral of p(., theta) - 1| by summation or quadrature."""
-    return abs(family.expect(float(theta), lambda x: np.ones_like(np.asarray(x, dtype=float))) - 1.0)
-
-
-def extended_tangent(family: ParametricFamily, x, theta: float, u: float):
-    """Secant version of the score: (2/(u-theta))(sqrt(p_u/p_theta) - 1)."""
-    family.require_theta(theta)
-    family.require_theta(u)
-    if u == theta:
-        return family.score(x, theta)
-    return _secant_score(family, x, theta, u)
-
-
 def _secant_score(family: ParametricFamily, x, theta: float, u: float):
-    """extended_tangent for checked parameters u != theta.
+    """Secant score (2/(u-theta))(sqrt(p_u/p_theta) - 1) for checked u != theta.
 
     Quadrature integrands call this at every node, so only the check
     that depends on x, zero density at theta, runs here.

@@ -34,6 +34,21 @@ WINDOW_CONSTANT = 2.0  # window width factor of the window-average estimators
 # ---------------------------------------------------------------------------
 
 
+def _window_of(t, n_windows: int) -> np.ndarray:
+    """Index k - 1 of the window ((k-1)/m, k/m] holding t, clamped to [0, m - 1]."""
+    idx = np.ceil(np.asarray(t, dtype=float) * n_windows).astype(int) - 1
+    return np.minimum(n_windows - 1, np.maximum(0, idx))
+
+
+def _clip_to_image(family: ParametricFamily, to_mean, values) -> np.ndarray:
+    """Clip values to the image of the working interval under monotone to_mean."""
+    lo, hi = family.working_interval
+    m_lo, m_hi = sorted((float(to_mean(lo)), float(to_mean(hi))))
+    # np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo, hi), signed zeros
+    # included, without np.clip's Python wrapper
+    return np.minimum(m_hi, np.maximum(m_lo, values))
+
+
 class StepFunction:
     """Left-open piecewise-constant function on uniform windows of (0, 1]."""
 
@@ -46,9 +61,7 @@ class StepFunction:
         self.sup_target = sup_target
 
     def window_index(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = np.ceil(t * self.n_windows).astype(int) - 1
-        return np.minimum(self.n_windows - 1, np.maximum(0, idx))
+        return _window_of(t, self.n_windows)
 
     def __call__(self, t):
         out = self.values[self.window_index(t)]
@@ -145,8 +158,7 @@ def block_partition(n: int, beta: float, q: float) -> BlockPartition:
 
 def _window_means(t: np.ndarray, values: np.ndarray, n_windows: int) -> np.ndarray:
     """Per-window means with empty windows filled from their neighbors."""
-    idx = np.ceil(t * n_windows).astype(int) - 1
-    idx = np.minimum(n_windows - 1, np.maximum(0, idx))
+    idx = _window_of(t, n_windows)
     sums = np.bincount(idx, weights=values, minlength=n_windows)
     counts = np.bincount(idx, minlength=n_windows)
     filled = counts > 0
@@ -171,12 +183,8 @@ def _window_estimate(family, draw, values, beta, to_mean, from_mean):
     m = draw.n
     width = WINDOW_CONSTANT * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
     n_windows = max(1, math.ceil(1.0 / width))
-    means = _window_means(draw.design, values, n_windows)
+    clipped = _clip_to_image(family, to_mean, _window_means(draw.design, values, n_windows))
     lo, hi = family.working_interval
-    m_lo, m_hi = sorted((float(to_mean(lo)), float(to_mean(hi))))
-    # np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo, hi), signed zeros
-    # included, without np.clip's Python wrapper
-    clipped = np.minimum(m_hi, np.maximum(m_lo, means))
     theta = np.minimum(hi, np.maximum(lo, from_mean(clipped)))
     return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
 
@@ -276,8 +284,6 @@ def gaussianize(
     y[odd] = stabilized[odd] + rng.standard_normal(odd.size)
 
     part = block_partition(even.size, beta, q)
-    lo, hi = family.working_interval
-    m_lo, m_hi = sorted((float(family.stat_mean(lo)), float(family.stat_mean(hi))))
     t_even = draw.design[even]
     stats_even = np.asarray(family.suff_stat(draw.observations[even]), dtype=float)
     # blocks are contiguous runs of the even rows; slice means keep the
@@ -287,7 +293,7 @@ def gaussianize(
     spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
     stat_means = np.array([stats_even[s].mean() for s in spans])
     centers = np.array([t_even[s].mean() for s in spans])
-    clipped = np.minimum(m_hi, np.maximum(m_lo, stat_means))
+    clipped = _clip_to_image(family, family.stat_mean, stat_means)
     clip_count = int(np.count_nonzero(clipped != stat_means))
     predicted = family.stat_mean(fhat(centers))
     shift = family.vst(clipped) - family.vst(predicted)

@@ -127,8 +127,8 @@ class StudyConfig:
             raise ConfigError("batches must be at least 1")
         if not self.beta > 0.5:
             raise ConfigError("beta must exceed 1/2")
-        if not (self.L > 0 and self.c_rate > 0):
-            raise ConfigError("L and c_rate must be positive")
+        if not all(0 < v < math.inf for v in (self.L, self.c_rate)):
+            raise ConfigError("L and c_rate must be positive and finite")
         if not 0.0 < self.q <= 0.25:
             raise ConfigError("q must lie in (0, 1/4]")
         if not 0.0 < self.alpha < 1.0:
@@ -142,12 +142,12 @@ class StudyConfig:
         g = self.coupling_grid
         if g < 256 or (g & (g - 1)) != 0:
             raise ConfigError("coupling_grid must be a power of two, at least 256")
-        if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConfigError("epsilon must be nonnegative and finite")
         if self.grid_points < 3:
             raise ConfigError("grid_points must be at least 3")
-        if not (self.audit_eps > 0 and self.gap_constant > 0):
-            raise ConfigError("audit_eps and gap_constant must be positive")
+        if not all(0 < v < math.inf for v in (self.audit_eps, self.gap_constant)):
+            raise ConfigError("audit_eps and gap_constant must be positive and finite")
         if not 0.0 < self.audit_threshold <= 1.0:
             raise ConfigError("audit_threshold must lie in (0, 1]")
         if not 0.0 < self.ks_pass_fraction <= 1.0:

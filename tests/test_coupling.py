@@ -14,7 +14,7 @@ from lecam_equiv.coupling import (
     build_coupled_draw,
     truncate_scores,
 )
-from lecam_equiv.distances import exp_moment_margins, mc_hellinger_coupled
+from lecam_equiv.distances import mc_hellinger_coupled
 from lecam_equiv.errors import (
     ArgumentError,
     DomainError,
@@ -31,6 +31,8 @@ from lecam_equiv.experiments import (
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.laws import TruncatedLaw, truncation_params
+
+from oracles import exp_moment_margins
 
 KS_CRIT_1PCT = 1.628
 

@@ -13,7 +13,6 @@ from lecam_equiv.distances import (
     brute_force_hellinger_sq,
     brute_force_tv,
     describe_family_density,
-    exp_moment_margins,
     hellinger_gaussian,
     hellinger_sq_1d,
     hellinger_sq_product,
@@ -22,6 +21,8 @@ from lecam_equiv.distances import (
 )
 from lecam_equiv.errors import ArgumentError, CapacityError, SupportMismatchError
 from lecam_equiv.families import get_family
+
+from oracles import exp_moment_margins
 
 
 def bern_pmf(theta):
@@ -278,9 +279,3 @@ def test_exp_moment_margins_nonnegative_on_random_laws():
         margins = exp_moment_margins(vals, probs, lam)
         assert np.all(margins >= -1e-12)
 
-
-def test_exp_moment_margins_rejects_bad_inputs():
-    with pytest.raises(ArgumentError):
-        exp_moment_margins([1.0, -1.0], [0.5, 0.5], [1.5])
-    with pytest.raises(ArgumentError):
-        exp_moment_margins([1.0, 1.0], [0.5, 0.5], [0.5])  # mean 1, not 0

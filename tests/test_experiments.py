@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lecam_equiv.errors import ArgumentError, DomainError, NeighborhoodError
+from lecam_equiv.errors import ArgumentError, DomainError
 from lecam_equiv.experiments import (
     ExperimentDraw,
     design_grid,
     lase_terms,
     lindeberg_sum,
-    loglik_ratio_original,
     read_draw,
     sample_global_gaussian,
-    sample_local_gaussian,
     sample_original,
     standard_test_pair,
     write_draw,
@@ -111,30 +109,6 @@ def test_sample_original_matches_family_law():
     assert abs(draw.observations.mean() - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 20000)
 
 
-def test_sample_local_gaussian_variance_tracks_fisher():
-    fam = get_family("gaussian_scale")
-    f = RegressionFunction.constant(2.0)
-    h = RegressionFunction.constant(0.0)
-    draw = sample_local_gaussian(fam, f, h, 40000, np.random.default_rng(3))
-    assert draw.model == "local-gaussian"
-    assert draw.h_desc == h.descriptor
-    # I(2) = 2/4 = 1/2, so the noise variance must come out near 2
-    var = draw.observations.var()
-    assert abs(var - 2.0) < 0.08
-
-
-def test_sample_local_gaussian_neighborhood_gate():
-    fam = get_family("location_normal")
-    f = RegressionFunction.affine(0.0, 0.5)
-    h = RegressionFunction.sinusoid(0.05, 1.0, 0.0)
-    draw = sample_local_gaussian(
-        fam, f, h, 16, np.random.default_rng(0), radius=0.05
-    )
-    assert draw.n == 16
-    with pytest.raises(NeighborhoodError):
-        sample_local_gaussian(fam, f, h, 16, np.random.default_rng(0), radius=0.04)
-
-
 def test_sample_global_gaussian_centers_on_stabilized_mean():
     fam = get_family("poisson")
     f = RegressionFunction.constant(4.0)
@@ -146,7 +120,7 @@ def test_sample_global_gaussian_centers_on_stabilized_mean():
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood ratio
+# log-likelihood ratio: the exact term of the expansion
 # ---------------------------------------------------------------------------
 
 
@@ -157,12 +131,12 @@ def test_loglik_single_bernoulli_point():
     draw = ExperimentDraw(
         "original", 1, design_grid(1), np.array([1.0]), "bernoulli", f.descriptor
     )
-    val = loglik_ratio_original(fam, f, h, draw)
+    val = lase_terms(fam, f, h, draw).exact_loglik
     assert val == pytest.approx(math.log(0.6 / 0.5), abs=1e-15)
     draw0 = ExperimentDraw(
         "original", 1, design_grid(1), np.array([0.0]), "bernoulli", f.descriptor
     )
-    assert loglik_ratio_original(fam, f, h, draw0) == pytest.approx(
+    assert lase_terms(fam, f, h, draw0).exact_loglik == pytest.approx(
         math.log(0.4 / 0.5), abs=1e-15
     )
 
@@ -172,21 +146,11 @@ def test_loglik_antisymmetry(name):
     fam = get_family(name)
     f, h = standard_test_pair(fam, 64)
     draw = sample_original(fam, f, 64, np.random.default_rng(21))
-    forward = loglik_ratio_original(fam, f, h, draw)
+    forward = lase_terms(fam, f, h, draw).exact_loglik
     shifted = SumFunction(f, h)
     neg_h = RegressionFunction.sinusoid(-h.params[0], h.params[1], h.params[2])
-    backward = loglik_ratio_original(fam, shifted, neg_h, draw)
+    backward = lase_terms(fam, shifted, neg_h, draw).exact_loglik
     assert forward == pytest.approx(-backward, abs=1e-12)
-
-
-def test_loglik_agrees_with_lase_exact_term():
-    fam = get_family("poisson")
-    f, h = standard_test_pair(fam, 128)
-    draw = sample_original(fam, f, 128, np.random.default_rng(2))
-    terms = lase_terms(fam, f, h, draw)
-    assert loglik_ratio_original(fam, f, h, draw) == pytest.approx(
-        terms.exact_loglik, abs=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "study.ini"
     path.write_text("[study]\nkind = cc-audit\nfamily = poisson\nf = constant(1.0)\nbogus = 1\n")
     with pytest.raises(ConfigError):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("key", ["audit_eps", "gap_constant", "L", "c_rate", "epsilon"])
+def test_parse_config_rejects_infinite_value(key, tmp_path):
+    # inf passes a positivity check, and an infinite audit_eps leaves
+    # neither cc-audit tail audit able to fire
+    golden = Path(__file__).resolve().parent / "golden" / "cc-audit.ini"
+    path = tmp_path / "study.ini"
+    path.write_text(golden.read_text() + f"{key} = inf\n")
+    with pytest.raises(ConfigError, match="finite"):
         parse_config(path)
 
 

@@ -1,9 +1,13 @@
-"""Every name a module under src/ imports is used in that module."""
+"""Source scans: every import under src/ is used, every export has a caller."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lecam_equiv"
+import lecam_equiv
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "lecam_equiv"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +41,38 @@ def test_no_unused_imports_in_src():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
+
+
+def _uncalled_exports(names, sources: dict) -> list[str]:
+    """Names with no whole-word use outside __init__.py and their own def/class line."""
+    missing = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b")
+        if not any(
+            word.search(line) and not own.match(line)
+            for path, text in sources.items()
+            if path.name != "__init__.py"
+            for line in text.splitlines()
+        ):
+            missing.append(name)
+    return missing
+
+
+def test_every_export_has_a_caller():
+    # the library is the pipeline: a public name that no module, demo or
+    # benchmark script uses is a second way to compute something
+    sources = {
+        path: path.read_text()
+        for root in (SRC, REPO / "demos", REPO / "perfbench")
+        for path in sorted(root.rglob("*.py"))
+    }
+    assert _uncalled_exports(lecam_equiv.__all__, sources) == []
+
+
+def test_uncalled_export_is_reported():
+    sources = {
+        Path("__init__.py"): "from .m import used, unused\n",
+        Path("m.py"): "def used():\n    pass\n\n\nclass unused:\n    x = used()\n",
+    }
+    assert _uncalled_exports(["used", "unused"], sources) == ["unused"]
