@@ -86,8 +86,8 @@ class TruncationOutput:
 class CcAuditReport:
     """Empirical frequencies of the three coupling quality conditions.
 
-    gap_freq: closeness failure P(|logLR difference| >= gap_threshold),
-    under the central measure.  orig_tail_freq: large original ratio
+    gap_freq: closeness failure P(|logLR difference| >= gap_constant *
+    r_n^alpha1), under the central measure.  orig_tail_freq: large original ratio
     under the shifted measure, importance-reweighted from central-draw
     likelihoods.  gauss_tail_freq: large Gaussian ratio under the
     central measure.  target_scale = r_n^(2 alpha1) is the magnitude
@@ -100,7 +100,6 @@ class CcAuditReport:
     orig_tail_stderr: float
     gauss_tail_freq: float
     gauss_tail_stderr: float
-    gap_threshold: float
     tail_threshold: float
     target_scale: float
     effective_sample_size: float
@@ -207,7 +206,8 @@ class CouplingPlan:
     """Per-cell precomputation shared by every replicate draw.
 
     Holds the design values, the weighted-sum law of the score side (one
-    FFT build) and, for families whose log-likelihood ratio is affine in
+    FFT build; None when every score law is standard normal, which
+    couples by identity, or when the shift is zero) and, for families whose log-likelihood ratio is affine in
     the score, the remainder table: remainder = remainder_weights . scores
     + remainder_offset.  Building the plan once and passing it to
     build_coupled_draw amortizes the heavy numerics across replicates.
@@ -254,8 +254,9 @@ class CouplingPlan:
                 # sum(log z) - (h . scores - quadratic) is affine too
                 self.remainder_weights = a - self.h_values
                 self.remainder_offset = float(np.sum(b)) + self.quadratic
-        self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
-        self.sigma = self.sum_law.sigma
+        self.sum_law = None
+        if not self.all_gaussian and self.sigma2 > 0.0:
+            self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
 
 
 def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledLikelihoodDraw:
@@ -303,12 +304,11 @@ def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledL
             )
             rho = lase_terms(family, plan.f, plan.h, draw).remainder
         noise = np.sqrt(plan.info) * rng.standard_normal(n)
-        if plan.sigma == 0.0:
+        if plan.sum_law is None:
             zeta = noise
-            coupled_sum = 0.0
         else:
             u = plan.sum_law.uniformize(np.asarray(weighted_sum, dtype=float), rng)
-            coupled_sum = plan.sigma * float(special.ndtri(u))
+            coupled_sum = plan.sum_law.sigma * float(special.ndtri(u))
             fill = h_vals * plan.info / plan.sigma2
             zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
         loglik_orig = weighted_sum - quad + rho
@@ -387,7 +387,6 @@ def audit_cc_conditions(
         orig_tail_stderr=orig_stderr,
         gauss_tail_freq=gauss_freq,
         gauss_tail_stderr=gauss_stderr,
-        gap_threshold=gap_threshold,
         tail_threshold=tail_threshold,
         target_scale=r_n ** (2.0 * alpha1),
         effective_sample_size=ess,

@@ -25,10 +25,6 @@ from scipy import integrate, stats
 from .errors import ArgumentError, DomainError, NumericError, SingularityError
 from .laws import AtomLaw, ScaledChi2Law, ScoreLaw, StandardNormalLaw
 
-# Discrete supports are enumerated until the omitted tail mass is below
-# this level; heavy-power moments keep a wide margin past that point.
-DISCRETE_TAIL_MASS = 1e-22
-
 
 # ---------------------------------------------------------------------------
 # base class
@@ -38,6 +34,14 @@ DISCRETE_TAIL_MASS = 1e-22
 def _out(out):
     """A map's numpy result as a Python float when it is 0-d."""
     return out if out.ndim else float(out)
+
+
+def _quad(name: str, fn, lo: float, hi: float) -> float:
+    """Adaptive quadrature of fn over [lo, hi]; NumericError unless it converged."""
+    val, err = integrate.quad(fn, lo, hi, limit=400)
+    if not math.isfinite(val) or err > 1e-7 * max(1.0, abs(val)):
+        raise NumericError(f"{name}: quadrature did not converge (err={err:.2e})")
+    return float(val)
 
 
 class ParametricFamily:
@@ -121,22 +125,24 @@ class ParametricFamily:
         return None
 
     # -- sufficient statistic and its variance-stabilizing map --------------
+    # The defaults are exact for a family whose statistic is the
+    # observation itself with mean theta.
 
     def suff_stat(self, x):
-        raise NotImplementedError
+        return np.asarray(x, dtype=float)
 
     def stat_mean(self, theta):
-        raise NotImplementedError
+        return np.asarray(theta, dtype=float)
 
     def stat_mean_inverse(self, m):
-        raise NotImplementedError
+        return np.asarray(m, dtype=float)
 
     def vst(self, m):
         """Map F on the statistic-mean scale with F(stat_mean(t)) = gamma(t)."""
         return _out(self._vst(np.asarray(m, dtype=float)))
 
     def _vst(self, m):
-        raise NotImplementedError
+        return self._gamma(self.stat_mean_inverse(m))
 
     # -- expectations --------------------------------------------------------
 
@@ -155,14 +161,7 @@ class ParametricFamily:
         if atoms is not None:
             return float(np.sum(fn(atoms) * self.density(atoms, theta)))
         lo, hi = self.quad_bounds(theta)
-        val, err = integrate.quad(
-            lambda x: fn(x) * float(self.density(x, theta)), lo, hi, limit=400
-        )
-        if not math.isfinite(val) or err > 1e-7 * max(1.0, abs(val)):
-            raise NumericError(
-                f"{self.name}: quadrature did not converge (err={err:.2e})"
-            )
-        return float(val)
+        return _quad(self.name, lambda x: fn(x) * float(self.density(x, theta)), lo, hi)
 
     # -- pairwise structure ---------------------------------------------------
 
@@ -214,15 +213,6 @@ class Bernoulli(ParametricFamily):
         l0 = np.log1p(-h / (1.0 - theta))
         d = np.log1p(h / theta) - l0
         return theta * (1.0 - theta) * d, l0 + theta * d
-
-    def suff_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def stat_mean(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def stat_mean_inverse(self, m):
-        return np.asarray(m, dtype=float)
 
     def _vst(self, m):
         return 2.0 * np.arcsin(np.sqrt(np.clip(m, 0.0, 1.0)))
@@ -296,15 +286,6 @@ class Poisson(ParametricFamily):
         h = np.asarray(u, dtype=float) - theta
         a = theta * np.log1p(h / theta)
         return a, a - h
-
-    def suff_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def stat_mean(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def stat_mean_inverse(self, m):
-        return np.asarray(m, dtype=float)
 
     def _vst(self, m):
         return 2.0 * np.sqrt(np.maximum(m, 0.0))
@@ -434,18 +415,6 @@ class LocationNormal(ParametricFamily):
     def score_law(self, theta) -> StandardNormalLaw:
         return StandardNormalLaw()
 
-    def suff_stat(self, x):
-        return np.asarray(x, dtype=float)
-
-    def stat_mean(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def stat_mean_inverse(self, m):
-        return np.asarray(m, dtype=float)
-
-    def _vst(self, m):
-        return m
-
     def quad_bounds(self, theta):
         return (theta - 16.0, theta + 16.0)
 
@@ -539,17 +508,11 @@ class TabulatedLocation(ParametricFamily):
     def score_law(self, theta) -> AtomLaw:
         return AtomLaw.from_unsorted(self._score_tab, self._point_weights())
 
-    def suff_stat(self, x):
-        return np.asarray(x, dtype=float)
-
     def stat_mean(self, theta):
         return np.asarray(theta, dtype=float) + self._noise_mean
 
     def stat_mean_inverse(self, m):
         return np.asarray(m, dtype=float) - self._noise_mean
-
-    def _vst(self, m):
-        return math.sqrt(self._info) * (m - self._noise_mean)
 
     def quad_bounds(self, theta):
         return (self.grid[0] + theta, self.grid[-1] + theta)
@@ -577,7 +540,8 @@ class TabulatedLocation(ParametricFamily):
 # registry
 # ---------------------------------------------------------------------------
 
-BUILTIN_FAMILIES = ("bernoulli", "poisson", "gaussian_scale", "location_normal")
+_BUILTINS = {cls.name: cls for cls in (Bernoulli, Poisson, GaussianScale, LocationNormal)}
+BUILTIN_FAMILIES = tuple(_BUILTINS)
 
 
 def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
@@ -586,23 +550,17 @@ def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
     location_custom needs a table_path; an empty one counts as missing.
     Any other family rejects a nonempty table_path.
     """
-    registry = {
-        "bernoulli": Bernoulli,
-        "poisson": Poisson,
-        "gaussian_scale": GaussianScale,
-        "location_normal": LocationNormal,
-    }
-    if name in registry:
+    custom = TabulatedLocation.name
+    if name in _BUILTINS:
         if table_path:
-            raise ArgumentError(f"{name} takes no density table; only location_custom does")
-        return registry[name]()
-    if name == "location_custom":
+            raise ArgumentError(f"{name} takes no density table; only {custom} does")
+        return _BUILTINS[name]()
+    if name == custom:
         if not table_path:
-            raise ArgumentError("location_custom requires a density table file")
+            raise ArgumentError(f"{custom} requires a density table file")
         return TabulatedLocation.from_file(table_path)
     raise ArgumentError(
-        f"unknown family {name!r}; choose from "
-        "bernoulli|poisson|gaussian_scale|location_normal|location_custom"
+        f"unknown family {name!r}; choose from {'|'.join((*_BUILTINS, custom))}"
     )
 
 
@@ -645,10 +603,6 @@ class RegularityReport:
     r1_sup_estimate: float
     r2_sup_estimate: float
     r3_bounds: tuple[float, float]
-    grid_spec: str
-    delta_r1: float
-    delta_r2: float
-    epsilon: float
     pair_count: int
     insufficient_pairs: bool
     pass_flags: dict = field(default_factory=dict)
@@ -688,9 +642,9 @@ def _r1_remainder(family: ParametricFamily, theta: float, u: float) -> float:
         total = float(np.trapezoid(integrand(xs), xs))
     else:
         lo2, hi2 = family.quad_bounds(u)
-        total = integrate.quad(
-            lambda x: float(integrand(x)), min(lo1, lo2), max(hi1, hi2), limit=400
-        )[0]
+        total = _quad(
+            family.name, lambda x: float(integrand(x)), min(lo1, lo2), max(hi1, hi2)
+        )
     return math.sqrt(max(total, 0.0))
 
 
@@ -704,9 +658,8 @@ def check_regularity(
 
     For each grid theta, partners u = theta +- epsilon * {1, 1/2, 1/4}
     are used; a partner outside the open parameter interval, or equal
-    to theta, is dropped.  Estimates are maxima over the realized pairs;
-    the report records the grid so reruns are reproducible.  The
-    exponents are default_delta_r1(beta) and default_delta_r2(beta).
+    to theta, is dropped.  Estimates are maxima over the realized pairs.
+    The exponents are default_delta_r1(beta) and default_delta_r2(beta).
     The grid is checked once here, so the per-node integrands skip the
     checks.
     """
@@ -760,19 +713,10 @@ def check_regularity(
         "r2": (not insufficient) and math.isfinite(r2_sup),
         "r3": r3[0] > 0.0 and math.isfinite(r3[1]),
     }
-    spec = (
-        f"grid={grid.size} points in [{grid.min():.6g},{grid.max():.6g}], "
-        f"epsilon={epsilon:.6g}, offsets=+-{{1,1/2,1/4}}*eps, "
-        f"pairs={len(pairs)}, tail_mass={DISCRETE_TAIL_MASS:g}"
-    )
     return RegularityReport(
         r1_sup_estimate=r1_sup,
         r2_sup_estimate=r2_sup,
         r3_bounds=r3,
-        grid_spec=spec,
-        delta_r1=d1,
-        delta_r2=d2,
-        epsilon=float(epsilon),
         pair_count=len(pairs),
         insufficient_pairs=insufficient,
         pass_flags=flags,

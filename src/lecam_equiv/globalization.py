@@ -220,7 +220,6 @@ class GaussianizedData:
     """Synthetic unit-noise Gaussian data produced by the kernel."""
 
     draw: ExperimentDraw
-    fhat: StepFunction
     kernel_descriptor: str
     odd_count: int
     even_count: int
@@ -326,7 +325,6 @@ def gaussianize(
     )
     return GaussianizedData(
         draw=out,
-        fhat=fhat,
         kernel_descriptor=desc,
         odd_count=odd.size,
         even_count=even.size,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 from scipy import stats
 
-from .errors import TruncationConstantError
+from .errors import ArgumentError, TruncationConstantError
 
 
 class ScoreLaw:
@@ -138,13 +138,11 @@ class TruncationParams:
 
     clip_level: scores are zeroed outside [-clip_level, clip_level];
     clip_mean: mean of the zeroed-out score (subtracted to recenter);
-    v2: variance removed by clipping, restored by the three-point kick;
     x_n: kick magnitude; p: probability of each of the +-x_n kicks.
     """
 
     clip_level: float
     clip_mean: float
-    v2: float
     x_n: float
     p: float
 
@@ -177,7 +175,7 @@ def truncation_params(
             f"increase the kick constant to at least {needed:.4g}",
             suggested_c1=float(needed),
         )
-    return TruncationParams(clip_level, m1, v2, x_n, p)
+    return TruncationParams(clip_level, m1, x_n, p)
 
 
 def apply_truncation(xi, clip_level, clip_mean, p, x_n, rng: np.random.Generator):
@@ -266,14 +264,9 @@ class WeightedSumLaw:
     ):
         weights = np.asarray(weights, dtype=float)
         var = sum(w * w * law.second_moment() for law, w in zip(laws, weights))
+        if not var > 0.0:
+            raise ArgumentError("weighted sum law needs a positive variance")
         self.sigma = float(np.sqrt(var))
-        self.exact_gaussian = all(law.is_gaussian for law in laws)
-        self.grid = None
-        self.cdf_grid = None
-        self.smooth_bw = 0.0
-        self.clipped_mass = 0.0
-        if self.exact_gaussian or self.sigma == 0.0:
-            return
         span = SPAN_SIGMAS * self.sigma
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
@@ -301,12 +294,7 @@ class WeightedSumLaw:
     def uniformize(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Map draws of T to (0,1) so the output is uniform under the law."""
         t = np.asarray(t, dtype=float)
-        if self.sigma == 0.0:
-            return np.full(t.shape, 0.5)
-        if self.exact_gaussian:
-            u = special.ndtr(t / self.sigma)
-        else:
-            jitter = rng.standard_normal(t.shape) * self.smooth_bw
-            u = np.interp(t + jitter, self.grid, self.cdf_grid)
+        jitter = rng.standard_normal(t.shape) * self.smooth_bw
+        u = np.interp(t + jitter, self.grid, self.cdf_grid)
         eps = 1e-14
         return np.clip(u, eps, 1.0 - eps)

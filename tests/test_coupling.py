@@ -260,7 +260,9 @@ def test_coupled_draw_zero_shift_is_degenerate():
     fam = get_family("bernoulli")
     f = RegressionFunction.affine(0.4, 0.2)
     h = RegressionFunction.constant(0.0)
-    d = build_coupled_draw(CouplingPlan(fam, f, h, 64), np.random.default_rng(0))
+    plan = CouplingPlan(fam, f, h, 64)
+    assert plan.sum_law is None
+    d = build_coupled_draw(plan, np.random.default_rng(0))
     assert d.log_lik_original == 0.0
     assert d.log_lik_gaussian == 0.0
     assert d.remainder_tilde == 0.0
@@ -271,6 +273,7 @@ def test_coupled_draw_location_normal_sides_coincide():
     n = 256
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n)
+    assert plan.sum_law is None
     rng = np.random.default_rng(2)
     for _ in range(10):
         d = build_coupled_draw(plan, rng)
@@ -290,7 +293,7 @@ def test_coupled_draw_gaussian_side_has_exact_product_law():
     for _ in range(400):
         d = build_coupled_draw(plan, rng)
         rows.append(d.gaussians / np.sqrt(plan.info))
-        sums.append((d.log_lik_gaussian + quad_term(plan)) / plan.sigma)
+        sums.append((d.log_lik_gaussian + quad_term(plan)) / plan.sum_law.sigma)
     flat = np.concatenate(rows)
     assert stats.kstest(flat, "norm").statistic < KS_CRIT_1PCT / math.sqrt(flat.size)
     sums = np.asarray(sums)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lecam_equiv.errors import ArgumentError, DomainError, SingularityError
+from lecam_equiv.errors import ArgumentError, DomainError, NumericError, SingularityError
 from lecam_equiv.families import (
     BUILTIN_FAMILIES,
     GaussianScale,
     ParametricFamily,
     TabulatedLocation,
+    _r1_remainder,
     _secant_score,
     check_regularity,
     fisher_info_quadrature,
@@ -342,6 +343,12 @@ def test_regularity_zero_density_inside_the_window_raises():
         check_regularity(_TruncatedGaussianScale(), [1.0, 2.0], epsilon=0.1, beta=1.0)
 
 
+def test_r1_remainder_rejects_an_unconverged_quadrature(monkeypatch):
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1.0, 1.0))
+    with pytest.raises(NumericError, match="did not converge"):
+        _r1_remainder(get_family("gaussian_scale"), 1.0, 1.05)
+
+
 def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
     family = get_family("gaussian_scale")
     original = family.require_theta
@@ -372,8 +379,13 @@ def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
 
 
 def test_registry_rejects_unknown_and_incomplete():
-    with pytest.raises(ArgumentError):
+    assert BUILTIN_FAMILIES == ("bernoulli", "poisson", "gaussian_scale", "location_normal")
+    with pytest.raises(ArgumentError) as exc:
         get_family("weibull")
+    assert str(exc.value) == (
+        "unknown family 'weibull'; choose from "
+        "bernoulli|poisson|gaussian_scale|location_normal|location_custom"
+    )
     with pytest.raises(ArgumentError):
         get_family("location_custom")
     with pytest.raises(ArgumentError, match="takes no density table"):
@@ -446,8 +458,8 @@ def _interface_families():
 
 @pytest.mark.parametrize("fam", _interface_families(), ids=lambda fam: fam.name)
 def test_every_family_overrides_the_interface(fam):
-    # the base class has no numeric fallbacks: a map a family lacks
-    # raises NotImplementedError here
+    # every map gives finite values; the base class supplies only the
+    # exact identity statistic and vst = gamma o stat_mean_inverse
     lo, hi = fam.working_interval
     theta = np.linspace(lo, hi, 7)
     x = fam.sample(theta, np.random.default_rng(31))
@@ -472,6 +484,8 @@ def test_every_family_overrides_the_interface(fam):
     }
     for name, out in outputs.items():
         assert np.all(np.isfinite(out)), name
+    # vst is defined by vst(stat_mean(theta)) = gamma(theta)
+    np.testing.assert_allclose(fam.vst(m), fam.gamma(theta), rtol=1e-12, atol=1e-12)
     # a scalar point gives a Python float from every map
     t, x0 = float(theta[3]), float(x[3])
     scalars = {

@@ -1,4 +1,5 @@
-"""Source scans: every import under src/ is used, every export has a caller."""
+"""Source scans: every import under src/ is used, every export has a caller,
+every record field is read."""
 
 import ast
 import re
@@ -76,3 +77,45 @@ def test_uncalled_export_is_reported():
         Path("m.py"): "def used():\n    pass\n\n\nclass unused:\n    x = used()\n",
     }
     assert _uncalled_exports(["used", "unused"], sources) == ["unused"]
+
+
+def _record_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field in a class body."""
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Attribute names loaded anywhere, plus every string constant."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_record_field_is_read():
+    """A field that no code reads is computed and stored for nothing.
+
+    The scan matches names, not owners: a field that shares its name
+    with an attribute read elsewhere passes unseen.  A regularity
+    report's `epsilon`, for one, could hide behind `config.epsilon`.
+    """
+    read = set()
+    for root in (SRC, REPO / "demos", REPO / "perfbench", REPO / "tests"):
+        for path in sorted(root.rglob("*.py")):
+            read |= _read_names(ast.parse(path.read_text()))
+    unread = [
+        f"{path.name}: {cls}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls, name in _record_fields(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert unread == []
