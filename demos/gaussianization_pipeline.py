@@ -35,7 +35,7 @@ truth = np.asarray(f(t), dtype=float)
 print(f"  preliminary estimate: {fhat.descriptor}, "
       f"sup error {float(np.max(np.abs(fhat(t) - truth))):.4f} "
       f"(target rate {fhat.sup_target:.4f})")
-out = gaussianize(family, draw, 1.0, stream_rng(derive_seed(11, n, 1)))
+out = gaussianize(family, draw, 1.0, stream_rng(derive_seed(11, n, 1)).standard_normal(n))
 print(f"  kernel: {out.kernel_descriptor}")
 
 resid = out.draw.observations - np.asarray(family.gamma(truth), dtype=float)

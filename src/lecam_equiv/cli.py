@@ -98,7 +98,8 @@ def _cmd_check_family(args) -> int:
 def _cmd_gaussianize(args) -> int:
     draw = read_draw(args.draw_file)
     family = get_family(draw.family)
-    out = gaussianize(family, draw, args.beta, stream_rng(args.seed), q=args.q)
+    noise = stream_rng(args.seed).standard_normal(draw.n)
+    out = gaussianize(family, draw, args.beta, noise, q=args.q)
     if args.out is not None:
         path = args.out
     else:

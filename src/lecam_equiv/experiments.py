@@ -29,7 +29,11 @@ MODEL_TAGS = ("original", "global-gaussian", "gaussianized")
 
 @dataclass(frozen=True)
 class ExperimentDraw:
-    """One realized dataset on the design grid i/n, i = 1..n."""
+    """One realized dataset on the design grid i/n, i = 1..n.
+
+    observations is (n,) for one draw, or (rows, n) for a stack of
+    replicate draws that share the design; n is its last axis.
+    """
 
     model: str
     n: int
@@ -43,7 +47,9 @@ class ExperimentDraw:
     def __post_init__(self):
         if self.model not in MODEL_TAGS:
             raise ArgumentError(f"unknown model tag {self.model!r}")
-        if len(self.observations) != self.n or len(self.design) != self.n:
+        if np.ndim(self.observations) not in (1, 2):
+            raise ArgumentError("observations must be one draw or a stack of draws")
+        if np.shape(self.observations)[-1] != self.n or len(self.design) != self.n:
             raise ArgumentError("draw length must equal n")
         if self.n > 0 and np.any(np.diff(self.design) <= 0):
             raise ArgumentError("design points must be strictly increasing")
@@ -55,6 +61,8 @@ def design_grid(n: int) -> np.ndarray:
 
 def write_draw(draw: ExperimentDraw, path) -> None:
     """Columnar text serialization: four header lines, then i, t_i, x_i."""
+    if np.ndim(draw.observations) != 1:
+        raise ArgumentError("write_draw writes one draw, not a stack")
     lines = [
         f"# family = {draw.family}",
         f"# model = {draw.model}",

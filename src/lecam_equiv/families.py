@@ -156,12 +156,26 @@ class ParametricFamily:
 
     def expect(self, theta, fn) -> float:
         """E_theta fn(X) by exact summation or adaptive quadrature."""
+        return self._expect_given_density(theta, lambda x, _p: fn(x))
+
+    def _expect_given_density(self, theta, fn) -> float:
+        """E_theta fn(X, p(X, theta)): each node's density weights it and is passed on.
+
+        An integrand that also needs p(x, theta) reads it from its second
+        argument instead of evaluating the density again.
+        """
         theta = float(theta)
         atoms = self.support_atoms(theta)
         if atoms is not None:
-            return float(np.sum(fn(atoms) * self.density(atoms, theta)))
+            p = self.density(atoms, theta)
+            return float(np.sum(fn(atoms, p) * p))
         lo, hi = self.quad_bounds(theta)
-        return _quad(self.name, lambda x: fn(x) * float(self.density(x, theta)), lo, hi)
+
+        def weighted(x):
+            p = float(self.density(x, theta))
+            return fn(x, p) * p
+
+        return _quad(self.name, weighted, lo, hi)
 
     # -- pairwise structure ---------------------------------------------------
 
@@ -522,6 +536,11 @@ class TabulatedLocation(ParametricFamily):
         w = self._point_weights()
         return float(w @ fn(self.grid + theta))
 
+    def _expect_given_density(self, theta, fn) -> float:
+        theta = float(theta)
+        xs = self.grid + theta
+        return float(self._point_weights() @ fn(xs, self.density(xs, theta)))
+
     def _affinity(self, theta, u):
         if theta.ndim or u.ndim:
             tb, ub = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(u))
@@ -576,19 +595,33 @@ def fisher_info_quadrature(family: ParametricFamily, theta) -> float:
     return family.expect(t, lambda x: np.asarray(family.score(x, t)) ** 2)
 
 
-def _secant_score(family: ParametricFamily, x, theta: float, u: float):
+def _secant_score(family: ParametricFamily, x, theta: float, u: float, p_theta):
     """Secant score (2/(u-theta))(sqrt(p_u/p_theta) - 1) for checked u != theta.
 
-    Quadrature integrands call this at every node, so only the check
-    that depends on x, zero density at theta, runs here.
+    p_theta is p(x, theta), which the integrand already holds as the
+    node's weight.  Quadrature integrands call this at every node, so
+    only the check that depends on x, zero density at theta, runs here.
     """
-    p_t = np.asarray(family.density(x, theta), dtype=float)
+    p_t = np.asarray(p_theta, dtype=float)
     if (p_t <= 0.0).any():
         raise SingularityError(
             f"{family.name}: zero density at the conditioning parameter"
         )
     p_u = np.asarray(family.density(x, u), dtype=float)
     return _out((2.0 / (u - theta)) * (np.sqrt(p_u / p_t) - 1.0))
+
+
+def _secant_moment(family: ParametricFamily, theta: float, u: float, power: float) -> float:
+    """E_theta |secant score|^power for checked u != theta.
+
+    Each node's density at theta both weights the node and feeds the
+    secant ratio, so it is evaluated once per node.
+    """
+    return family._expect_given_density(
+        theta,
+        lambda x, p: np.abs(np.asarray(_secant_score(family, x, theta, u, p), dtype=float))
+        ** power,
+    )
 
 
 @dataclass(frozen=True)
@@ -688,14 +721,7 @@ def check_regularity(
     for theta, u in pairs:
         rem = _r1_remainder(family, theta, u)
         r1_sup = max(r1_sup, rem / abs(u - theta) ** (1.0 + d1))
-        moment = family.expect(
-            theta,
-            lambda x, t=theta, v=u: np.abs(
-                np.asarray(_secant_score(family, x, t, v), dtype=float)
-            )
-            ** (2.0 * d2),
-        )
-        r2_sup = max(r2_sup, moment)
+        r2_sup = max(r2_sup, _secant_moment(family, theta, u, 2.0 * d2))
     for theta in grid:
         # the u = theta member of the pair family: plain score moment
         moment = family.expect(

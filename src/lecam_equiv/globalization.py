@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .function_space import RegressionFunction, rate_gamma_bar
 
 BLOCK_EXPONENT = 0.9  # module-level exponent feeding the block-size rule
 WINDOW_CONSTANT = 2.0  # window width factor of the window-average estimators
+# cells per replicate stack: max(1, _STACK_CELLS // n) draws of length n go
+# through the kernel at once, about 256 kB per (rows, n) array
+_STACK_CELLS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +53,26 @@ def _clip_to_image(family: ParametricFamily, to_mean, values) -> np.ndarray:
 
 
 class StepFunction:
-    """Left-open piecewise-constant function on uniform windows of (0, 1]."""
+    """Left-open piecewise-constant function on uniform windows of (0, 1].
+
+    The windows run along the last axis of `values`; a (rows, windows)
+    table holds one function per row of a replicate stack, and a call
+    returns one row of values per function.
+    """
 
     def __init__(self, values: np.ndarray, sup_target: float = 0.0):
         values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ArgumentError("need a one-dimensional nonempty value table")
+        if values.ndim not in (1, 2) or values.size == 0:
+            raise ArgumentError("need a nonempty value table of one or two dimensions")
         self.values = values
-        self.n_windows = values.size
+        self.n_windows = values.shape[-1]
         self.sup_target = sup_target
 
     def window_index(self, t) -> np.ndarray:
         return _window_of(t, self.n_windows)
 
     def __call__(self, t):
-        out = self.values[self.window_index(t)]
+        out = self.values[..., self.window_index(t)]
         return out if np.ndim(out) else float(out)
 
     @property
@@ -157,18 +165,26 @@ def block_partition(n: int, beta: float, q: float) -> BlockPartition:
 
 
 def _window_means(t: np.ndarray, values: np.ndarray, n_windows: int) -> np.ndarray:
-    """Per-window means with empty windows filled from their neighbors."""
+    """Per-window means along the last axis, empty windows filled from neighbors.
+
+    Row r of a (rows, n) stack bins into windows r * n_windows onward of
+    one bincount, which adds each window's values in index order, as a
+    bincount of that row alone does.
+    """
     idx = _window_of(t, n_windows)
-    sums = np.bincount(idx, weights=values, minlength=n_windows)
+    rows = values.shape[:-1]
+    offsets = n_windows * np.arange(math.prod(rows)).reshape(rows + (1,))
+    sums = np.bincount(
+        (idx + offsets).ravel(), weights=values.ravel(), minlength=offsets.size * n_windows
+    ).reshape(rows + (n_windows,))
     counts = np.bincount(idx, minlength=n_windows)
     filled = counts > 0
-    means = np.zeros(n_windows)
-    means[filled] = sums[filled] / counts[filled]
+    means = np.zeros(rows + (n_windows,))
+    means[..., filled] = sums[..., filled] / counts[filled]
     if not np.all(filled):
         centers = (np.arange(n_windows) + 0.5) / n_windows
-        means[~filled] = np.interp(
-            centers[~filled], centers[filled], means[filled]
-        )
+        for row in means.reshape(-1, n_windows):
+            row[~filled] = np.interp(centers[~filled], centers[filled], row[filled])
     return means
 
 
@@ -217,14 +233,18 @@ def preliminary_estimate(
 
 @dataclass(frozen=True, eq=False)
 class GaussianizedData:
-    """Synthetic unit-noise Gaussian data produced by the kernel."""
+    """Synthetic unit-noise Gaussian data produced by the kernel.
+
+    For a replicate stack the draw holds one output row per input row
+    and clip_warning_count is an array with one count per row.
+    """
 
     draw: ExperimentDraw
     kernel_descriptor: str
     odd_count: int
     even_count: int
     partition: BlockPartition
-    clip_warning_count: int
+    clip_warning_count: int | np.ndarray
 
     def __post_init__(self):
         if self.draw.model != "gaussianized":
@@ -241,19 +261,25 @@ def gaussianize(
     family: ParametricFamily,
     draw: ExperimentDraw,
     beta: float,
-    rng: np.random.Generator,
+    noise: np.ndarray,
     q: float = 0.25,
 ) -> GaussianizedData:
     """Map an original-model draw to synthetic unit-noise Gaussian data.
 
     Odd-indexed observations (1-based) feed the preliminary estimate;
-    their synthetic values are the stabilized estimate plus fresh
-    standard normals.  Even-indexed observations are aggregated over a
-    block partition: each block contributes the stabilized discrepancy
+    their synthetic values are the stabilized estimate plus standard
+    normals.  Even-indexed observations are aggregated over a block
+    partition: each block contributes the stabilized discrepancy
     between its statistic mean and the mean predicted by the estimate
     at the block center, spread over the block on top of block-demeaned
-    noise so every point has unit variance.  Only the draw is read; the
-    true regression function never enters.
+    noise so every point has unit variance.  Only the draw and the
+    noise are read; the true regression function never enters.
+
+    `noise` has the shape of the observations, (n,) or a (rows, n)
+    replicate stack, and holds standard normals, e.g. one
+    rng.standard_normal(n) per row: the first ceil(n/2) values of a row
+    go to its odd rows, the rest to its even rows.  A stack's rows are
+    mapped independently; each equals the output for that row alone.
     """
     if draw.model != "original":
         raise ArgumentError("the kernel expects original-model data")
@@ -263,14 +289,21 @@ def gaussianize(
         )
     if draw.n < 8:
         raise ArgumentError("need at least 8 observations to split and block")
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != draw.observations.shape:
+        raise ArgumentError(
+            f"noise of shape {noise.shape} does not match the observations "
+            f"of shape {draw.observations.shape}"
+        )
     n = draw.n
-    odd = np.arange(0, n, 2)  # rows 1,3,5,... in 1-based labels
-    even = np.arange(1, n, 2)
+    odd = slice(0, None, 2)  # rows 1,3,5,... in 1-based labels
+    even = slice(1, None, 2)
+    n_odd = (n + 1) // 2
     odd_draw = ExperimentDraw(
         model="original",
-        n=odd.size,
+        n=n_odd,
         design=draw.design[odd],
-        observations=draw.observations[odd],
+        observations=draw.observations[..., odd],
         family=draw.family,
         f_desc=draw.f_desc,
         h_desc=draw.h_desc,
@@ -279,31 +312,32 @@ def gaussianize(
     fhat = preliminary_estimate(family, odd_draw, beta)
 
     stabilized = family.gamma(fhat(draw.design))
-    y = np.empty(n)
-    y[odd] = stabilized[odd] + rng.standard_normal(odd.size)
+    y = np.empty(noise.shape)
+    y[..., odd] = stabilized[..., odd] + noise[..., :n_odd]
 
-    part = block_partition(even.size, beta, q)
+    part = block_partition(n - n_odd, beta, q)
     t_even = draw.design[even]
-    stats_even = np.asarray(family.suff_stat(draw.observations[even]), dtype=float)
+    stats_even = np.asarray(family.suff_stat(draw.observations[..., even]), dtype=float)
     # blocks are contiguous runs of the even rows; slice means keep the
     # summation order of a per-block loop, which np.add.reduceat does not
     sizes = part.sizes
     ends = np.cumsum(sizes)
     spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
-    stat_means = np.array([stats_even[s].mean() for s in spans])
+    stat_means = np.stack([stats_even[..., s].mean(axis=-1) for s in spans], axis=-1)
     centers = np.array([t_even[s].mean() for s in spans])
     clipped = _clip_to_image(family, family.stat_mean, stat_means)
-    clip_count = int(np.count_nonzero(clipped != stat_means))
+    clip_counts = np.count_nonzero(clipped != stat_means, axis=-1)
     predicted = family.stat_mean(fhat(centers))
     shift = family.vst(clipped) - family.vst(predicted)
-    # one call draws the same normals as one call per block, in block order
-    noise = rng.standard_normal(even.size)
+    # the even-row normals, demeaned block by block
+    fill = noise[..., n_odd:].copy()
     for s in spans:
-        noise[s] -= noise[s].mean()
-    y[even] = stabilized[even] + np.repeat(shift, sizes) + noise
-    if clip_count:
+        fill[..., s] -= fill[..., s].mean(axis=-1, keepdims=True)
+    y[..., even] = stabilized[..., even] + np.repeat(shift, sizes, axis=-1) + fill
+    counts = np.ravel(clip_counts)
+    for count in counts[counts > 0]:
         warnings.warn(
-            f"{clip_count} block statistic(s) fell outside the working mean "
+            f"{count} block statistic(s) fell outside the working mean "
             "range and were clipped",
             RuntimeWarning,
             stacklevel=2,
@@ -320,17 +354,37 @@ def gaussianize(
         seed=draw.seed,
     )
     desc = (
-        f"odd/even split; {fhat.n_windows}-window estimate from {odd.size} odd "
-        f"points; {part.m_blocks} stabilized block(s) over {even.size} even points"
+        f"odd/even split; {fhat.n_windows}-window estimate from {n_odd} odd "
+        f"points; {part.m_blocks} stabilized block(s) over {part.n} even points"
     )
     return GaussianizedData(
         draw=out,
         kernel_descriptor=desc,
-        odd_count=odd.size,
-        even_count=even.size,
+        odd_count=n_odd,
+        even_count=part.n,
         partition=part,
-        clip_warning_count=clip_count,
+        clip_warning_count=clip_counts if clip_counts.ndim else int(clip_counts),
     )
+
+
+def _replicate_stacks(n: int, lo: int, hi: int, replicate):
+    """Yield (start, stop, stack, noise) over replicates lo..hi-1 in stacks.
+
+    replicate(r) returns replicate r's original draw of size n and its
+    kernel noise row.  It is called for r = lo, lo+1, ... in turn, so a
+    generator shared between replicates is consumed as in a loop of one
+    replicate at a time; each stack holds at most max(1, _STACK_CELLS // n)
+    rows and carries the labels of its last draw.
+    """
+    step = max(1, _STACK_CELLS // n)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        obs = np.empty((stop - start, n))
+        noise = np.empty_like(obs)
+        for row, r in enumerate(range(start, stop)):
+            draw, noise[row] = replicate(r)
+            obs[row] = draw.observations
+        yield start, stop, replace(draw, observations=obs), noise
 
 
 def gamma_scale_estimate(
@@ -428,7 +482,9 @@ def risk_transfer_demo(
     Per replicate the same original draw is (a) fed to the preliminary
     estimator directly and (b) Gaussianized and estimated on the
     stabilized scale; sup-norm errors against the truth give clipped
-    squared losses min(err^2, cap) for each cap in loss_grid.
+    squared losses min(err^2, cap) for each cap in loss_grid.  rng
+    draws each replicate's sample and then its kernel noise, replicate
+    after replicate; the estimates run on replicate stacks.
     """
     if R < 50:
         raise ArgumentError("need at least 50 replicates")
@@ -439,13 +495,17 @@ def risk_transfer_demo(
     truth = np.asarray(f(t), dtype=float)
     err_a = np.empty(R)
     err_b = np.empty(R)
-    for r in range(R):
-        draw = sample_original(family, f, n, rng, seed=r)
-        fhat_a = preliminary_estimate(family, draw, beta)
-        err_a[r] = float(np.max(np.abs(fhat_a(t) - truth)))
-        gz = gaussianize(family, draw, beta, rng, q=q)
+
+    def replicate(r):
+        # one generator: replicate r's sample, then its kernel noise
+        return sample_original(family, f, n, rng, seed=r), rng.standard_normal(n)
+
+    for lo, hi, stack, noise in _replicate_stacks(n, 0, R, replicate):
+        fhat_a = preliminary_estimate(family, stack, beta)
+        err_a[lo:hi] = np.max(np.abs(fhat_a(t) - truth), axis=-1)
+        gz = gaussianize(family, stack, beta, noise, q=q)
         fhat_b = gamma_scale_estimate(family, gz.draw, beta)
-        err_b[r] = float(np.max(np.abs(fhat_b(t) - truth)))
+        err_b[lo:hi] = np.max(np.abs(fhat_b(t) - truth), axis=-1)
 
     def risk_rows(errors):
         losses = np.minimum(errors[None, :] ** 2, caps[:, None])

@@ -36,6 +36,7 @@ from .experiments import design_grid, sample_original
 from .families import check_regularity, get_family
 from .function_space import RegressionFunction, parse_function, rate_gamma_bar
 from .globalization import (
+    _replicate_stacks,
     gaussianize,
     homoscedastic_transform_check,
     risk_transfer_demo,
@@ -258,11 +259,13 @@ def _local_shift(config: StudyConfig, n: int) -> RegressionFunction:
     return config.resolve_h().scaled(amp)
 
 
-def _ks_statistic_normal(values: np.ndarray) -> float:
-    """One-sample Kolmogorov statistic against the standard normal."""
-    u = np.sort(ndtr(np.asarray(values, dtype=float)))
-    k = np.arange(1, u.size + 1, dtype=float)
-    return float(max(np.max(k / u.size - u), np.max(u - (k - 1.0) / u.size)))
+def _ks_statistic_normal(values: np.ndarray) -> np.ndarray:
+    """One-sample Kolmogorov statistic against the standard normal, per row."""
+    u = ndtr(np.asarray(values, dtype=float))
+    u.sort(axis=-1)
+    m = u.shape[-1]
+    k = np.arange(1, m + 1, dtype=float)
+    return np.maximum(np.max(k / m - u, axis=-1), np.max(u - (k - 1.0) / m, axis=-1))
 
 
 def _decreasing(values, tol: float = 1e-12) -> bool:
@@ -383,23 +386,26 @@ def _run_globalize(config: StudyConfig, unit):
     crit = 1.628 / math.sqrt(n)
     lo = batch * config.replicates // config.batches
     hi = (batch + 1) * config.replicates // config.batches
-    rows = []
-    stats = []
-    for r in range(lo, hi):
+
+    def replicate(r):
         seed = derive_seed(config.master_seed, n, r)
         try:
             draw = sample_original(family, f, n, stream_rng(seed), seed=r)
-            out = gaussianize(
-                family, draw, config.beta,
-                stream_rng(derive_seed(config.master_seed, n, r + (1 << 32))),
-                q=config.q,
-            )
         except NumericError as exc:
             _numeric_context(exc, n, r, seed)
-        ks = _ks_statistic_normal(out.draw.observations - target)
-        ok = ks < crit
-        rows.append(f"{n}, {r}, {_fmt(ks)}, {_fmt(crit)}, {int(ok)}, {seed}")
-        stats.append((ks, ok))
+        noise = stream_rng(derive_seed(config.master_seed, n, r + (1 << 32)))
+        return draw, noise.standard_normal(n)
+
+    rows = []
+    stats = []
+    for start, stop, stack, noise in _replicate_stacks(n, lo, hi, replicate):
+        out = gaussianize(family, stack, config.beta, noise, q=config.q)
+        ks_rows = _ks_statistic_normal(out.draw.observations - target)
+        for r, ks in zip(range(start, stop), ks_rows):
+            ok = ks < crit
+            seed = derive_seed(config.master_seed, n, r)
+            rows.append(f"{n}, {r}, {_fmt(ks)}, {_fmt(crit)}, {int(ok)}, {seed}")
+            stats.append((float(ks), bool(ok)))
     return rows, stats
 
 

@@ -362,7 +362,8 @@ def test_criterion_09_globalization_audit():
     passes = 0
     for s in range(50):
         draw = sample_original(family, f, n, stream_rng(derive_seed(909, n, s)), seed=s)
-        out = gaussianize(family, draw, 1.0, stream_rng(derive_seed(909, n, s + (1 << 32))))
+        noise = stream_rng(derive_seed(909, n, s + (1 << 32))).standard_normal(n)
+        out = gaussianize(family, draw, 1.0, noise)
         u = np.sort(ndtr(out.draw.observations - target))
         k = np.arange(1, n + 1, dtype=float)
         d = max(float(np.max(k / n - u)), float(np.max(u - (k - 1.0) / n)))

@@ -45,6 +45,19 @@ def test_draw_rejects_bad_shapes_and_tags():
         ExperimentDraw("original", 3, t[::-1].copy(), x, "bernoulli", "constant(0.5)")
 
 
+def test_draw_holds_a_stack_of_replicates_on_one_design(tmp_path):
+    t = design_grid(3)
+    stack = ExperimentDraw("original", 3, t, np.zeros((2, 3)), "bernoulli", "constant(0.5)")
+    assert stack.observations.shape == (2, 3)
+    with pytest.raises(ArgumentError):
+        ExperimentDraw("original", 3, t, np.zeros((3, 2)), "bernoulli", "constant(0.5)")
+    with pytest.raises(ArgumentError):
+        ExperimentDraw("original", 3, t, np.zeros((1, 2, 3)), "bernoulli", "constant(0.5)")
+    with pytest.raises(ArgumentError, match="not a stack"):
+        write_draw(stack, tmp_path / "stack.csv")
+    assert not (tmp_path / "stack.csv").exists()
+
+
 def test_draw_file_roundtrip(tmp_path):
     fam = get_family("poisson")
     f = RegressionFunction.affine(1.5, 1.0)

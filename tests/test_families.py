@@ -140,9 +140,8 @@ def test_extended_tangent_equal_parameters_is_score():
         theta = 0.5 * (lo + hi)
         x = fam.sample(np.full(3, theta), np.random.default_rng(7))
         u = theta + 1e-7 * (hi - lo)
-        assert np.allclose(
-            _secant_score(fam, x, theta, u), fam.score(x, theta), rtol=1e-5, atol=1e-6
-        ), name
+        secant = _secant_score(fam, x, theta, u, fam.density(x, theta))
+        assert np.allclose(secant, fam.score(x, theta), rtol=1e-5, atol=1e-6), name
 
 
 def test_extended_tangent_bernoulli_limit():
@@ -151,7 +150,7 @@ def test_extended_tangent_bernoulli_limit():
     target = 2.0
     errors = []
     for h in (1e-2, 1e-3, 1e-4):
-        val = _secant_score(fam, 1.0, 0.5, 0.5 + h)
+        val = _secant_score(fam, 1.0, 0.5, 0.5 + h, fam.density(1.0, 0.5))
         errors.append(abs(val - target))
     # first-order convergence: error shrinks about tenfold per decade of h
     assert errors[0] > errors[1] > errors[2]
@@ -161,14 +160,16 @@ def test_extended_tangent_bernoulli_limit():
 
 def test_extended_tangent_poisson_value():
     # (2/0.1)*(sqrt(e^{-1.1}/e^{-1}) - 1) = 20*(e^{-0.05} - 1) = -0.9754115...
-    val = _secant_score(get_family("poisson"), 0.0, 1.0, 1.1)
+    fam = get_family("poisson")
+    val = _secant_score(fam, 0.0, 1.0, 1.1, fam.density(0.0, 1.0))
     assert val == pytest.approx(20.0 * (math.exp(-0.05) - 1.0), abs=1e-12)
     assert val == pytest.approx(-0.97541150998572, abs=1e-11)
 
 
 def test_extended_tangent_zero_density_raises():
+    fam = get_family("poisson")
     with pytest.raises(SingularityError):
-        _secant_score(get_family("poisson"), 0.5, 1.0, 1.1)
+        _secant_score(fam, 0.5, 1.0, 1.1, fam.density(0.5, 1.0))
 
 
 def test_fisher_domain_error():
@@ -371,6 +372,31 @@ def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
     # thousands of quadrature nodes, yet the grid is checked once
     assert len(density_calls) > 10_000
     assert len(calls) <= 2
+
+
+def test_secant_moment_evaluates_each_density_once_per_node(monkeypatch):
+    family = get_family("gaussian_scale")
+    nodes = []
+    secant = families_module._secant_score
+
+    def counting_secant(*args):
+        nodes.append(1)
+        return secant(*args)
+
+    density_calls = []
+    density = family.density
+
+    def counting_density(x, theta):
+        density_calls.append(theta)
+        return density(x, theta)
+
+    monkeypatch.setattr(families_module, "_secant_score", counting_secant)
+    monkeypatch.setattr(family, "density", counting_density)
+    families_module._secant_moment(family, 1.0, 1.05, 1.5)
+    # one call at theta, for the weight and the ratio, and one at u
+    assert len(nodes) > 100
+    assert len(density_calls) == 2 * len(nodes)
+    assert density_calls.count(1.0) == len(nodes)
 
 
 # ---------------------------------------------------------------------------

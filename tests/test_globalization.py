@@ -1,5 +1,6 @@
 """Tests for blocks, preliminary estimation, and the Gaussianizing kernel."""
 
+import dataclasses
 import math
 import warnings
 
@@ -21,6 +22,8 @@ from lecam_equiv.globalization import (
     preliminary_estimate,
     risk_transfer_demo,
 )
+
+from oracles import risk_transfer_errors
 
 KS_CRIT_1PCT = 1.628
 
@@ -48,7 +51,13 @@ def test_step_function_validation():
     with pytest.raises(ArgumentError):
         StepFunction(np.array([]))
     with pytest.raises(ArgumentError):
-        StepFunction(np.ones((2, 2)))
+        StepFunction(np.ones((2, 2, 2)))
+
+
+def test_step_function_rows_share_the_windows():
+    f = StepFunction(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert f.n_windows == 2
+    assert np.array_equal(f(np.array([0.25, 0.75])), [[1.0, 2.0], [3.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +204,9 @@ def test_gaussianize_never_reads_the_truth_descriptor():
         h_desc=draw.h_desc,
         seed=draw.seed,
     )
-    out_a = gaussianize(family, draw, 1.0, np.random.default_rng(77))
-    out_b = gaussianize(family, relabeled, 1.0, np.random.default_rng(77))
+    noise = np.random.default_rng(77).standard_normal(draw.n)
+    out_a = gaussianize(family, draw, 1.0, noise)
+    out_b = gaussianize(family, relabeled, 1.0, noise)
     assert np.array_equal(out_a.draw.observations, out_b.draw.observations)
 
 
@@ -205,9 +215,12 @@ def test_gaussianize_is_deterministic_given_seed():
     f = RegressionFunction.affine(1.5, 1.0)
     rng = np.random.default_rng(12)
     draw = sample_original(family, f, 256, rng, seed=2)
-    out_a = gaussianize(family, draw, 1.0, np.random.default_rng(5))
-    out_b = gaussianize(family, draw, 1.0, np.random.default_rng(5))
+    noise = np.random.default_rng(5).standard_normal(256)
+    kept = noise.copy()
+    out_a = gaussianize(family, draw, 1.0, noise)
+    out_b = gaussianize(family, draw, 1.0, noise)
     assert np.array_equal(out_a.draw.observations, out_b.draw.observations)
+    assert np.array_equal(noise, kept)  # the caller's noise is read, not changed
 
 
 def test_gaussianize_output_shape_and_tags():
@@ -215,7 +228,7 @@ def test_gaussianize_output_shape_and_tags():
     f = RegressionFunction.affine(2.0, 1.0)
     rng = np.random.default_rng(13)
     draw = sample_original(family, f, 300, rng, seed=3)
-    out = gaussianize(family, draw, 1.0, np.random.default_rng(6))
+    out = gaussianize(family, draw, 1.0, np.random.default_rng(6).standard_normal(300))
     assert out.draw.model == "gaussianized"
     assert out.draw.n == 300
     assert np.array_equal(out.draw.design, draw.design)
@@ -237,7 +250,7 @@ def test_gaussianize_location_residuals_look_standard_normal():
     for s in range(seeds):
         rng = np.random.default_rng(2000 + s)
         draw = sample_original(family, f, n, rng, seed=s)
-        out = gaussianize(family, draw, 1.0, np.random.default_rng(3000 + s))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(3000 + s).standard_normal(n))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
         if ks < KS_CRIT_1PCT / math.sqrt(n):
@@ -256,7 +269,7 @@ def test_gaussianize_bernoulli_residuals_look_standard_normal():
     for s in range(seeds):
         rng = np.random.default_rng(4000 + s)
         draw = sample_original(family, f, n, rng, seed=s)
-        out = gaussianize(family, draw, 1.0, np.random.default_rng(5000 + s))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(5000 + s).standard_normal(n))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
         if ks < KS_CRIT_1PCT / math.sqrt(n):
@@ -269,14 +282,19 @@ def test_gaussianize_argument_checks():
     pois = get_family("poisson")
     rng = np.random.default_rng(14)
     draw = sample_original(bern, RegressionFunction.constant(0.5), 64, rng)
+    noise = np.random.default_rng(0).standard_normal(64)
     with pytest.raises(ArgumentError):
-        gaussianize(pois, draw, 1.0, np.random.default_rng(0))
+        gaussianize(pois, draw, 1.0, noise)
     small = sample_original(bern, RegressionFunction.constant(0.5), 6, rng)
     with pytest.raises(ArgumentError):
-        gaussianize(bern, small, 1.0, np.random.default_rng(0))
-    out = gaussianize(bern, draw, 1.0, np.random.default_rng(0))
+        gaussianize(bern, small, 1.0, noise[:6])
+    with pytest.raises(ArgumentError, match="does not match"):
+        gaussianize(bern, draw, 1.0, noise[:63])
+    with pytest.raises(ArgumentError, match="does not match"):
+        gaussianize(bern, draw, 1.0, np.tile(noise, (2, 1)))
+    out = gaussianize(bern, draw, 1.0, noise)
     with pytest.raises(ArgumentError):
-        gaussianize(bern, out.draw, 1.0, np.random.default_rng(0))
+        gaussianize(bern, out.draw, 1.0, noise)
 
 
 def test_gaussianize_warns_when_block_statistics_clip():
@@ -291,7 +309,7 @@ def test_gaussianize_warns_when_block_statistics_clip():
         f_desc="constant(0.5)",
     )
     with pytest.warns(RuntimeWarning):
-        out = gaussianize(family, draw, 1.0, np.random.default_rng(9))
+        out = gaussianize(family, draw, 1.0, np.random.default_rng(9).standard_normal(n))
     assert out.clip_warning_count >= 1
     assert np.all(np.isfinite(out.draw.observations))
 
@@ -300,7 +318,7 @@ def test_gaussianize_single_block_flag_for_small_n():
     family = get_family("location_normal")
     rng = np.random.default_rng(15)
     draw = sample_original(family, RegressionFunction.constant(0.0), 8, rng)
-    out = gaussianize(family, draw, 1.0, np.random.default_rng(1))
+    out = gaussianize(family, draw, 1.0, np.random.default_rng(1).standard_normal(8))
     assert out.single_block
     assert out.partition.n == 4  # even half of eight points
 
@@ -366,16 +384,85 @@ def test_gaussianize_matches_per_block_reference(name, f, n):
     family = get_family(name)
     draw = sample_original(family, f, n, np.random.default_rng(n), seed=n)
     rng_ref = np.random.default_rng(900 + n)
-    rng_new = np.random.default_rng(900 + n)
+    rng_noise = np.random.default_rng(900 + n)
     y_ref, clips_ref = _gaussianize_per_block(family, draw, 1.0, rng_ref)
+    noise = rng_noise.standard_normal(n)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = gaussianize(family, draw, 1.0, rng_new)
+        out = gaussianize(family, draw, 1.0, noise)
     assert out.draw.observations.tobytes() == y_ref.tobytes()
     assert out.clip_warning_count == clips_ref
     assert len(caught) == (1 if clips_ref else 0)
-    # risk_transfer_demo reuses one generator, so the stream must end alike
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    # one standard_normal(n) takes the normals of the per-block calls
+    assert rng_noise.bit_generator.state == rng_ref.bit_generator.state
+
+
+# an observation whose statistic leaves each family's working mean range
+CLIPPING_VALUE = {"poisson": 50.0, "bernoulli": 1.0, "gaussian_scale": 50.0,
+                  "location_normal": 50.0}
+
+
+def _assert_stack_matches_rows(family, stack, seeds):
+    """Each row of a stacked kernel call equals its single-draw output and
+    the per-block reference fed from the same seed; returns the stacked output."""
+    noise = np.stack([np.random.default_rng(s).standard_normal(stack.n) for s in seeds])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = gaussianize(family, stack, 1.0, noise)
+    # one warning per row whose block statistics clip, as one call per row gives
+    assert len(caught) == np.count_nonzero(out.clip_warning_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for r, seed in enumerate(seeds):
+            row = dataclasses.replace(stack, observations=stack.observations[r])
+            single = gaussianize(family, row, 1.0, noise[r])
+            y_ref, clips_ref = _gaussianize_per_block(
+                family, row, 1.0, np.random.default_rng(seed)
+            )
+            assert out.draw.observations[r].tobytes() == single.draw.observations.tobytes()
+            assert single.draw.observations.tobytes() == y_ref.tobytes()
+            assert out.clip_warning_count[r] == single.clip_warning_count == clips_ref
+    return out
+
+
+@pytest.mark.parametrize("R", [1, 3, 50])
+@pytest.mark.parametrize("n", [8, 17, 256, 4096])
+@pytest.mark.parametrize("name", list(ORACLE_FUNCTIONS))
+def test_stacked_gaussianize_rows_match_single_draws(name, n, R):
+    family = get_family(name)
+    rng = np.random.default_rng([n, R])
+    draw = sample_original(family, ORACLE_FUNCTIONS[name], n, rng)
+    obs = np.stack([draw.observations]
+                   + [sample_original(family, ORACLE_FUNCTIONS[name], n, rng).observations
+                      for _ in range(R - 1)])
+    if R > 1:
+        obs[1] = CLIPPING_VALUE[name]
+    stack = dataclasses.replace(draw, observations=obs)
+    out = _assert_stack_matches_rows(family, stack, [[n, R, r] for r in range(R)])
+    assert out.draw.observations.shape == (R, n)
+    if R > 1:
+        assert out.clip_warning_count[1] > 0
+
+
+def test_stacked_estimates_fill_empty_windows_row_by_row():
+    family = get_family("poisson")
+    n = 4096
+    # no design point in (0.2, 0.8): the middle windows of both halves are empty
+    design = np.concatenate([np.linspace(0.001, 0.2, n // 2), np.linspace(0.8, 1.0, n // 2)])
+    rng = np.random.default_rng(31)
+    obs = np.stack([rng.poisson(rate, n).astype(float) for rate in (0.5, 2.0, 6.0)])
+    stack = ExperimentDraw("original", n, design, obs, "poisson", "constant(1.0)")
+    fhat = preliminary_estimate(family, stack, beta=1.0)
+    assert np.unique(fhat.window_index(design)).size < fhat.n_windows
+    for r in range(3):
+        row = dataclasses.replace(stack, observations=obs[r])
+        assert fhat.values[r].tobytes() == preliminary_estimate(family, row, 1.0).values.tobytes()
+    out = _assert_stack_matches_rows(family, stack, [[31, r] for r in range(3)])
+    gz_fhat = gamma_scale_estimate(family, out.draw, beta=1.0)
+    for r in range(3):
+        row = dataclasses.replace(out.draw, observations=out.draw.observations[r])
+        single = gamma_scale_estimate(family, row, beta=1.0)
+        assert gz_fhat.values[r].tobytes() == single.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +594,19 @@ def test_risk_transfer_argument_checks():
         risk_transfer_demo(family, f, 256, [], rng, R=50)
     with pytest.raises(ArgumentError):
         risk_transfer_demo(family, f, 256, [-1.0], rng, R=50)
+
+
+def test_risk_transfer_matches_per_replicate_oracle():
+    family = get_family("bernoulli")
+    f = RegressionFunction.affine(0.4, 0.2)
+    # 1024 points stack 32 replicates, so 70 replicates end in a partial stack
+    rng_stacked = np.random.default_rng(41)
+    rng_oracle = np.random.default_rng(41)
+    table = risk_transfer_demo(family, f, 1024, [0.01, 1.0], rng_stacked, R=70)
+    err_a, err_b = risk_transfer_errors(family, f, 1024, rng_oracle, 70)
+    assert table.sup_errors_direct.tobytes() == err_a.tobytes()
+    assert table.sup_errors_transferred.tobytes() == err_b.tobytes()
+    assert rng_stacked.bit_generator.state == rng_oracle.bit_generator.state
 
 
 def test_risk_transfer_location_risks_same_order():

@@ -4,6 +4,7 @@ import configparser
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,11 @@ from lecam_equiv.harness import (
 )
 
 import lecam_equiv.harness as harness_module
+from lecam_equiv.families import get_family
+from lecam_equiv.function_space import RegressionFunction
+from lecam_equiv.globalization import risk_transfer_demo
+
+from oracles import globalize_ks
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +406,56 @@ def test_globalize_study_rows_and_verdict(tmp_path):
         assert r[4] in ("0", "1")
     frac = dict(res.medians["ks_pass_fraction"])[1024]
     assert frac == sum(int(r[4]) for r in rows) / 12
+
+
+def _globalize_config(replicates, batches):
+    return StudyConfig(
+        kind="globalize",
+        family="poisson",
+        f_desc="affine(1.5, 1.0)",
+        L=3.0,
+        n_grid=(1024,),
+        replicates=replicates,
+        batches=batches,
+        master_seed=3,
+        out_dir=".",
+    )
+
+
+def test_globalize_unit_matches_per_replicate_oracle():
+    # batch 1 of 2 holds replicates 37..74; at 1024 points a stack holds
+    # 32 of them, so the unit crosses a stack boundary at 69
+    cfg = _globalize_config(replicates=75, batches=2)
+    rows, stats = harness_module._run_globalize(cfg, (1024, 1))
+    expected = globalize_ks(cfg, 1024, range(37, 75))
+    assert [ks for ks, _ in stats] == expected
+    assert [int(row.split(",")[1]) for row in rows] == list(range(37, 75))
+    assert [ok for _, ok in stats] == [ks < 1.628 / 32.0 for ks in expected]
+
+
+# peak traced allocation of the replicate stacks; about 1.8 MB when written
+STACK_PEAK_BOUND_MB = 4.0
+
+
+def _traced_peak_mb(fn):
+    fn()  # warm caches and lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_replicate_stacks_keep_the_working_set_small():
+    family = get_family("bernoulli")
+    f = RegressionFunction.affine(0.4, 0.2)
+    risk_peak = _traced_peak_mb(lambda: risk_transfer_demo(
+        family, f, 1024, [0.01, 1.0], np.random.default_rng(0), R=250))
+    cfg = _globalize_config(replicates=75, batches=1)
+    unit_peak = _traced_peak_mb(lambda: harness_module._run_globalize(cfg, (1024, 0)))
+    assert risk_peak < STACK_PEAK_BOUND_MB
+    assert unit_peak < STACK_PEAK_BOUND_MB
 
 
 def test_cc_audit_study(tmp_path):

@@ -51,3 +51,31 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
             "laws.uniformize", "families.sample"} <= names
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+KERNEL_SPANS = {"globalization.gaussianize", "experiments.sample_original",
+                "globalization.preliminary_estimate"}
+
+
+def _traced_names(call):
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        call()
+    finally:
+        tracer.uninstall()
+    return {span[0] for span in tracer.spans}
+
+
+def test_traced_replicate_stacks_record_the_kernel_layers():
+    config = harness.StudyConfig(
+        kind="globalize", family="poisson", f_desc="affine(1.5, 1.0)", L=3.0,
+        n_grid=(256,), replicates=12, batches=1, master_seed=0, out_dir=".",
+    )
+    assert KERNEL_SPANS <= _traced_names(lambda: harness._run_globalize(config, (256, 0)))
+    fam = get_family("bernoulli")
+    f = RegressionFunction.affine(0.4, 0.2)
+    names = _traced_names(lambda: harness.risk_transfer_demo(
+        fam, f, 256, [1.0], np.random.default_rng(0), R=50))
+    assert KERNEL_SPANS | {"globalization.gamma_scale_estimate",
+                           "globalization.risk_transfer"} <= names
