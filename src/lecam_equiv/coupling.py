@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .distances import _log_lik_arrays
 from .errors import (
     ArgumentError,
     NeighborhoodError,
+    NumericError,
     SingularityError,
     TruncationConstantError,
 )
@@ -41,23 +43,25 @@ from .laws import (
 
 @dataclass(frozen=True, eq=False)
 class CoupledLikelihoodDraw:
-    """One joint realization of both log-likelihood ratios.
+    """One joint realization of both log-likelihood ratios, or a stack of them.
 
     Construction identities, exact on every draw:
       log_lik_original = sum(shift * scores_tilde) - q + remainder_tilde
       log_lik_gaussian = sum(shift * gaussians) - q
-    with q = 0.5 * sum(shift^2 * info).
+    with q = 0.5 * sum(shift^2 * info).  A stack of R draws holds the
+    log-likelihoods and remainder as (R,) arrays and the score and
+    Gaussian vectors as (R, n) arrays, one row per draw.
     """
 
     n: int
-    log_lik_original: float
-    log_lik_gaussian: float
+    log_lik_original: float | np.ndarray
+    log_lik_gaussian: float | np.ndarray
     scores_tilde: np.ndarray
     gaussians: np.ndarray
-    remainder_tilde: float
+    remainder_tilde: float | np.ndarray
 
     def __post_init__(self):
-        if len(self.scores_tilde) != self.n or len(self.gaussians) != self.n:
+        if np.shape(self.scores_tilde)[-1] != self.n or np.shape(self.gaussians)[-1] != self.n:
             raise ArgumentError("score and gaussian vectors must have length n")
 
 
@@ -259,8 +263,13 @@ class CouplingPlan:
             self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
 
 
-def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledLikelihoodDraw:
-    """One joint draw of both log-likelihood ratios.
+def _row_dots(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """weights . row for each row, one np.dot per row (the bits of a single draw)."""
+    return np.array([np.dot(weights, row) for row in rows])
+
+
+def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
+    """Joint draws of both log-likelihood ratios.
 
     An original-model dataset is simulated under the central measure
     (shift zero) and scored; the weighted score sum is mapped to a
@@ -273,55 +282,94 @@ def build_coupled_draw(plan: CouplingPlan, rng: np.random.Generator) -> CoupledL
     remainder table, or lase_terms for a family without one.  When
     every score law is already standard normal the two sides coincide
     identically and the remainder is zero analytically.
+
+    rng is one Generator, giving one draw with float log-likelihoods
+    and remainder, or a sequence of R generators, giving one stack: the
+    log-likelihoods and remainder as (R,) arrays and the per-point
+    vectors as (R, n) arrays.  Each replicate consumes its own
+    generator in the same order: the sample, then standard_normal(n)
+    for the Gaussian fill (not on the all-Gaussian path), then one
+    jitter normal when the plan has a sum law.  Row r of a stack equals
+    the draw of rng[r] alone, byte for byte.  A NumericError raised
+    while drawing a replicate carries its row index in `row`.
     """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
     family, n = plan.family, plan.n
     h_vals = plan.h_values
     quad = plan.quadratic
+    coupled = not plan.all_gaussian
+    jittered = plan.sum_law is not None
 
-    x = family.sample(plan.theta, rng)
+    x = np.empty((len(rngs), n))
+    normals = np.empty_like(x) if coupled else None
+    jitter = np.empty(len(rngs)) if jittered else None
+    rho = np.zeros(len(rngs))
+    for row, gen in enumerate(rngs):
+        try:
+            x[row] = family.sample(plan.theta, gen)
+            if coupled:
+                normals[row] = gen.standard_normal(n)
+                if jittered:
+                    jitter[row] = gen.standard_normal()
+                if plan.remainder_weights is None:
+                    rho[row] = _lase_remainder(plan, x[row])
+        except NumericError as exc:
+            exc.row = row
+            raise
+
     scores = np.asarray(family.score(x, plan.theta), dtype=float)
-    weighted_sum = float(np.dot(h_vals, scores))
-
-    if plan.all_gaussian:
+    weighted_sum = _row_dots(h_vals, scores)
+    if not coupled:
         # scores are exact Gaussians already: identity coupling, and the
         # expansion remainder vanishes analytically
-        rho = 0.0
         zeta = scores
-        loglik_orig = weighted_sum - quad + rho
         loglik_gauss = weighted_sum - quad
     else:
         if plan.remainder_weights is not None:
-            rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
-        else:
-            draw = ExperimentDraw(
-                model="original",
-                n=n,
-                design=plan.t,
-                observations=np.asarray(x, dtype=float),
-                family=family.name,
-                f_desc=plan.f.descriptor,
-                h_desc=plan.h.descriptor,
-            )
-            rho = lase_terms(family, plan.f, plan.h, draw).remainder
-        noise = np.sqrt(plan.info) * rng.standard_normal(n)
-        if plan.sum_law is None:
+            rho = _row_dots(plan.remainder_weights, scores) + plan.remainder_offset
+        noise = np.sqrt(plan.info) * normals
+        if not jittered:
             zeta = noise
         else:
-            u = plan.sum_law.uniformize(np.asarray(weighted_sum, dtype=float), rng)
-            coupled_sum = plan.sum_law.sigma * float(special.ndtri(u))
+            u = plan.sum_law.uniformize(weighted_sum, jitter)
+            coupled_sum = plan.sum_law.sigma * special.ndtri(u)
             fill = h_vals * plan.info / plan.sigma2
-            zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
-        loglik_orig = weighted_sum - quad + rho
-        loglik_gauss = float(np.dot(h_vals, zeta)) - quad
+            zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
+        loglik_gauss = _row_dots(h_vals, zeta) - quad
+    loglik_orig = weighted_sum - quad + rho
 
+    if single:
+        return CoupledLikelihoodDraw(
+            n=n,
+            log_lik_original=float(loglik_orig[0]),
+            log_lik_gaussian=float(loglik_gauss[0]),
+            scores_tilde=scores[0],
+            gaussians=zeta[0],
+            remainder_tilde=float(rho[0]),
+        )
     return CoupledLikelihoodDraw(
         n=n,
         log_lik_original=loglik_orig,
         log_lik_gaussian=loglik_gauss,
         scores_tilde=scores,
-        gaussians=np.asarray(zeta, dtype=float),
+        gaussians=zeta,
         remainder_tilde=rho,
     )
+
+
+def _lase_remainder(plan: CouplingPlan, x: np.ndarray) -> float:
+    """Exact expansion remainder of one dataset through lase_terms."""
+    draw = ExperimentDraw(
+        model="original",
+        n=plan.n,
+        design=plan.t,
+        observations=x,
+        family=plan.family.name,
+        f_desc=plan.f.descriptor,
+        h_desc=plan.h.descriptor,
+    )
+    return lase_terms(plan.family, plan.f, plan.h, draw).remainder
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +393,14 @@ def audit_cc_conditions(
     the shifted measure by self-normalized importance weighting with
     the original likelihood ratio itself.
     """
-    if len(draws) < 100:
+    a, b = _log_lik_arrays(draws)
+    r = a.size
+    if r < 100:
         raise ArgumentError("need at least 100 draws for the condition audit")
     if not 0.0 < r_n < 1.0:
         raise ArgumentError("r_n must lie in (0, 1)")
     if alpha1 <= 0.0 or eps <= 0.0:
         raise ArgumentError("alpha1 and eps must be positive")
-    a = np.array([d.log_lik_original for d in draws], dtype=float)
-    b = np.array([d.log_lik_gaussian for d in draws], dtype=float)
-    r = a.size
 
     gap_threshold = gap_constant * r_n**alpha1
     gap_events = (np.abs(a - b) >= gap_threshold).astype(float)

@@ -232,17 +232,24 @@ class DistanceReport:
             )
 
 
+def _log_lik_arrays(draws) -> tuple[np.ndarray, np.ndarray]:
+    """(original, gaussian) log-likelihood ratios of a list of draws or of draw stacks."""
+    a = np.concatenate([np.empty(0), *(np.atleast_1d(d.log_lik_original) for d in draws)])
+    b = np.concatenate([np.empty(0), *(np.atleast_1d(d.log_lik_gaussian) for d in draws)])
+    return a, b
+
+
 def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
     """Monte Carlo squared Hellinger distance from coupled likelihood pairs.
 
     Each draw carries log likelihood ratios of the two experiments
     against the shared central measure; the estimator averages
     (sqrt(L1) - sqrt(L0))^2 / 2 with a jackknife standard error.
+    draws is a list of single draws or of draw stacks, read in order.
     """
-    if len(draws) < 10:
+    a, b = _log_lik_arrays(draws)
+    if a.size < 10:
         raise ArgumentError("need at least 10 coupled draws for a standard error")
-    a = np.array([d.log_lik_original for d in draws], dtype=float)
-    b = np.array([d.log_lik_gaussian for d in draws], dtype=float)
     # cap log likelihoods so squared exponentials stay inside float range
     a = np.minimum(a, 600.0)
     b = np.minimum(b, 600.0)

@@ -36,7 +36,13 @@ class ConfigError(ArgumentError):
 
 
 class NumericError(RuntimeError):
-    """Quadrature or another numeric routine failed to converge."""
+    """Quadrature or another numeric routine failed to converge.
+
+    row is the index of the failing replicate when the error comes from
+    one row of a stacked coupled draw, and None otherwise.
+    """
+
+    row: int | None = None
 
 
 class TruncationConstantError(ArgumentError):

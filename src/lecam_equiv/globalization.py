@@ -28,7 +28,7 @@ from .function_space import RegressionFunction, rate_gamma_bar
 BLOCK_EXPONENT = 0.9  # module-level exponent feeding the block-size rule
 WINDOW_CONSTANT = 2.0  # window width factor of the window-average estimators
 # cells per replicate stack: max(1, _STACK_CELLS // n) draws of length n go
-# through the kernel at once, about 256 kB per (rows, n) array
+# through the kernel or the coupled draw at once, about 256 kB per (rows, n) array
 _STACK_CELLS = 2**15
 
 
@@ -367,18 +367,26 @@ def gaussianize(
     )
 
 
+def _stack_bounds(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(start, stop) of the stacks that cover replicates lo..hi-1 in order.
+
+    The one stack rule of the kernel and of the coupled draws: a stack of
+    replicates with n points each holds at most max(1, _STACK_CELLS // n) rows.
+    """
+    step = max(1, _STACK_CELLS // n)
+    return [(start, min(start + step, hi)) for start in range(lo, hi, step)]
+
+
 def _replicate_stacks(n: int, lo: int, hi: int, replicate):
     """Yield (start, stop, stack, noise) over replicates lo..hi-1 in stacks.
 
     replicate(r) returns replicate r's original draw of size n and its
     kernel noise row.  It is called for r = lo, lo+1, ... in turn, so a
     generator shared between replicates is consumed as in a loop of one
-    replicate at a time; each stack holds at most max(1, _STACK_CELLS // n)
-    rows and carries the labels of its last draw.
+    replicate at a time; the stacks follow _stack_bounds and each
+    carries the labels of its last draw.
     """
-    step = max(1, _STACK_CELLS // n)
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
+    for start, stop in _stack_bounds(n, lo, hi):
         obs = np.empty((stop - start, n))
         noise = np.empty_like(obs)
         for row, r in enumerate(range(start, stop)):

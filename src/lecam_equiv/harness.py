@@ -37,6 +37,7 @@ from .families import check_regularity, get_family
 from .function_space import RegressionFunction, parse_function, rate_gamma_bar
 from .globalization import (
     _replicate_stacks,
+    _stack_bounds,
     gaussianize,
     homoscedastic_transform_check,
     risk_transfer_demo,
@@ -287,21 +288,22 @@ def _coupled_batches(config: StudyConfig, n: int, batches: int):
     """Yield (plan, draws) for each batch of coupled draws at design size n.
 
     One coupling plan serves every batch; replicate r of batch b has
-    index b * replicates + r and draws on that index's own stream.
+    index b * replicates + r and draws on that index's own stream.  The
+    draws of a batch are stacks that follow _stack_bounds.
     """
     plan = CouplingPlan(
         config.resolve_family(), config.resolve_f(), _local_shift(config, n), n,
         c_rate=config.c_rate, grid_size=config.coupling_grid,
     )
     for batch in range(batches):
+        first = batch * config.replicates
         draws = []
-        for r in range(config.replicates):
-            idx = batch * config.replicates + r
-            seed = derive_seed(config.master_seed, n, idx)
+        for start, stop in _stack_bounds(n, first, first + config.replicates):
+            seeds = [derive_seed(config.master_seed, n, idx) for idx in range(start, stop)]
             try:
-                draws.append(build_coupled_draw(plan, stream_rng(seed)))
+                draws.append(build_coupled_draw(plan, [stream_rng(seed) for seed in seeds]))
             except NumericError as exc:
-                _numeric_context(exc, n, idx, seed)
+                _numeric_context(exc, n, start + exc.row, seeds[exc.row])
         yield plan, draws
 
 

@@ -247,8 +247,16 @@ class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
 
     Built once per (f, h, n) cell from the product of characteristic
-    functions on a frequency grid, summed as real log moduli and phases;
-    the inverse FFT gives a density on a value grid spanning
+    functions on a frequency grid, summed as real log moduli and phases.
+    T is real, so its characteristic function is Hermitian: the laws are
+    evaluated on the grid_size // 2 + 1 bins 0..grid_size // 2 (the
+    Nyquist bin included), and each negative bin is the conjugate of its
+    mirror.  That is exact, not an approximation: every built-in log_cf
+    is even in its log modulus and odd in its phase, so the mirror holds
+    the values that evaluating the negative bins would give (bit for bit
+    for the closed forms; the generic atom sum goes through BLAS, whose
+    rounding of a row can depend on the row count).  The inverse FFT
+    gives a density on a value grid spanning
     +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian smoothing is
     folded in so that quasi-atomic laws produce a well-behaved grid
     density; `uniformize` compensates by jittering the input at the same
@@ -270,20 +278,25 @@ class WeightedSumLaw:
         span = SPAN_SIGMAS * self.sigma
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
-        omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx)
+        # nonnegative bins and the Nyquist bin; the rest are their mirror
+        half = (2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx))[: grid_size // 2 + 1]
         # accumulate the log cf to avoid underflow of the product,
         # starting from the smoothing term
-        log_mod = -0.5 * (self.smooth_bw * omega) ** 2
-        phase = np.zeros(grid_size)
+        log_mod = -0.5 * (self.smooth_bw * half) ** 2
+        phase = np.zeros(half.size)
         for law, w in zip(laws, weights):
             if w == 0.0:
                 continue
-            lm, ph = law.log_cf(omega * w)
+            lm, ph = law.log_cf(half * w)
             log_mod += lm
             phase += ph
-        phi = np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase))
         x0 = -span
-        dens = np.real(np.fft.ifft(phi * np.exp(-1j * omega * x0))) / dx
+        spectrum = np.empty(grid_size, dtype=complex)
+        spectrum[: half.size] = (
+            np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase)) * np.exp(-1j * half * x0)
+        )
+        spectrum[half.size :] = np.conj(spectrum[1 : (grid_size + 1) // 2][::-1])
+        dens = np.real(np.fft.ifft(spectrum)) / dx
         self.clipped_mass = float(np.sum(np.maximum(-dens, 0.0)) * dx)
         dens = np.maximum(dens, 0.0)
         cdf = np.cumsum(dens) * dx
@@ -291,10 +304,14 @@ class WeightedSumLaw:
         self.grid = x0 + dx * np.arange(grid_size)
         self.cdf_grid = cdf
 
-    def uniformize(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Map draws of T to (0,1) so the output is uniform under the law."""
+    def uniformize(self, t: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Map draws of T to (0,1) so the output is uniform under the law.
+
+        A pure map: normals holds one standard normal per draw of T,
+        shaped like t, and jitters it at the smoothing bandwidth.
+        """
         t = np.asarray(t, dtype=float)
-        jitter = rng.standard_normal(t.shape) * self.smooth_bw
+        jitter = np.asarray(normals, dtype=float) * self.smooth_bw
         u = np.interp(t + jitter, self.grid, self.cdf_grid)
         eps = 1e-14
         return np.clip(u, eps, 1.0 - eps)

@@ -3,11 +3,12 @@
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from lecam_equiv.experiments import design_grid, sample_original
+from lecam_equiv.experiments import ExperimentDraw, design_grid, lase_terms, sample_original
 from lecam_equiv.globalization import gamma_scale_estimate, gaussianize, preliminary_estimate
 from lecam_equiv.harness import derive_seed, stream_rng
+from lecam_equiv.laws import SPAN_SIGMAS
 
 
 def exp_moment_margins(values, probs, lam_grid) -> np.ndarray:
@@ -70,3 +71,76 @@ def globalize_ks(config, n, replicates):
         u = np.sort(ndtr(gz.draw.observations - target))
         out.append(max(float(np.max(k / n - u)), float(np.max(u - (k - 1.0) / n))))
     return out
+
+
+def full_spectrum_sum_law(laws, weights, grid_size):
+    """(grid, cdf_grid, clipped_mass) of WeightedSumLaw, evaluating every frequency.
+
+    The characteristic function is evaluated on all grid_size bins,
+    negative frequencies included, instead of being mirrored from the
+    nonnegative half.
+    """
+    weights = np.asarray(weights, dtype=float)
+    var = sum(w * w * law.second_moment() for law, w in zip(laws, weights))
+    sigma = float(np.sqrt(var))
+    span = SPAN_SIGMAS * sigma
+    dx = 2.0 * span / grid_size
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx)
+    log_mod = -0.5 * (dx * omega) ** 2
+    phase = np.zeros(grid_size)
+    for law, w in zip(laws, weights):
+        if w == 0.0:
+            continue
+        lm, ph = law.log_cf(omega * w)
+        log_mod += lm
+        phase += ph
+    phi = np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase))
+    x0 = -span
+    dens = np.real(np.fft.ifft(phi * np.exp(-1j * omega * x0))) / dx
+    clipped_mass = float(np.sum(np.maximum(-dens, 0.0)) * dx)
+    dens = np.maximum(dens, 0.0)
+    cdf = np.cumsum(dens) * dx
+    cdf /= cdf[-1]
+    return x0 + dx * np.arange(grid_size), cdf, clipped_mass
+
+
+def coupled_draw_fields(plan, rng):
+    """(log_lik_original, log_lik_gaussian, scores, gaussians, remainder) of one draw.
+
+    The coupled draw built one replicate at a time from one generator:
+    the sample, then standard_normal(n) for the Gaussian fill, then one
+    jitter normal for the quantile transform of the sum law.
+    """
+    family, n = plan.family, plan.n
+    h_vals = plan.h_values
+    quad = plan.quadratic
+    x = family.sample(plan.theta, rng)
+    scores = np.asarray(family.score(x, plan.theta), dtype=float)
+    weighted_sum = float(np.dot(h_vals, scores))
+    if plan.all_gaussian:
+        rho = 0.0
+        zeta = scores
+        loglik_gauss = weighted_sum - quad
+    else:
+        if plan.remainder_weights is not None:
+            rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
+        else:
+            draw = ExperimentDraw(
+                "original", n, plan.t, np.asarray(x, dtype=float),
+                family.name, plan.f.descriptor, plan.h.descriptor,
+            )
+            rho = lase_terms(family, plan.f, plan.h, draw).remainder
+        noise = np.sqrt(plan.info) * rng.standard_normal(n)
+        if plan.sum_law is None:
+            zeta = noise
+        else:
+            law = plan.sum_law
+            t = np.asarray(weighted_sum, dtype=float)
+            jitter = rng.standard_normal(t.shape) * law.smooth_bw
+            u = np.clip(np.interp(t + jitter, law.grid, law.cdf_grid), 1e-14, 1.0 - 1e-14)
+            coupled_sum = law.sigma * float(ndtri(u))
+            fill = h_vals * plan.info / plan.sigma2
+            zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
+        loglik_gauss = float(np.dot(h_vals, zeta)) - quad
+    loglik_orig = weighted_sum - quad + rho
+    return loglik_orig, loglik_gauss, scores, zeta, rho

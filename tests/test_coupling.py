@@ -1,5 +1,6 @@
 """Bounded scores, joint draws, and condition audits."""
 
+import functools
 import math
 from collections import namedtuple
 
@@ -30,9 +31,10 @@ from lecam_equiv.experiments import (
 )
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
+from lecam_equiv.globalization import _stack_bounds
 from lecam_equiv.laws import TruncatedLaw, truncation_params
 
-from oracles import exp_moment_margins
+from oracles import coupled_draw_fields, exp_moment_margins
 
 KS_CRIT_1PCT = 1.628
 
@@ -237,6 +239,63 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
     for seed in range(3):
         build_coupled_draw(plan, np.random.default_rng(seed))
     assert len(calls) == 3
+
+
+@functools.lru_cache(maxsize=None)
+def _stacking_plan(kind):
+    """One plan per draw path; at 1024 points a capped stack holds 32 rows."""
+    if kind == "location_custom":
+        # no remainder table: the lase_terms path
+        xs = np.linspace(-8.0, 8.0, 801)
+        fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
+        h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
+        return CouplingPlan(fam, RegressionFunction.constant(0.0), h, 16, grid_size=256)
+    if kind == "zero_shift":
+        # no sum law: the Gaussian fill is the scaled noise alone
+        fam = get_family("bernoulli")
+        f = RegressionFunction.affine(0.4, 0.2)
+        return CouplingPlan(fam, f, RegressionFunction.constant(0.0), 1024, grid_size=1024)
+    fam = get_family(kind)
+    f, h = standard_test_pair(fam, 1024)
+    return CouplingPlan(fam, f, h, 1024, grid_size=1024)
+
+
+def _bytes(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("replicates", [1, 3, 50])
+@pytest.mark.parametrize(
+    "kind",
+    ["bernoulli", "poisson", "gaussian_scale", "location_normal", "location_custom",
+     "zero_shift"],
+)
+def test_stacked_draws_match_single_draws(kind, replicates):
+    plan = _stacking_plan(kind)
+    assert (plan.sum_law is None) == (kind in ("location_normal", "zero_shift"))
+    assert (plan.remainder_weights is None) == (kind in ("location_normal", "location_custom"))
+    seeds = [[29, r] for r in range(replicates)]
+    bounds = _stack_bounds(plan.n, 0, replicates)
+    assert (len(bounds) > 1) == (replicates == 50 and plan.n == 1024)
+    for start, stop in bounds:
+        stack = build_coupled_draw(
+            plan, [np.random.default_rng(seeds[r]) for r in range(start, stop)]
+        )
+        assert stack.scores_tilde.shape == stack.gaussians.shape == (stop - start, plan.n)
+        fields = (stack.log_lik_original, stack.log_lik_gaussian, stack.scores_tilde,
+                  stack.gaussians, stack.remainder_tilde)
+        for row, r in enumerate(range(start, stop)):
+            expected = coupled_draw_fields(plan, np.random.default_rng(seeds[r]))
+            for got, want in zip(fields, expected):
+                assert _bytes(got[row]) == _bytes(want)
+    # one generator gives one draw with float log-likelihoods and remainder
+    single = build_coupled_draw(plan, np.random.default_rng(seeds[0]))
+    expected = coupled_draw_fields(plan, np.random.default_rng(seeds[0]))
+    assert isinstance(single.log_lik_original, float)
+    assert isinstance(single.remainder_tilde, float)
+    got = (single.log_lik_original, single.log_lik_gaussian, single.scores_tilde,
+           single.gaussians, single.remainder_tilde)
+    assert [_bytes(v) for v in got] == [_bytes(v) for v in expected]
 
 
 def test_coupling_plan_rejects_shift_outside_the_open_interval():

@@ -422,6 +422,23 @@ def _globalize_config(replicates, batches):
     )
 
 
+def _coupled_config(replicates):
+    # at 1024 points a coupled stack holds 32 replicates
+    return StudyConfig(
+        kind="local-hellinger",
+        family="poisson",
+        f_desc="affine(1.5, 1.0)",
+        L=3.0,
+        c_rate=0.5,
+        n_grid=(1024,),
+        replicates=replicates,
+        batches=1,
+        master_seed=3,
+        out_dir=".",
+        coupling_grid=1024,
+    )
+
+
 def test_globalize_unit_matches_per_replicate_oracle():
     # batch 1 of 2 holds replicates 37..74; at 1024 points a stack holds
     # 32 of them, so the unit crosses a stack boundary at 69
@@ -433,7 +450,9 @@ def test_globalize_unit_matches_per_replicate_oracle():
     assert [ok for _, ok in stats] == [ks < 1.628 / 32.0 for ks in expected]
 
 
-# peak traced allocation of the replicate stacks; about 1.8 MB when written
+# peak traced allocation of the replicate stacks; about 1.8 MB for the
+# kernel units and 2.5 MB for the coupled unit (1.6 MB of it the 100 draws
+# the unit keeps) when written
 STACK_PEAK_BOUND_MB = 4.0
 
 
@@ -454,8 +473,11 @@ def test_replicate_stacks_keep_the_working_set_small():
         family, f, 1024, [0.01, 1.0], np.random.default_rng(0), R=250))
     cfg = _globalize_config(replicates=75, batches=1)
     unit_peak = _traced_peak_mb(lambda: harness_module._run_globalize(cfg, (1024, 0)))
+    coupled = _coupled_config(replicates=100)
+    coupled_peak = _traced_peak_mb(lambda: harness_module._run_local_hellinger(coupled, 1024))
     assert risk_peak < STACK_PEAK_BOUND_MB
     assert unit_peak < STACK_PEAK_BOUND_MB
+    assert coupled_peak < STACK_PEAK_BOUND_MB
 
 
 def test_cc_audit_study(tmp_path):
@@ -541,6 +563,35 @@ def test_numeric_failure_propagates_from_pipeline(tmp_path, monkeypatch):
     cfg = _config(out_dir=str(tmp_path))
     with pytest.raises(NumericError, match=r"at n=256, replicate=0, seed=1: quadrature"):
         run_study(cfg)
+
+
+def test_numeric_failure_in_a_coupled_stack_names_its_replicate(tmp_path, monkeypatch):
+    # replicate 37 is row 5 of the second stack (replicates 32..49)
+    cfg = dataclasses.replace(_coupled_config(replicates=50), out_dir=str(tmp_path))
+    bad_seed = derive_seed(cfg.master_seed, 1024, 37)
+    planted = []
+
+    def marking_rng(seed):
+        rng = stream_rng(seed)
+        if seed == bad_seed:
+            planted.append(rng)
+        return rng
+
+    poisson = type(get_family("poisson"))
+    sample = poisson.sample
+
+    def failing_sample(self, theta, rng):
+        if any(rng is p for p in planted):
+            raise NumericError("sampler failed")
+        return sample(self, theta, rng)
+
+    monkeypatch.setattr(harness_module, "stream_rng", marking_rng)
+    monkeypatch.setattr(poisson, "sample", failing_sample)
+    with pytest.raises(
+        NumericError, match=rf"at n=1024, replicate=37, seed={bad_seed}: sampler failed"
+    ):
+        run_study(cfg)
+    assert len(planted) == 1
 
 
 def test_versioned_header_present(tmp_path):

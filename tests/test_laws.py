@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
-from lecam_equiv.families import PoissonScoreLaw, get_family
+from lecam_equiv.families import PoissonScoreLaw, TabulatedLocation, get_family
 from lecam_equiv.harness import StudyConfig, _local_shift
 from lecam_equiv.laws import (
     AtomLaw,
@@ -19,6 +19,8 @@ from lecam_equiv.laws import (
     apply_truncation,
     truncation_params,
 )
+
+from oracles import full_spectrum_sum_law
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,7 @@ def test_weighted_sum_law_uniformizes_discrete_sums():
     # sigma matches the analytic variance
     var = float(np.sum(weights**2 * fam.fisher(thetas)))
     assert sum_law.sigma == pytest.approx(math.sqrt(var), abs=1e-12)
-    u = sum_law.uniformize(t, rng)
+    u = sum_law.uniformize(t, rng.standard_normal(t.shape))
     stat = stats.kstest(u, "uniform").statistic
     assert stat < 1.63 / math.sqrt(4000)
 
@@ -269,7 +271,7 @@ def test_weighted_sum_law_poisson_mixture():
     fam = get_family("poisson")
     theta = np.tile(thetas, (4000, 1))
     t = fam.score(fam.sample(theta, rng), theta) @ weights
-    u = sum_law.uniformize(t, rng)
+    u = sum_law.uniformize(t, rng.standard_normal(t.shape))
     assert stats.kstest(u, "uniform").statistic < 1.63 / math.sqrt(4000)
 
 
@@ -333,6 +335,38 @@ def test_weighted_sum_law_cdf_grid_matches_complex_oracle(build):
     sum_law = WeightedSumLaw(laws, weights, grid_size=1 << 13)
     oracle = _complex_cdf_grid(laws, weights, 1 << 13)
     assert np.max(np.abs(sum_law.cdf_grid - oracle)) < 1e-13
+
+
+def _tabulated_laws(th):
+    # the generic AtomLaw log cf, on a table coarse enough to stay cheap
+    xs = np.linspace(-8.0, 8.0, 101)
+    law = TabulatedLocation(xs, np.exp(-0.5 * xs * xs)).score_law(0.0)
+    return [law] * th.size
+
+
+@pytest.mark.parametrize("grid_size", [256, 1 << 14])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda th: [get_family("bernoulli").score_law(t) for t in 0.3 + 0.4 * th],
+        lambda th: [PoissonScoreLaw(t) for t in 1.0 + th],
+        lambda th: [get_family("gaussian_scale").score_law(t) for t in 0.5 + th],
+        _tabulated_laws,
+        lambda th: _truncated_poisson_laws(1.0 + th),
+    ],
+    ids=["bernoulli", "poisson", "scaled_chi2", "tabulated_atoms", "truncated_poisson"],
+)
+def test_half_spectrum_sum_law_matches_full_spectrum(build, grid_size):
+    n = 17
+    th = np.linspace(0.0, 1.0, n)
+    laws = build(th)
+    weights = 0.15 + 0.08 * np.sin(2.0 * np.pi * np.arange(1, n + 1) / n)
+    weights[5] = 0.0
+    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
+    assert sum_law.grid.tobytes() == grid.tobytes()
+    assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
+    assert sum_law.clipped_mass == clipped_mass
 
 
 # Negative FFT density mass the sum-law build may clip: an absolute bound
