@@ -28,8 +28,8 @@ print("== Monte Carlo H^2 between coupled experiments ==")
 for n in (256, 1024, 4096):
     f, h = standard_test_pair(family, n)
     plan = CouplingPlan(family, f, h, n, grid_size=1 << 13)
-    draws = [build_coupled_draw(plan, stream_rng(derive_seed(1, n, r))) for r in range(300)]
-    report = mc_hellinger_coupled(draws, n=n, family=family.name)
+    stack = build_coupled_draw(plan, [stream_rng(derive_seed(1, n, r)) for r in range(300)])
+    report = mc_hellinger_coupled([stack], n=n, family=family.name)
     print(f"  n={n:>5d}: H^2 = {report.value:.3e} +- {report.mc_stderr:.1e}")
 
 print()
@@ -38,8 +38,8 @@ loc = get_family("location_normal")
 n = 1024
 f, h = standard_test_pair(loc, n)
 plan = CouplingPlan(loc, f, h, n, grid_size=1 << 12)
-draws = [build_coupled_draw(plan, stream_rng(derive_seed(2, n, r))) for r in range(200)]
-report = mc_hellinger_coupled(draws, n=n, family=loc.name)
+stack = build_coupled_draw(plan, [stream_rng(derive_seed(2, n, r)) for r in range(200)])
+report = mc_hellinger_coupled([stack], n=n, family=loc.name)
 print(f"  location H^2 estimate: {report.value} +- {report.mc_stderr} (identical paths)")
 
 print()
@@ -47,8 +47,8 @@ print("== closeness-condition audit on the coupled batch ==")
 n = 1024
 f, h = standard_test_pair(family, n)
 plan = CouplingPlan(family, f, h, n, grid_size=1 << 13)
-draws = [build_coupled_draw(plan, stream_rng(derive_seed(3, n, r))) for r in range(400)]
-audit = audit_cc_conditions(draws, plan.r_n, ALPHA, eps=0.5)
+stack = build_coupled_draw(plan, [stream_rng(derive_seed(3, n, r)) for r in range(400)])
+audit = audit_cc_conditions([stack], plan.r_n, ALPHA, eps=0.5)
 print(f"  gap event freq:        {audit.gap_freq:.4f} +- {audit.gap_stderr:.4f}")
 print(f"  original tail freq:    {audit.orig_tail_freq:.4f} +- {audit.orig_tail_stderr:.4f}")
 print(f"  gaussian tail freq:    {audit.gauss_tail_freq:.4f} +- {audit.gauss_tail_stderr:.4f}")

@@ -43,26 +43,10 @@ from .laws import (
 
 @dataclass(frozen=True, eq=False)
 class CoupledLikelihoodDraw:
-    """One joint realization of both log-likelihood ratios, or a stack of them.
+    """Both log-likelihood ratios of a stack of R joint draws, one (R,) array each."""
 
-    Construction identities, exact on every draw:
-      log_lik_original = sum(shift * scores_tilde) - q + remainder_tilde
-      log_lik_gaussian = sum(shift * gaussians) - q
-    with q = 0.5 * sum(shift^2 * info).  A stack of R draws holds the
-    log-likelihoods and remainder as (R,) arrays and the score and
-    Gaussian vectors as (R, n) arrays, one row per draw.
-    """
-
-    n: int
-    log_lik_original: float | np.ndarray
-    log_lik_gaussian: float | np.ndarray
-    scores_tilde: np.ndarray
-    gaussians: np.ndarray
-    remainder_tilde: float | np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.scores_tilde)[-1] != self.n or np.shape(self.gaussians)[-1] != self.n:
-            raise ArgumentError("score and gaussian vectors must have length n")
+    log_lik_original: np.ndarray
+    log_lik_gaussian: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,33 +252,37 @@ def _row_dots(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([np.dot(weights, row) for row in rows])
 
 
-def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
-    """Joint draws of both log-likelihood ratios.
+def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
+    """Joint draws of both log-likelihood ratios, one per generator in rngs.
 
     An original-model dataset is simulated under the central measure
     (shift zero) and scored; the weighted score sum is mapped to a
     Gaussian of the same variance by the jittered quantile transform of
-    its exact sum law, and the per-point Gaussian vector is completed
-    around that sum so its law is exactly the heteroscedastic product.
-    The remainder attached to the score side is the dataset's own exact
-    expansion remainder, so the original-side log-likelihood is the
-    dataset's true log-likelihood ratio: a dot product with the plan's
-    remainder table, or lase_terms for a family without one.  When
-    every score law is already standard normal the two sides coincide
-    identically and the remainder is zero analytically.
+    its exact sum law, and the per-point Gaussian vector zeta is
+    completed around that sum so its law is exactly the
+    heteroscedastic product.  With q = 0.5 * sum(h^2 * info), each
+    draw satisfies by construction
+      log_lik_original = sum(h * scores) - q + remainder
+      log_lik_gaussian = sum(h * zeta) - q
+    where the remainder is the dataset's own exact expansion remainder,
+    so the original-side log-likelihood is the dataset's true
+    log-likelihood ratio: a dot product with the plan's remainder
+    table, or one lase_terms call on the whole stack for a family
+    without one.  When every score law is already standard normal the
+    two sides coincide identically and the remainder is zero
+    analytically.
 
-    rng is one Generator, giving one draw with float log-likelihoods
-    and remainder, or a sequence of R generators, giving one stack: the
-    log-likelihoods and remainder as (R,) arrays and the per-point
-    vectors as (R, n) arrays.  Each replicate consumes its own
-    generator in the same order: the sample, then standard_normal(n)
-    for the Gaussian fill (not on the all-Gaussian path), then one
-    jitter normal when the plan has a sum law.  Row r of a stack equals
-    the draw of rng[r] alone, byte for byte.  A NumericError raised
-    while drawing a replicate carries its row index in `row`.
+    rngs is a sequence of R generators; the result holds (R,) arrays.
+    Each replicate consumes its own generator in the same order: the
+    sample, then standard_normal(n) for the Gaussian fill (not on the
+    all-Gaussian path), then one jitter normal when the plan has a sum
+    law.  Row r equals the draw of [rngs[r]] alone, byte for byte.  A
+    NumericError raised while drawing a replicate carries its row index
+    in `row`.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
+    if isinstance(rngs, np.random.Generator):
+        raise ArgumentError("rngs must be a sequence of generators, one per replicate")
+    rngs = list(rngs)
     family, n = plan.family, plan.n
     h_vals = plan.h_values
     quad = plan.quadratic
@@ -304,7 +292,6 @@ def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
     x = np.empty((len(rngs), n))
     normals = np.empty_like(x) if coupled else None
     jitter = np.empty(len(rngs)) if jittered else None
-    rho = np.zeros(len(rngs))
     for row, gen in enumerate(rngs):
         try:
             x[row] = family.sample(plan.theta, gen)
@@ -312,8 +299,6 @@ def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
                 normals[row] = gen.standard_normal(n)
                 if jittered:
                     jitter[row] = gen.standard_normal()
-                if plan.remainder_weights is None:
-                    rho[row] = _lase_remainder(plan, x[row])
         except NumericError as exc:
             exc.row = row
             raise
@@ -323,11 +308,22 @@ def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
     if not coupled:
         # scores are exact Gaussians already: identity coupling, and the
         # expansion remainder vanishes analytically
-        zeta = scores
+        rho = 0.0
         loglik_gauss = weighted_sum - quad
     else:
         if plan.remainder_weights is not None:
             rho = _row_dots(plan.remainder_weights, scores) + plan.remainder_offset
+        else:
+            data = ExperimentDraw(
+                model="original",
+                n=n,
+                design=plan.t,
+                observations=x,
+                family=family.name,
+                f_desc=plan.f.descriptor,
+                h_desc=plan.h.descriptor,
+            )
+            rho = lase_terms(family, plan.f, plan.h, data).remainder
         noise = np.sqrt(plan.info) * normals
         if not jittered:
             zeta = noise
@@ -337,39 +333,10 @@ def build_coupled_draw(plan: CouplingPlan, rng) -> CoupledLikelihoodDraw:
             fill = h_vals * plan.info / plan.sigma2
             zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
         loglik_gauss = _row_dots(h_vals, zeta) - quad
-    loglik_orig = weighted_sum - quad + rho
-
-    if single:
-        return CoupledLikelihoodDraw(
-            n=n,
-            log_lik_original=float(loglik_orig[0]),
-            log_lik_gaussian=float(loglik_gauss[0]),
-            scores_tilde=scores[0],
-            gaussians=zeta[0],
-            remainder_tilde=float(rho[0]),
-        )
     return CoupledLikelihoodDraw(
-        n=n,
-        log_lik_original=loglik_orig,
+        log_lik_original=weighted_sum - quad + rho,
         log_lik_gaussian=loglik_gauss,
-        scores_tilde=scores,
-        gaussians=zeta,
-        remainder_tilde=rho,
     )
-
-
-def _lase_remainder(plan: CouplingPlan, x: np.ndarray) -> float:
-    """Exact expansion remainder of one dataset through lase_terms."""
-    draw = ExperimentDraw(
-        model="original",
-        n=plan.n,
-        design=plan.t,
-        observations=x,
-        family=plan.family.name,
-        f_desc=plan.f.descriptor,
-        h_desc=plan.h.descriptor,
-    )
-    return lase_terms(plan.family, plan.f, plan.h, draw).remainder
 
 
 # ---------------------------------------------------------------------------

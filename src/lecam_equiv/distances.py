@@ -245,7 +245,8 @@ def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
     Each draw carries log likelihood ratios of the two experiments
     against the shared central measure; the estimator averages
     (sqrt(L1) - sqrt(L0))^2 / 2 with a jackknife standard error.
-    draws is a list of single draws or of draw stacks, read in order.
+    draws is a list of draw stacks (or of one-draw records with scalar
+    log-likelihoods), read in order.
     """
     a, b = _log_lik_arrays(draws)
     if a.size < 10:

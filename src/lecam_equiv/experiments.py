@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, SingularityError
 from .families import ParametricFamily
-from .function_space import RegressionFunction
+from .function_space import RegressionFunction, rate_gamma_bar
 
 MODEL_TAGS = ("original", "global-gaussian", "gaussianized")
 
@@ -156,28 +156,6 @@ def sample_original(
     )
 
 
-def sample_global_gaussian(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    n: int,
-    rng: np.random.Generator,
-    seed: int = 0,
-) -> ExperimentDraw:
-    """Unit-noise observations of the stabilized mean: Y_i = gamma(f(i/n)) + eps_i."""
-    theta = _working_values(family, f, n)
-    t = design_grid(n)
-    obs = np.asarray(family.gamma(theta), dtype=float) + rng.standard_normal(n)
-    return ExperimentDraw(
-        model="global-gaussian",
-        n=n,
-        design=t,
-        observations=obs,
-        family=family.name,
-        f_desc=f.descriptor,
-        seed=seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the log-likelihood ratio and its expansion
 # ---------------------------------------------------------------------------
@@ -192,16 +170,18 @@ class LaseTerms:
       exact_loglik = 2*xn - 4*vn + rho_prop
     linear is the weighted score sum, quadratic the half h^2 I sum, xn
     the centered sqrt-ratio fluctuation sum, and vn the accumulated
-    per-point squared Hellinger distances (exact expectations).
+    per-point squared Hellinger distances (exact expectations).  For a
+    stack of draws the per-draw terms (all but quadratic and vn) are
+    (rows,) arrays.
     """
 
-    linear: float
+    linear: float | np.ndarray
     quadratic: float
-    exact_loglik: float
-    remainder: float
-    xn: float
+    exact_loglik: float | np.ndarray
+    remainder: float | np.ndarray
+    xn: float | np.ndarray
     vn: float
-    rho_prop: float
+    rho_prop: float | np.ndarray
 
 
 def lase_terms(
@@ -210,7 +190,12 @@ def lase_terms(
     h: RegressionFunction,
     draw: ExperimentDraw,
 ) -> LaseTerms:
-    """Expansion terms with exact per-point expectations via affinities."""
+    """Expansion terms with exact per-point expectations via affinities.
+
+    A stack draw gets one term per row, reduced along the last axis;
+    each row equals the terms of that row alone, and a single draw
+    gets Python floats.
+    """
     t = draw.design
     theta = np.asarray(f(t), dtype=float)
     h_vals = np.asarray(h(t), dtype=float)
@@ -232,17 +217,19 @@ def lase_terms(
         raise SingularityError(
             f"{family.name}: zero density under the shifted parameter"
         )
-    exact = float(np.sum(log_z))
+    exact = np.sum(log_z, axis=-1)
 
     scores = np.asarray(family.score(x, theta), dtype=float)
     info = np.asarray(family.fisher(theta), dtype=float)
-    linear = float(np.sum(h_vals * scores))
+    linear = np.sum(h_vals * scores, axis=-1)
     quadratic = 0.5 * float(np.sum(h_vals**2 * info))
 
     affin = np.asarray(family.affinity(theta, shifted), dtype=float)
     # E(sqrt z - 1) = A - 1 and E(sqrt z - 1)^2 = 2(1 - A) per point
-    xn = float(np.sum((np.sqrt(z) - 1.0) - (affin - 1.0)))
+    xn = np.sum((np.sqrt(z) - 1.0) - (affin - 1.0), axis=-1)
     vn = float(np.sum(1.0 - affin))
+    if np.ndim(x) == 1:
+        exact, linear, xn = float(exact), float(linear), float(xn)
 
     return LaseTerms(
         linear=linear,
@@ -312,8 +299,6 @@ def standard_test_pair(
     scaled by L/(2 pi + 1) so that both the sup norm and the slope of
     f + h fit the declared class.
     """
-    from .function_space import rate_gamma_bar
-
     if family.name not in STANDARD_ANCHORS:
         raise ArgumentError(f"no standard test pair for family {family.name!r}")
     intercept, slope, big_l = STANDARD_ANCHORS[family.name]

@@ -531,11 +531,6 @@ class TabulatedLocation(ParametricFamily):
     def quad_bounds(self, theta):
         return (self.grid[0] + theta, self.grid[-1] + theta)
 
-    def expect(self, theta, fn) -> float:
-        theta = float(theta)
-        w = self._point_weights()
-        return float(w @ fn(self.grid + theta))
-
     def _expect_given_density(self, theta, fn) -> float:
         theta = float(theta)
         xs = self.grid + theta

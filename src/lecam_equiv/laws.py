@@ -68,8 +68,10 @@ class AtomLaw(ScoreLaw):
 
     def log_cf(self, omega):
         arg = np.outer(np.asarray(omega, dtype=float), self.values)
-        re = np.cos(arg) @ self.probs
-        im = np.sin(arg) @ self.probs
+        # a fixed-order sum per row, so a row's bits do not depend on the
+        # other rows in the call or on the BLAS thread count
+        re = np.sum(np.cos(arg) * self.probs, axis=-1)
+        im = np.sum(np.sin(arg) * self.probs, axis=-1)
         # the modulus can vanish where atoms cancel: floor it at 1e-300
         return np.log(np.maximum(np.hypot(re, im), 1e-300)), np.arctan2(im, re)
 
@@ -253,10 +255,8 @@ class WeightedSumLaw:
     Nyquist bin included), and each negative bin is the conjugate of its
     mirror.  That is exact, not an approximation: every built-in log_cf
     is even in its log modulus and odd in its phase, so the mirror holds
-    the values that evaluating the negative bins would give (bit for bit
-    for the closed forms; the generic atom sum goes through BLAS, whose
-    rounding of a row can depend on the row count).  The inverse FFT
-    gives a density on a value grid spanning
+    the values that evaluating the negative bins would give, bit for
+    bit.  The inverse FFT gives a density on a value grid spanning
     +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian smoothing is
     folded in so that quasi-atomic laws produce a well-behaved grid
     density; `uniformize` compensates by jittering the input at the same

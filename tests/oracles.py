@@ -37,6 +37,22 @@ def normalization_defect(family, theta) -> float:
     return abs(total - 1.0)
 
 
+def sample_global_gaussian(family, f, n, rng, seed=0) -> ExperimentDraw:
+    """Unit-noise observations of the stabilized mean: Y_i = gamma(f(i/n)) + eps_i."""
+    t = design_grid(n)
+    theta = np.asarray(f(t), dtype=float)
+    obs = np.asarray(family.gamma(theta), dtype=float) + rng.standard_normal(n)
+    return ExperimentDraw(
+        model="global-gaussian",
+        n=n,
+        design=t,
+        observations=obs,
+        family=family.name,
+        f_desc=f.descriptor,
+        seed=seed,
+    )
+
+
 def risk_transfer_errors(family, f, n, rng, R, beta=1.0, q=0.25):
     """Direct and transferred sup errors of risk_transfer_demo, one replicate at a time.
 

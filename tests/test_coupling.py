@@ -1,5 +1,6 @@
 """Bounded scores, joint draws, and condition audits."""
 
+import dataclasses
 import functools
 import math
 from collections import namedtuple
@@ -197,14 +198,16 @@ def test_coupled_draw_identities(name):
     n = 128
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
+    # one generator repeated: the rows consume it as five single draws would
+    stack = build_coupled_draw(plan, [np.random.default_rng(12)] * 5)
     rng = np.random.default_rng(12)
     q = quad_term(plan)
-    for _ in range(5):
-        d = build_coupled_draw(plan, rng)
-        lhs = float(np.dot(plan.h_values, d.scores_tilde)) - q + d.remainder_tilde
-        assert d.log_lik_original == pytest.approx(lhs, abs=1e-10)
-        lhs0 = float(np.dot(plan.h_values, d.gaussians)) - q
-        assert d.log_lik_gaussian == pytest.approx(lhs0, abs=1e-10)
+    for row in range(5):
+        _, _, scores, gaussians, remainder = coupled_draw_fields(plan, rng)
+        lhs = float(np.dot(plan.h_values, scores)) - q + remainder
+        assert stack.log_lik_original[row] == pytest.approx(lhs, abs=1e-10)
+        lhs0 = float(np.dot(plan.h_values, gaussians)) - q
+        assert stack.log_lik_gaussian[row] == pytest.approx(lhs0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [16, 256, 4096])
@@ -214,12 +217,13 @@ def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n, grid_size=256)
     assert plan.remainder_weights is not None
+    stack = build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(5)])
     for seed in range(5):
-        d = build_coupled_draw(plan, np.random.default_rng(seed))
         # a draw samples first, so the same seed reproduces its dataset
         x = fam.sample(plan.theta, np.random.default_rng(seed))
         data = ExperimentDraw("original", n, plan.t, x, fam.name, f.descriptor, h.descriptor)
-        assert abs(d.remainder_tilde - lase_terms(fam, f, h, data).remainder) <= 1e-12
+        exact = lase_terms(fam, f, h, data).exact_loglik
+        assert abs(stack.log_lik_original[seed] - exact) <= 1e-12
 
 
 def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
@@ -236,9 +240,10 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
         return lase_terms(*args)
 
     monkeypatch.setattr(coupling, "lase_terms", counting)
-    for seed in range(3):
-        build_coupled_draw(plan, np.random.default_rng(seed))
-    assert len(calls) == 3
+    # one call per stack, whatever its row count
+    build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(3)])
+    build_coupled_draw(plan, [np.random.default_rng(3)])
+    assert len(calls) == 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,21 +286,21 @@ def test_stacked_draws_match_single_draws(kind, replicates):
         stack = build_coupled_draw(
             plan, [np.random.default_rng(seeds[r]) for r in range(start, stop)]
         )
-        assert stack.scores_tilde.shape == stack.gaussians.shape == (stop - start, plan.n)
-        fields = (stack.log_lik_original, stack.log_lik_gaussian, stack.scores_tilde,
-                  stack.gaussians, stack.remainder_tilde)
+        assert stack.log_lik_original.shape == stack.log_lik_gaussian.shape == (stop - start,)
         for row, r in enumerate(range(start, stop)):
-            expected = coupled_draw_fields(plan, np.random.default_rng(seeds[r]))
-            for got, want in zip(fields, expected):
-                assert _bytes(got[row]) == _bytes(want)
-    # one generator gives one draw with float log-likelihoods and remainder
-    single = build_coupled_draw(plan, np.random.default_rng(seeds[0]))
-    expected = coupled_draw_fields(plan, np.random.default_rng(seeds[0]))
-    assert isinstance(single.log_lik_original, float)
-    assert isinstance(single.remainder_tilde, float)
-    got = (single.log_lik_original, single.log_lik_gaussian, single.scores_tilde,
-           single.gaussians, single.remainder_tilde)
-    assert [_bytes(v) for v in got] == [_bytes(v) for v in expected]
+            want_orig, want_gauss, *_ = coupled_draw_fields(plan, np.random.default_rng(seeds[r]))
+            assert _bytes(stack.log_lik_original[row]) == _bytes(want_orig)
+            assert _bytes(stack.log_lik_gaussian[row]) == _bytes(want_gauss)
+
+
+def test_coupled_draw_takes_a_sequence_of_generators_and_keeps_two_fields():
+    plan = _stacking_plan("poisson")
+    with pytest.raises(ArgumentError, match="sequence of generators"):
+        build_coupled_draw(plan, np.random.default_rng(0))
+    stack = build_coupled_draw(plan, [np.random.default_rng(0)])
+    assert [field.name for field in dataclasses.fields(stack)] == [
+        "log_lik_original", "log_lik_gaussian"
+    ]
 
 
 def test_coupling_plan_rejects_shift_outside_the_open_interval():
@@ -321,10 +326,9 @@ def test_coupled_draw_zero_shift_is_degenerate():
     h = RegressionFunction.constant(0.0)
     plan = CouplingPlan(fam, f, h, 64)
     assert plan.sum_law is None
-    d = build_coupled_draw(plan, np.random.default_rng(0))
-    assert d.log_lik_original == 0.0
-    assert d.log_lik_gaussian == 0.0
-    assert d.remainder_tilde == 0.0
+    d = build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(3)])
+    assert np.all(d.log_lik_original == 0.0)
+    assert np.all(d.log_lik_gaussian == 0.0)
 
 
 def test_coupled_draw_location_normal_sides_coincide():
@@ -333,12 +337,8 @@ def test_coupled_draw_location_normal_sides_coincide():
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n)
     assert plan.sum_law is None
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        d = build_coupled_draw(plan, rng)
-        assert d.log_lik_original == d.log_lik_gaussian
-        assert d.remainder_tilde == 0.0
-        assert np.array_equal(d.scores_tilde, d.gaussians)
+    d = build_coupled_draw(plan, [np.random.default_rng(2)] * 10)
+    assert np.array_equal(d.log_lik_original, d.log_lik_gaussian)
 
 
 def test_coupled_draw_gaussian_side_has_exact_product_law():
@@ -346,13 +346,17 @@ def test_coupled_draw_gaussian_side_has_exact_product_law():
     n = 64
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
+    # the oracle reproduces the library's rows byte for byte and also
+    # returns each draw's Gaussian vector
+    stack = build_coupled_draw(plan, [np.random.default_rng(44)] * 400)
     rng = np.random.default_rng(44)
     rows = []
     sums = []
-    for _ in range(400):
-        d = build_coupled_draw(plan, rng)
-        rows.append(d.gaussians / np.sqrt(plan.info))
-        sums.append((d.log_lik_gaussian + quad_term(plan)) / plan.sum_law.sigma)
+    for row in range(400):
+        _, log_lik_gaussian, _, gaussians, _ = coupled_draw_fields(plan, rng)
+        assert _bytes(stack.log_lik_gaussian[row]) == _bytes(log_lik_gaussian)
+        rows.append(gaussians / np.sqrt(plan.info))
+        sums.append((log_lik_gaussian + quad_term(plan)) / plan.sum_law.sigma)
     flat = np.concatenate(rows)
     assert stats.kstest(flat, "norm").statistic < KS_CRIT_1PCT / math.sqrt(flat.size)
     sums = np.asarray(sums)
@@ -368,8 +372,8 @@ def test_coupled_draw_weighted_sums_tighten_with_n():
         plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
         gaps = []
         for _ in range(80):
-            d = build_coupled_draw(plan, rng)
-            gaps.append(abs(float(np.dot(plan.h_values, d.scores_tilde - d.gaussians))))
+            _, _, scores, gaussians, _ = coupled_draw_fields(plan, rng)
+            gaps.append(abs(float(np.dot(plan.h_values, scores - gaussians))))
         medians.append(float(np.median(gaps)))
     assert medians[1] < medians[0]
 
@@ -381,7 +385,7 @@ def test_coupled_hellinger_estimate_decreases_with_n():
     for n in (256, 2048):
         f, h = standard_test_pair(fam, n)
         plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
-        draws = [build_coupled_draw(plan, rng) for _ in range(300)]
+        draws = [build_coupled_draw(plan, [rng] * 300)]
         values.append(mc_hellinger_coupled(draws, n=n, family=fam.name).value)
     assert values[1] < values[0]
 
@@ -471,7 +475,7 @@ def test_audit_on_real_coupled_batch():
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
     rng = np.random.default_rng(19)
-    draws = [build_coupled_draw(plan, rng) for _ in range(200)]
+    draws = [build_coupled_draw(plan, [rng] * 200)]
     rep = audit_cc_conditions(draws, plan.r_n, 0.5, 0.5)
     assert rep.gap_freq <= 0.05
     assert 0.0 <= rep.orig_tail_freq <= 1.0

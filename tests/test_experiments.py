@@ -1,5 +1,6 @@
 """Samplers, draw serialization, and log-likelihood expansion checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,13 +14,14 @@ from lecam_equiv.experiments import (
     lase_terms,
     lindeberg_sum,
     read_draw,
-    sample_global_gaussian,
     sample_original,
     standard_test_pair,
     write_draw,
 )
-from lecam_equiv.families import get_family
+from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction, SumFunction
+
+from oracles import sample_global_gaussian
 
 FAMILIES = ["bernoulli", "poisson", "gaussian_scale", "location_normal"]
 
@@ -182,6 +184,32 @@ def test_lase_identities_hold_exactly(name):
     lhs2 = 2.0 * terms.xn - 4.0 * terms.vn + terms.rho_prop
     assert terms.exact_loglik == pytest.approx(lhs2, abs=1e-10)
     assert terms.vn > 0.0
+
+
+@pytest.mark.parametrize("name", FAMILIES + ["location_custom"])
+def test_stacked_lase_terms_rows_equal_single_draws(name):
+    if name == "location_custom":
+        xs = np.linspace(-8.0, 8.0, 801)
+        fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
+        f = RegressionFunction.constant(0.0)
+        h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
+    else:
+        fam = get_family(name)
+        f, h = standard_test_pair(fam, 100)
+    rows = [sample_original(fam, f, 100, np.random.default_rng(seed)) for seed in range(4)]
+    stack = ExperimentDraw(
+        "original", 100, rows[0].design, np.stack([d.observations for d in rows]),
+        fam.name, f.descriptor,
+    )
+    terms = lase_terms(fam, f, h, stack)
+    for row, draw in enumerate(rows):
+        single = lase_terms(fam, f, h, draw)
+        for field in dataclasses.fields(terms):
+            got, want = getattr(terms, field.name), getattr(single, field.name)
+            assert type(want) is float, field.name
+            if np.ndim(got):
+                got = got[row]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
 
 
 def test_lase_location_normal_remainder_is_zero():

@@ -473,7 +473,8 @@ def test_registry_empty_table_path_is_missing():
 
 
 PUBLIC_MAPS = (
-    "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "affinity"
+    "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "affinity",
+    "expect",
 )
 
 

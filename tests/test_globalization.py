@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from lecam_equiv.errors import ArgumentError, DomainError
-from lecam_equiv.experiments import ExperimentDraw, design_grid, sample_original, sample_global_gaussian
+from lecam_equiv.experiments import ExperimentDraw, design_grid, sample_original
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction, rate_gamma_bar
 from lecam_equiv.globalization import (
@@ -23,7 +23,7 @@ from lecam_equiv.globalization import (
     risk_transfer_demo,
 )
 
-from oracles import risk_transfer_errors
+from oracles import risk_transfer_errors, sample_global_gaussian
 
 KS_CRIT_1PCT = 1.628
 

@@ -480,6 +480,15 @@ def test_replicate_stacks_keep_the_working_set_small():
     assert coupled_peak < STACK_PEAK_BOUND_MB
 
 
+def test_cc_audit_unit_keeps_only_the_two_log_likelihoods():
+    # the audit reads two numbers per replicate, so a unit's draws hold
+    # two (R,) float arrays and nothing per design point
+    config = dataclasses.replace(_coupled_config(replicates=500), kind="cc-audit")
+    (_plan, draws), = harness_module._coupled_batches(config, 1024, 1)
+    held = sum(np.asarray(value).nbytes for draw in draws for value in vars(draw).values())
+    assert held <= 2 * 8 * config.replicates
+
+
 def test_cc_audit_study(tmp_path):
     cfg = StudyConfig(
         kind="cc-audit",

@@ -62,6 +62,22 @@ def test_atom_law_log_cf_floors_a_vanishing_modulus():
     assert lm[1] == pytest.approx(math.log(0.5), abs=1e-15)
 
 
+def test_atom_law_log_cf_rows_do_not_depend_on_the_call():
+    # the score law of an 801-point normal table; each row is a fixed-order
+    # sum, so a row's bits do not depend on the other rows in the call
+    xs = np.linspace(-8.0, 8.0, 801)
+    law = TabulatedLocation(xs, np.exp(-0.5 * xs * xs)).score_law(0.0)
+    grid_size = 2048
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=32.0 / grid_size)
+    full = law.log_cf(omega)
+    half = law.log_cf(omega[: grid_size // 2 + 1])
+    for part_full, part_half in zip(full, half):
+        assert part_half.tobytes() == part_full[: grid_size // 2 + 1].tobytes()
+    for k in range(0, grid_size, grid_size // 16):
+        one = law.log_cf(omega[k : k + 1])
+        assert [part[0] for part in one] == [part[k] for part in full], k
+
+
 # ---------------------------------------------------------------------------
 # continuous laws
 # ---------------------------------------------------------------------------

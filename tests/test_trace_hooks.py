@@ -37,13 +37,13 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         f = RegressionFunction.constant(0.4)
         h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
         plan = harness.CouplingPlan(fam, f, h, 16, grid_size=256)
-        harness.build_coupled_draw(plan, np.random.default_rng(0))
+        harness.build_coupled_draw(plan, [np.random.default_rng(0)])
         # a family without an affine remainder table still calls lase_terms
         xs = np.linspace(-8.0, 8.0, 801)
         custom = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
         plan = harness.CouplingPlan(custom, RegressionFunction.constant(0.0), h, 16,
                                     grid_size=256)
-        harness.build_coupled_draw(plan, np.random.default_rng(0))
+        harness.build_coupled_draw(plan, [np.random.default_rng(0)])
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
