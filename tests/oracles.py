@@ -3,9 +3,12 @@
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.special import ndtr, ndtri
 
+from lecam_equiv.errors import NumericError
 from lecam_equiv.experiments import ExperimentDraw, design_grid, lase_terms, sample_original
+from lecam_equiv.families import default_delta_r2
 from lecam_equiv.globalization import gamma_scale_estimate, gaussianize, preliminary_estimate
 from lecam_equiv.harness import derive_seed, stream_rng
 from lecam_equiv.laws import SPAN_SIGMAS
@@ -35,6 +38,50 @@ def normalization_defect(family, theta) -> float:
     """|integral of p(., theta) - 1| by the family's summation or quadrature."""
     total = family.expect(float(theta), lambda x: np.ones_like(np.asarray(x, dtype=float)))
     return abs(total - 1.0)
+
+
+def _adaptive_expect(family, theta, fn) -> float:
+    """E_theta fn(X, p(X, theta)) by adaptive quad, one scalar density call per node."""
+
+    def weighted(x):
+        p = float(family.density(x, theta))
+        return fn(x, p) * p
+
+    val, err = integrate.quad(weighted, *family.quad_bounds(theta), limit=400)
+    if not math.isfinite(val) or err > 1e-7 * max(1.0, abs(val)):
+        raise NumericError(f"{family.name}: quadrature did not converge (err={err:.2e})")
+    return float(val)
+
+
+def quad_r2_moments(family, grid, epsilon, beta) -> dict:
+    """The r2 moments of check_regularity for a continuous family, by adaptive quad.
+
+    Keys are (theta, u): each pair that check_regularity forms, mapped
+    to E_theta |secant score|^P, then (theta, theta) for each grid
+    point, mapped to the plain score moment E_theta |score|^P, with
+    P = 2 default_delta_r2(beta).
+    """
+    power = 2.0 * default_delta_r2(beta)
+    lo, hi = family.theta_interval
+    out = {}
+    for theta in map(float, grid):
+        for frac in (1.0, 0.5, 0.25):
+            for sign in (-1.0, 1.0):
+                u = float(theta + sign * frac * epsilon)
+                if lo < u < hi and u != theta:
+                    out[theta, u] = _adaptive_expect(
+                        family,
+                        theta,
+                        lambda x, p, t=theta, u=u: np.abs(
+                            (2.0 / (u - t)) * (np.sqrt(family.density(x, u) / p) - 1.0)
+                        )
+                        ** power,
+                    )
+    for theta in map(float, grid):
+        out[theta, theta] = _adaptive_expect(
+            family, theta, lambda x, _p, t=theta: np.abs(family.score(x, t)) ** power
+        )
+    return out
 
 
 def sample_global_gaussian(family, f, n, rng, seed=0) -> ExperimentDraw:

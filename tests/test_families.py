@@ -15,12 +15,13 @@ from lecam_equiv.families import (
     _r1_remainder,
     _secant_score,
     check_regularity,
+    default_delta_r2,
     fisher_info_quadrature,
     get_family,
 )
 
 import lecam_equiv.families as families_module
-from oracles import normalization_defect
+from oracles import normalization_defect, quad_r2_moments
 
 
 def working_grid(family, count=20):
@@ -344,10 +345,17 @@ def test_regularity_zero_density_inside_the_window_raises():
         check_regularity(_TruncatedGaussianScale(), [1.0, 2.0], epsilon=0.1, beta=1.0)
 
 
-def test_r1_remainder_rejects_an_unconverged_quadrature(monkeypatch):
-    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1.0, 1.0))
+class _SteppedGaussianScale(GaussianScale):
+    """N(0, theta^2) with the density doubled beyond x = theta: a jump inside the window."""
+
+    def _density(self, x, theta):
+        return np.where(x > theta, 2.0, 1.0) * super()._density(x, theta)
+
+
+def test_r1_remainder_rejects_an_unconverged_quadrature():
+    # the 512- and 1024-node rules disagree across the jump
     with pytest.raises(NumericError, match="did not converge"):
-        _r1_remainder(get_family("gaussian_scale"), 1.0, 1.05)
+        _r1_remainder(_SteppedGaussianScale(), 1.0, 1.05)
 
 
 def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
@@ -368,9 +376,19 @@ def test_regularity_checks_parameters_once_not_per_node(monkeypatch):
         return density(x, theta)
 
     monkeypatch.setattr(family, "density", counting_density)
+    integrals = []
+    quad = families_module._quad
+
+    def counting_quad(*args):
+        integrals.append(1)
+        return quad(*args)
+
+    monkeypatch.setattr(families_module, "_quad", counting_quad)
     check_regularity(family, np.linspace(0.5, 2.0, 13), epsilon=0.1, beta=1.0)
-    # thousands of quadrature nodes, yet the grid is checked once
-    assert len(density_calls) > 10_000
+    # each integral takes its nodes as one array: a few density calls per
+    # integral, with the root search of the r2 moments, and one grid check
+    assert len(integrals) >= 13 * 6
+    assert len(density_calls) <= 4 * len(integrals)
     assert len(calls) <= 2
 
 
@@ -380,23 +398,80 @@ def test_secant_moment_evaluates_each_density_once_per_node(monkeypatch):
     secant = families_module._secant_score
 
     def counting_secant(*args):
-        nodes.append(1)
+        nodes.append(np.size(args[1]))
         return secant(*args)
 
     density_calls = []
     density = family.density
 
     def counting_density(x, theta):
-        density_calls.append(theta)
+        density_calls.append((theta, np.size(x)))
         return density(x, theta)
 
     monkeypatch.setattr(families_module, "_secant_score", counting_secant)
     monkeypatch.setattr(family, "density", counting_density)
     families_module._secant_moment(family, 1.0, 1.05, 1.5)
     # one call at theta, for the weight and the ratio, and one at u
-    assert len(nodes) > 100
+    assert [size for theta, size in density_calls if theta == 1.0] == nodes
+    assert [size for theta, size in density_calls if theta == 1.05] == nodes
     assert len(density_calls) == 2 * len(nodes)
-    assert density_calls.count(1.0) == len(nodes)
+
+
+def _r1_squared_closed_form(name, theta, u):
+    """Squared r1 remainder of gaussian_scale or location_normal in closed form."""
+    d = u - theta
+    if name == "location_normal":
+        e = math.exp(-d * d / 8.0)
+        return 2.0 - 2.0 * e + d * d / 4.0 - (d * d / 2.0) * e
+    # sqrt(p_theta p_u) = A times the N(0, sigma2) density
+    a = math.sqrt(2.0 * theta * u / (theta**2 + u**2))
+    sigma2 = 2.0 * theta**2 * u**2 / (theta**2 + u**2)
+    return 2.0 - 2.0 * a - d * a * (sigma2 - theta**2) / theta**3 + d * d / (2.0 * theta**2)
+
+
+@pytest.mark.parametrize("name", ["gaussian_scale", "location_normal"])
+def test_r1_remainder_matches_closed_form(name):
+    # the closed form cancels to about 2e-16 / R^2 relative, hence the cut at 1e-10
+    family = get_family(name)
+    checked = 0
+    for theta in working_grid(family, 13):
+        for step in (-0.05, -0.025, -0.0125, 0.0125, 0.025, 0.05):
+            u = float(theta + step)
+            exact = _r1_squared_closed_form(name, float(theta), u)
+            if exact >= 1e-10:
+                checked += 1
+                rem = _r1_remainder(family, float(theta), u)
+                assert rem**2 == pytest.approx(exact, rel=1e-5), (theta, u)
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("name", ["gaussian_scale", "location_normal"])
+def test_r2_moments_match_adaptive_quadrature(name):
+    family = get_family(name)
+    grid = working_grid(family, 3)
+    for beta in (1.0, 2.0, 3.0):
+        power = 2.0 * default_delta_r2(beta)
+        reference = quad_r2_moments(family, grid, 0.05, beta)
+        for (theta, u), moment in reference.items():
+            if u == theta:
+                fixed = families_module._abs_moment(
+                    family, theta, lambda x, _p: family.score(x, theta), power
+                )
+            else:
+                fixed = families_module._secant_moment(family, theta, u, power)
+            assert fixed == pytest.approx(moment, rel=1e-8), (beta, theta, u)
+        rep = check_regularity(family, grid, 0.05, beta)
+        assert rep.r2_sup_estimate == pytest.approx(max(reference.values()), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_r2_moment_of_too_rough_a_beta_is_a_numeric_error_either_way():
+    family = get_family("gaussian_scale")
+    grid = working_grid(family, 3)
+    with pytest.raises(NumericError):
+        check_regularity(family, grid, 0.05, 0.6)
+    with pytest.raises(NumericError):
+        quad_r2_moments(family, grid, 0.05, 0.6)
 
 
 # ---------------------------------------------------------------------------
