@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from lecam_equiv.experiments import design_grid, sample_original
+from lecam_equiv.experiments import design_cell, sample_original
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction, rate_gamma_bar
 from lecam_equiv.globalization import (
@@ -28,10 +28,10 @@ f = RegressionFunction.affine(0.25, 0.1)
 
 print("== one pass through the kernel ==")
 n = 1 << 12
-draw = sample_original(family, f, n, stream_rng(derive_seed(11, n, 0)), seed=0)
+cell = design_cell(family, f, n)
+draw = sample_original(cell, stream_rng(derive_seed(11, n, 0)), seed=0)
 fhat = preliminary_estimate(family, draw, beta=1.0)
-t = design_grid(n)
-truth = np.asarray(f(t), dtype=float)
+t, truth = cell.t, cell.theta
 print(f"  preliminary estimate: {fhat.descriptor}, "
       f"sup error {float(np.max(np.abs(fhat(t) - truth))):.4f} "
       f"(target rate {fhat.sup_target:.4f})")

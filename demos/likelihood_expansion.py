@@ -11,6 +11,7 @@ of the weighted score sum.
 import numpy as np
 
 from lecam_equiv.experiments import (
+    design_cell,
     lase_terms,
     lindeberg_sum,
     sample_original,
@@ -26,7 +27,7 @@ print(f"{'n':>6s} {'exact':>10s} {'linear':>10s} {'quadratic':>10s} {'remainder'
 for k in (8, 10, 12, 14):
     n = 1 << k
     f, h = standard_test_pair(family, n)
-    draw = sample_original(family, f, n, rng, seed=k)
+    draw = sample_original(design_cell(family, f, n), rng, seed=k)
     terms = lase_terms(family, f, h, draw)
     print(
         f"{n:>6d} {terms.exact_loglik:>10.5f} {terms.linear:>10.5f} "
@@ -37,7 +38,7 @@ print()
 print("== centered hellinger-type statistics ==")
 n = 1 << 12
 f, h = standard_test_pair(family, n)
-draw = sample_original(family, f, n, rng, seed=99)
+draw = sample_original(design_cell(family, f, n), rng, seed=99)
 terms = lase_terms(family, f, h, draw)
 print(f"  exact = 2 X_n - 4 V_n + rho: {terms.exact_loglik:.6f} = "
       f"2({terms.xn:.6f}) - 4({terms.vn:.6f}) + {terms.rho_prop:.6f}")

@@ -38,8 +38,10 @@ from .errors import (
     NumericError,
 )
 from .experiments import (
+    DesignCell,
     ExperimentDraw,
     LaseTerms,
+    design_cell,
     lase_terms,
     lindeberg_sum,
     read_draw,
@@ -90,6 +92,8 @@ __all__ = [
     "holder_check",
     # experiments
     "ExperimentDraw",
+    "DesignCell",
+    "design_cell",
     "sample_original",
     "standard_test_pair",
     "lase_terms",

@@ -26,7 +26,7 @@ from .errors import (
     SingularityError,
     TruncationConstantError,
 )
-from .experiments import ExperimentDraw, _working_values, design_grid, lase_terms
+from .experiments import ExperimentDraw, design_cell, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
 from .laws import (
@@ -100,11 +100,6 @@ class CcAuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _design_setup(family, f, n):
-    theta = family.require_theta(_working_values(family, f, n))
-    return design_grid(n), theta, np.asarray(family.fisher(theta), dtype=float)
-
-
 def _truncation_table(
     family: ParametricFamily,
     theta: np.ndarray,
@@ -161,12 +156,12 @@ def truncate_scores(
         raise ArgumentError("alpha must lie in (1/(2 beta), 1)")
     if n <= 0:
         raise ArgumentError("need at least one design point")
-    t, theta, info = _design_setup(family, f, n)
+    cell = design_cell(family, f, n)
     r_n = c_rate / math.sqrt(n)
     clip_level = r_n ** (alpha - 1.0)
-    laws = _truncation_table(family, theta, info, clip_level, c1)
-    x = family.sample(theta, rng)
-    xi = np.asarray(family.score(x, theta), dtype=float)
+    laws = _truncation_table(family, cell.theta, cell.info, clip_level, c1)
+    x = family.sample(cell.theta, rng)
+    xi = np.asarray(family.score(x, cell.theta), dtype=float)
     clip_means = np.array([law.params.clip_mean for law in laws])
     kick_probs = np.array([law.params.p for law in laws])
     x_n = c1 * clip_level
@@ -178,7 +173,7 @@ def truncate_scores(
         r_n=r_n,
         clip_level=clip_level,
         x_n=x_n,
-        variance_targets=info,
+        variance_targets=cell.info,
         kick_probs=kick_probs,
         clip_means=clip_means,
         laws=laws,
@@ -193,7 +188,7 @@ def truncate_scores(
 class CouplingPlan:
     """Per-cell precomputation shared by every replicate draw.
 
-    Holds the design values, the weighted-sum law of the score side (one
+    Holds the design cell, the weighted-sum law of the score side (one
     FFT build; None when every score law is standard normal, which
     couples by identity, or when the shift is zero) and, for families whose log-likelihood ratio is affine in
     the score, the remainder table: remainder = remainder_weights . scores
@@ -212,26 +207,23 @@ class CouplingPlan:
     ):
         if n <= 0:
             raise ArgumentError("need at least one design point")
-        self.family = family
-        self.f = f
         self.h = h
-        self.n = n
         self.r_n = c_rate / math.sqrt(n)
         if not neighborhood_contains(f, h, self.r_n):
             raise NeighborhoodError(
                 f"shift leaves the radius-{self.r_n:.6g} localization ball"
             )
-        self.t, self.theta, self.info = _design_setup(family, f, n)
-        self.h_values = np.asarray(h(self.t), dtype=float)
-        self.sigma2 = float(np.dot(self.h_values * self.h_values, self.info))
+        self.cell = cell = design_cell(family, f, n)
+        self.h_values = np.asarray(h(cell.t), dtype=float)
+        self.sigma2 = float(np.dot(self.h_values * self.h_values, cell.info))
         self.quadratic = 0.5 * self.sigma2
-        laws = [family.score_law(float(th)) for th in self.theta]
+        laws = [family.score_law(float(th)) for th in cell.theta]
         self.all_gaussian = all(law.is_gaussian for law in laws)
         self.remainder_weights = None
         self.remainder_offset = 0.0
         if not self.all_gaussian:
-            shifted = family.require_theta(self.theta + self.h_values)
-            affine = family.log_lr_affine(self.theta, shifted)
+            shifted = family.require_theta(cell.theta + self.h_values)
+            affine = family.log_lr_affine(cell.theta, shifted)
             if affine is not None:
                 a, b = affine
                 if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -283,7 +275,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     if isinstance(rngs, np.random.Generator):
         raise ArgumentError("rngs must be a sequence of generators, one per replicate")
     rngs = list(rngs)
-    family, n = plan.family, plan.n
+    family, n = plan.cell.family, plan.cell.n
     h_vals = plan.h_values
     quad = plan.quadratic
     coupled = not plan.all_gaussian
@@ -294,7 +286,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     jitter = np.empty(len(rngs)) if jittered else None
     for row, gen in enumerate(rngs):
         try:
-            x[row] = family.sample(plan.theta, gen)
+            x[row] = family.sample(plan.cell.theta, gen)
             if coupled:
                 normals[row] = gen.standard_normal(n)
                 if jittered:
@@ -303,7 +295,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
             exc.row = row
             raise
 
-    scores = np.asarray(family.score(x, plan.theta), dtype=float)
+    scores = np.asarray(family.score(x, plan.cell.theta), dtype=float)
     weighted_sum = _row_dots(h_vals, scores)
     if not coupled:
         # scores are exact Gaussians already: identity coupling, and the
@@ -317,20 +309,20 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
             data = ExperimentDraw(
                 model="original",
                 n=n,
-                design=plan.t,
+                design=plan.cell.t,
                 observations=x,
                 family=family.name,
-                f_desc=plan.f.descriptor,
+                f_desc=plan.cell.f.descriptor,
                 h_desc=plan.h.descriptor,
             )
-            rho = lase_terms(family, plan.f, plan.h, data).remainder
-        noise = np.sqrt(plan.info) * normals
+            rho = lase_terms(family, plan.cell.f, plan.h, data).remainder
+        noise = np.sqrt(plan.cell.info) * normals
         if not jittered:
             zeta = noise
         else:
             u = plan.sum_law.uniformize(weighted_sum, jitter)
             coupled_sum = plan.sum_law.sigma * special.ndtri(u)
-            fill = h_vals * plan.info / plan.sigma2
+            fill = h_vals * plan.cell.info / plan.sigma2
             zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
         loglik_gauss = _row_dots(h_vals, zeta) - quad
     return CoupledLikelihoodDraw(

@@ -124,34 +124,46 @@ def read_draw(path) -> ExperimentDraw:
 # ---------------------------------------------------------------------------
 
 
-def _working_values(family: ParametricFamily, f: RegressionFunction, n: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class DesignCell:
+    """The checked design of one (family, f, n) unit; every draw of the unit shares it."""
+
+    family: ParametricFamily
+    f: RegressionFunction
+    n: int
+    t: np.ndarray
+    theta: np.ndarray
+    info: np.ndarray
+
+
+def design_cell(family: ParametricFamily, f: RegressionFunction, n: int) -> DesignCell:
+    """t = i/n, theta = f(t) in the working interval, info = I(theta), all read-only."""
+    if n < 0:
+        raise ArgumentError("design size n must be nonnegative")
     t = design_grid(n)
     theta = np.asarray(f(t), dtype=float)
-    if theta.size and not family.in_working_interval(theta):
+    if not family.in_working_interval(theta):
         lo, hi = family.working_interval
         raise DomainError(
             f"{family.name}: regression values leave the working interval [{lo}, {hi}]"
         )
-    return theta
+    family.require_theta(theta)
+    info = np.asarray(family.fisher(theta), dtype=float)
+    t.flags.writeable = theta.flags.writeable = info.flags.writeable = False
+    return DesignCell(family, f, n, t, theta, info)
 
 
 def sample_original(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    n: int,
-    rng: np.random.Generator,
-    seed: int = 0,
+    cell: DesignCell, rng: np.random.Generator, seed: int = 0
 ) -> ExperimentDraw:
-    """n independent observations X_i ~ p(., f(i/n))."""
-    theta = _working_values(family, f, n)
-    obs = family.sample(theta, rng) if n > 0 else np.empty(0)
+    """n independent observations X_i ~ p(., f(i/n)) on the cell's design."""
     return ExperimentDraw(
         model="original",
-        n=n,
-        design=design_grid(n),
-        observations=np.asarray(obs, dtype=float),
-        family=family.name,
-        f_desc=f.descriptor,
+        n=cell.n,
+        design=cell.t,
+        observations=cell.family.sample(cell.theta, rng),
+        family=cell.family.name,
+        f_desc=cell.f.descriptor,
         seed=seed,
     )
 
@@ -258,10 +270,11 @@ def lindeberg_sum(
         raise ArgumentError("alpha must lie in (0, 1)")
     if eps <= 0.0:
         raise ArgumentError("eps must be positive")
-    theta = _working_values(family, f, n)
+    if n <= 0:
+        raise ArgumentError("need at least one design point")
     threshold = eps * n ** ((1.0 - alpha) / 2.0)
     total = 0.0
-    for th in theta:
+    for th in design_cell(family, f, n).theta:
         law = family.score_law(float(th))
         # nudge the clip inward so boundary atoms land in the tail (>=)
         _, m2_in, _ = law.clipped_moments(threshold * (1.0 - 1e-12))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distances import DistanceReport
 from .errors import ArgumentError
-from .experiments import ExperimentDraw, _working_values, design_grid, sample_original
+from .experiments import ExperimentDraw, design_cell, sample_original
 from .families import ParametricFamily
 from .function_space import RegressionFunction, rate_gamma_bar
 
@@ -435,15 +435,11 @@ def homoscedastic_transform_check(
     """
     if n <= 0:
         raise ArgumentError("need at least one design point")
-    t = design_grid(n)
-    theta = _working_values(family, f, n)
-    shifted = family.require_theta(theta + np.asarray(h(t), dtype=float))
-    m1 = np.asarray(family.gamma(shifted), dtype=float) - np.asarray(
-        family.gamma(theta), dtype=float
-    )
-    m2 = np.asarray(h(t), dtype=float) * np.sqrt(
-        np.asarray(family.fisher(theta), dtype=float)
-    )
+    cell = design_cell(family, f, n)
+    h_vals = np.asarray(h(cell.t), dtype=float)
+    shifted = family.require_theta(cell.theta + h_vals)
+    m1 = family.gamma(shifted) - family.gamma(cell.theta)
+    m2 = h_vals * np.sqrt(cell.info)
     value = 1.0 - math.exp(-0.125 * float(np.sum((m1 - m2) ** 2)))
     return DistanceReport(
         kind="hellinger2",
@@ -499,21 +495,22 @@ def risk_transfer_demo(
     caps = np.asarray(loss_grid, dtype=float)
     if caps.ndim != 1 or caps.size == 0 or np.any(caps <= 0.0):
         raise ArgumentError("loss_grid must be a nonempty list of positive caps")
-    t = design_grid(n)
-    truth = np.asarray(f(t), dtype=float)
+    if n < 8:
+        raise ArgumentError("need at least 8 observations to split and block")
+    cell = design_cell(family, f, n)
     err_a = np.empty(R)
     err_b = np.empty(R)
 
     def replicate(r):
         # one generator: replicate r's sample, then its kernel noise
-        return sample_original(family, f, n, rng, seed=r), rng.standard_normal(n)
+        return sample_original(cell, rng, seed=r), rng.standard_normal(n)
 
     for lo, hi, stack, noise in _replicate_stacks(n, 0, R, replicate):
         fhat_a = preliminary_estimate(family, stack, beta)
-        err_a[lo:hi] = np.max(np.abs(fhat_a(t) - truth), axis=-1)
+        err_a[lo:hi] = np.max(np.abs(fhat_a(cell.t) - cell.theta), axis=-1)
         gz = gaussianize(family, stack, beta, noise, q=q)
         fhat_b = gamma_scale_estimate(family, gz.draw, beta)
-        err_b[lo:hi] = np.max(np.abs(fhat_b(t) - truth), axis=-1)
+        err_b[lo:hi] = np.max(np.abs(fhat_b(cell.t) - cell.theta), axis=-1)
 
     def risk_rows(errors):
         losses = np.minimum(errors[None, :] ** 2, caps[:, None])

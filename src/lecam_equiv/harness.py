@@ -32,7 +32,7 @@ from . import __version__
 from .coupling import CouplingPlan, audit_cc_conditions, build_coupled_draw
 from .distances import mc_hellinger_coupled
 from .errors import ArgumentError, ConfigError, NumericError
-from .experiments import design_grid, sample_original
+from .experiments import design_cell, sample_original
 from .families import check_regularity, get_family
 from .function_space import RegressionFunction, parse_function, rate_gamma_bar
 from .globalization import (
@@ -329,7 +329,7 @@ def _run_local_hellinger(config: StudyConfig, n: int):
     batches = _coupled_batches(config, n, config.batches)
     for batch, (plan, draws) in enumerate(batches):
         report = mc_hellinger_coupled(
-            draws, n=n, family=plan.family.name,
+            draws, n=n, family=plan.cell.family.name,
             f_desc=config.f_desc, h_desc=plan.h.descriptor,
             seed=derive_seed(config.master_seed, n, batch * config.replicates),
         )
@@ -382,9 +382,8 @@ def _fold_cc_audit(config: StudyConfig, results):
 def _run_globalize(config: StudyConfig, unit):
     n, batch = unit
     family = config.resolve_family()
-    f = config.resolve_f()
-    t = design_grid(n)
-    target = np.asarray(family.gamma(np.asarray(f(t), dtype=float)), dtype=float)
+    cell = design_cell(family, config.resolve_f(), n)
+    target = np.asarray(family.gamma(cell.theta), dtype=float)
     crit = 1.628 / math.sqrt(n)
     lo = batch * config.replicates // config.batches
     hi = (batch + 1) * config.replicates // config.batches
@@ -392,7 +391,7 @@ def _run_globalize(config: StudyConfig, unit):
     def replicate(r):
         seed = derive_seed(config.master_seed, n, r)
         try:
-            draw = sample_original(family, f, n, stream_rng(seed), seed=r)
+            draw = sample_original(cell, stream_rng(seed), seed=r)
         except NumericError as exc:
             _numeric_context(exc, n, r, seed)
         noise = stream_rng(derive_seed(config.master_seed, n, r + (1 << 32)))

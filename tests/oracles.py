@@ -7,7 +7,13 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from lecam_equiv.errors import NumericError
-from lecam_equiv.experiments import ExperimentDraw, design_grid, lase_terms, sample_original
+from lecam_equiv.experiments import (
+    ExperimentDraw,
+    design_cell,
+    design_grid,
+    lase_terms,
+    sample_original,
+)
 from lecam_equiv.families import default_delta_r2
 from lecam_equiv.globalization import gamma_scale_estimate, gaussianize, preliminary_estimate
 from lecam_equiv.harness import derive_seed, stream_rng
@@ -110,8 +116,9 @@ def risk_transfer_errors(family, f, n, rng, R, beta=1.0, q=0.25):
     truth = np.asarray(f(t), dtype=float)
     err_a = np.empty(R)
     err_b = np.empty(R)
+    cell = design_cell(family, f, n)
     for r in range(R):
-        draw = sample_original(family, f, n, rng, seed=r)
+        draw = sample_original(cell, rng, seed=r)
         err_a[r] = float(np.max(np.abs(preliminary_estimate(family, draw, beta)(t) - truth)))
         gz = gaussianize(family, draw, beta, rng.standard_normal(n), q=q)
         fhat = gamma_scale_estimate(family, gz.draw, beta)
@@ -125,10 +132,11 @@ def globalize_ks(config, n, replicates):
     f = config.resolve_f()
     target = np.asarray(family.gamma(np.asarray(f(design_grid(n)), dtype=float)), dtype=float)
     k = np.arange(1, n + 1, dtype=float)
+    cell = design_cell(family, f, n)
     out = []
     for r in replicates:
         rng = stream_rng(derive_seed(config.master_seed, n, r))
-        draw = sample_original(family, f, n, rng, seed=r)
+        draw = sample_original(cell, rng, seed=r)
         noise = stream_rng(derive_seed(config.master_seed, n, r + (1 << 32))).standard_normal(n)
         gz = gaussianize(family, draw, config.beta, noise, q=config.q)
         u = np.sort(ndtr(gz.draw.observations - target))
@@ -174,11 +182,12 @@ def coupled_draw_fields(plan, rng):
     the sample, then standard_normal(n) for the Gaussian fill, then one
     jitter normal for the quantile transform of the sum law.
     """
-    family, n = plan.family, plan.n
+    cell = plan.cell
+    family, n = cell.family, cell.n
     h_vals = plan.h_values
     quad = plan.quadratic
-    x = family.sample(plan.theta, rng)
-    scores = np.asarray(family.score(x, plan.theta), dtype=float)
+    x = family.sample(cell.theta, rng)
+    scores = np.asarray(family.score(x, cell.theta), dtype=float)
     weighted_sum = float(np.dot(h_vals, scores))
     if plan.all_gaussian:
         rho = 0.0
@@ -189,11 +198,11 @@ def coupled_draw_fields(plan, rng):
             rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
         else:
             draw = ExperimentDraw(
-                "original", n, plan.t, np.asarray(x, dtype=float),
-                family.name, plan.f.descriptor, plan.h.descriptor,
+                "original", n, cell.t, np.asarray(x, dtype=float),
+                family.name, cell.f.descriptor, plan.h.descriptor,
             )
-            rho = lase_terms(family, plan.f, plan.h, draw).remainder
-        noise = np.sqrt(plan.info) * rng.standard_normal(n)
+            rho = lase_terms(family, cell.f, plan.h, draw).remainder
+        noise = np.sqrt(cell.info) * rng.standard_normal(n)
         if plan.sum_law is None:
             zeta = noise
         else:
@@ -202,7 +211,7 @@ def coupled_draw_fields(plan, rng):
             jitter = rng.standard_normal(t.shape) * law.smooth_bw
             u = np.clip(np.interp(t + jitter, law.grid, law.cdf_grid), 1e-14, 1.0 - 1e-14)
             coupled_sum = law.sigma * float(ndtri(u))
-            fill = h_vals * plan.info / plan.sigma2
+            fill = h_vals * cell.info / plan.sigma2
             zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
         loglik_gauss = float(np.dot(h_vals, zeta)) - quad
     loglik_orig = weighted_sum - quad + rho

@@ -22,7 +22,7 @@ from lecam_equiv.distances import (
     hellinger_sq_product,
     mc_hellinger_coupled,
 )
-from lecam_equiv.experiments import lase_terms, sample_original, standard_test_pair
+from lecam_equiv.experiments import design_cell, lase_terms, sample_original, standard_test_pair
 from lecam_equiv.families import fisher_info_quadrature, get_family
 from lecam_equiv.function_space import RegressionFunction, rate_gamma_bar
 from lecam_equiv.globalization import (
@@ -201,8 +201,9 @@ def test_criterion_05_expansion_identities_and_quadratic_term():
     for name in BUILTINS:
         family = get_family(name)
         f, h = standard_test_pair(family, 512)
+        cell = design_cell(family, f, 512)
         for rep in range(25):
-            draw = sample_original(family, f, 512, stream_rng(derive_seed(505, 512, rep)), seed=rep)
+            draw = sample_original(cell, stream_rng(derive_seed(505, 512, rep)), seed=rep)
             terms = lase_terms(family, f, h, draw)
             err_a = abs(terms.exact_loglik - (2.0 * terms.xn - 4.0 * terms.vn + terms.rho_prop))
             err_b = abs(terms.exact_loglik - (terms.linear - terms.quadratic + terms.remainder))
@@ -214,8 +215,9 @@ def test_criterion_05_expansion_identities_and_quadratic_term():
     for name in ("bernoulli", "poisson"):
         family = get_family(name)
         f, h = standard_test_pair(family, n)
+        cell = design_cell(family, f, n)
         for rep in range(5):
-            draw = sample_original(family, f, n, stream_rng(derive_seed(506, n, rep)), seed=rep)
+            draw = sample_original(cell, stream_rng(derive_seed(506, n, rep)), seed=rep)
             terms = lase_terms(family, f, h, draw)
             target = terms.quadratic / 4.0  # = (1/8) sum h^2 I
             worst_rel = max(worst_rel, abs(terms.vn - target) / target)
@@ -357,8 +359,9 @@ def test_criterion_09_globalization_audit():
     target = float(family.gamma(0.5))
     crit = 1.628 / math.sqrt(n)
     passes = 0
+    cell = design_cell(family, f, n)
     for s in range(50):
-        draw = sample_original(family, f, n, stream_rng(derive_seed(909, n, s)), seed=s)
+        draw = sample_original(cell, stream_rng(derive_seed(909, n, s)), seed=s)
         noise = stream_rng(derive_seed(909, n, s + (1 << 32))).standard_normal(n)
         out = gaussianize(family, draw, 1.0, noise)
         u = np.sort(ndtr(out.draw.observations - target))

@@ -12,7 +12,7 @@ import pytest
 import lecam_equiv
 import lecam_equiv.cli as cli
 from lecam_equiv.errors import NumericError
-from lecam_equiv.experiments import read_draw, sample_original, write_draw
+from lecam_equiv.experiments import design_cell, read_draw, sample_original, write_draw
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction
 
@@ -146,7 +146,7 @@ def test_check_family_bad_number_exit_two(flags, capsys):
 def test_gaussianize_roundtrip(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(
-        family, RegressionFunction.constant(0.5), 64, np.random.default_rng(3), seed=3
+        design_cell(family, RegressionFunction.constant(0.5), 64), np.random.default_rng(3), seed=3
     )
     src = tmp_path / "draw.csv"
     write_draw(draw, src)
@@ -164,7 +164,7 @@ def test_gaussianize_roundtrip(tmp_path, capsys):
 def test_gaussianize_is_deterministic_given_seed(tmp_path):
     family = get_family("poisson")
     draw = sample_original(
-        family, RegressionFunction.constant(1.0), 64, np.random.default_rng(4), seed=4
+        design_cell(family, RegressionFunction.constant(1.0), 64), np.random.default_rng(4), seed=4
     )
     src = tmp_path / "draw.csv"
     write_draw(draw, src)
@@ -178,7 +178,7 @@ def test_gaussianize_is_deterministic_given_seed(tmp_path):
 def test_gaussianize_default_output_path(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(
-        family, RegressionFunction.constant(0.5), 32, np.random.default_rng(5), seed=5
+        design_cell(family, RegressionFunction.constant(0.5), 32), np.random.default_rng(5), seed=5
     )
     src = tmp_path / "draw.csv"
     write_draw(draw, src)
@@ -196,7 +196,7 @@ def test_gaussianize_missing_file_exit_two(tmp_path, capsys):
 def test_gaussianize_rejects_wrong_model_exit_two(tmp_path, capsys):
     family = get_family("bernoulli")
     draw = sample_original(
-        family, RegressionFunction.constant(0.5), 64, np.random.default_rng(6), seed=6
+        design_cell(family, RegressionFunction.constant(0.5), 64), np.random.default_rng(6), seed=6
     )
     src = tmp_path / "draw.csv"
     write_draw(draw, src)
@@ -213,7 +213,7 @@ def test_gaussianize_rejects_wrong_model_exit_two(tmp_path, capsys):
 )
 def test_gaussianize_non_numeric_draw_file_exit_two(tmp_path, capsys, old, new):
     draw = sample_original(
-        get_family("bernoulli"), RegressionFunction.constant(0.5), 8,
+        design_cell(get_family("bernoulli"), RegressionFunction.constant(0.5), 8),
         np.random.default_rng(7), seed=7,
     )
     src = tmp_path / "draw.csv"

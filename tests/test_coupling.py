@@ -26,6 +26,7 @@ from lecam_equiv.errors import (
 )
 from lecam_equiv.experiments import (
     ExperimentDraw,
+    design_cell,
     lase_terms,
     sample_original,
     standard_test_pair,
@@ -41,7 +42,7 @@ KS_CRIT_1PCT = 1.628
 
 
 def quad_term(plan):
-    return 0.5 * float(np.dot(plan.h_values**2, plan.info))
+    return 0.5 * float(np.dot(plan.h_values**2, plan.cell.info))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
     stack = build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(5)])
     for seed in range(5):
         # a draw samples first, so the same seed reproduces its dataset
-        x = fam.sample(plan.theta, np.random.default_rng(seed))
-        data = ExperimentDraw("original", n, plan.t, x, fam.name, f.descriptor, h.descriptor)
+        x = fam.sample(plan.cell.theta, np.random.default_rng(seed))
+        data = ExperimentDraw("original", n, plan.cell.t, x, fam.name, f.descriptor, h.descriptor)
         exact = lase_terms(fam, f, h, data).exact_loglik
         assert abs(stack.log_lik_original[seed] - exact) <= 1e-12
 
@@ -280,8 +281,8 @@ def test_stacked_draws_match_single_draws(kind, replicates):
     assert (plan.sum_law is None) == (kind in ("location_normal", "zero_shift"))
     assert (plan.remainder_weights is None) == (kind in ("location_normal", "location_custom"))
     seeds = [[29, r] for r in range(replicates)]
-    bounds = _stack_bounds(plan.n, 0, replicates)
-    assert (len(bounds) > 1) == (replicates == 50 and plan.n == 1024)
+    bounds = _stack_bounds(plan.cell.n, 0, replicates)
+    assert (len(bounds) > 1) == (replicates == 50 and plan.cell.n == 1024)
     for start, stop in bounds:
         stack = build_coupled_draw(
             plan, [np.random.default_rng(seeds[r]) for r in range(start, stop)]
@@ -355,7 +356,7 @@ def test_coupled_draw_gaussian_side_has_exact_product_law():
     for row in range(400):
         _, log_lik_gaussian, _, gaussians, _ = coupled_draw_fields(plan, rng)
         assert _bytes(stack.log_lik_gaussian[row]) == _bytes(log_lik_gaussian)
-        rows.append(gaussians / np.sqrt(plan.info))
+        rows.append(gaussians / np.sqrt(plan.cell.info))
         sums.append((log_lik_gaussian + quad_term(plan)) / plan.sum_law.sigma)
     flat = np.concatenate(rows)
     assert stats.kstest(flat, "norm").statistic < KS_CRIT_1PCT / math.sqrt(flat.size)
@@ -395,7 +396,7 @@ def test_coupled_hellinger_estimate_decreases_with_n():
     [
         lambda fam, f, rng: CouplingPlan(fam, f, RegressionFunction.constant(0.0), 16),
         lambda fam, f, rng: truncate_scores(fam, f, 16, 0.75, rng),
-        lambda fam, f, rng: sample_original(fam, f, 16, rng),
+        lambda fam, f, rng: sample_original(design_cell(fam, f, 16), rng),
     ],
     ids=["coupling_plan", "truncate_scores", "sample_original"],
 )

@@ -10,6 +10,7 @@ from scipy import stats
 from lecam_equiv.errors import ArgumentError, DomainError
 from lecam_equiv.experiments import (
     ExperimentDraw,
+    design_cell,
     design_grid,
     lase_terms,
     lindeberg_sum,
@@ -63,7 +64,7 @@ def test_draw_holds_a_stack_of_replicates_on_one_design(tmp_path):
 def test_draw_file_roundtrip(tmp_path):
     fam = get_family("poisson")
     f = RegressionFunction.affine(1.5, 1.0)
-    draw = sample_original(fam, f, 17, np.random.default_rng(5), seed=5)
+    draw = sample_original(design_cell(fam, f, 17), np.random.default_rng(5), seed=5)
     path = tmp_path / "draw.csv"
     write_draw(draw, path)
     back = read_draw(path)
@@ -104,21 +105,23 @@ def test_draw_file_header_and_row_validation(tmp_path):
 def test_sample_original_enforces_working_interval():
     fam = get_family("bernoulli")
     f = RegressionFunction.affine(0.9, 0.2)
-    with pytest.raises(DomainError):
-        sample_original(fam, f, 8, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="working interval"):
+        design_cell(fam, f, 8)
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        design_cell(fam, RegressionFunction.constant(0.5), -1)
 
 
 def test_sample_original_empty_draw_allowed():
     fam = get_family("bernoulli")
     f = RegressionFunction.constant(0.5)
-    draw = sample_original(fam, f, 0, np.random.default_rng(0))
+    draw = sample_original(design_cell(fam, f, 0), np.random.default_rng(0))
     assert draw.n == 0 and draw.observations.size == 0
 
 
 def test_sample_original_matches_family_law():
     fam = get_family("bernoulli")
     f = RegressionFunction.constant(0.3)
-    draw = sample_original(fam, f, 20000, np.random.default_rng(11))
+    draw = sample_original(design_cell(fam, f, 20000), np.random.default_rng(11))
     assert set(np.unique(draw.observations)) <= {0.0, 1.0}
     # binomial(20000, 0.3) mean within 4 sigma
     assert abs(draw.observations.mean() - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 20000)
@@ -160,7 +163,7 @@ def test_loglik_single_bernoulli_point():
 def test_loglik_antisymmetry(name):
     fam = get_family(name)
     f, h = standard_test_pair(fam, 64)
-    draw = sample_original(fam, f, 64, np.random.default_rng(21))
+    draw = sample_original(design_cell(fam, f, 64), np.random.default_rng(21))
     forward = lase_terms(fam, f, h, draw).exact_loglik
     shifted = SumFunction(f, h)
     neg_h = RegressionFunction.sinusoid(-h.params[0], h.params[1], h.params[2])
@@ -177,7 +180,7 @@ def test_loglik_antisymmetry(name):
 def test_lase_identities_hold_exactly(name):
     fam = get_family(name)
     f, h = standard_test_pair(fam, 256)
-    draw = sample_original(fam, f, 256, np.random.default_rng(9))
+    draw = sample_original(design_cell(fam, f, 256), np.random.default_rng(9))
     terms = lase_terms(fam, f, h, draw)
     lhs = terms.linear - terms.quadratic + terms.remainder
     assert terms.exact_loglik == pytest.approx(lhs, abs=1e-10)
@@ -196,7 +199,8 @@ def test_stacked_lase_terms_rows_equal_single_draws(name):
     else:
         fam = get_family(name)
         f, h = standard_test_pair(fam, 100)
-    rows = [sample_original(fam, f, 100, np.random.default_rng(seed)) for seed in range(4)]
+    cell = design_cell(fam, f, 100)
+    rows = [sample_original(cell, np.random.default_rng(seed)) for seed in range(4)]
     stack = ExperimentDraw(
         "original", 100, rows[0].design, np.stack([d.observations for d in rows]),
         fam.name, f.descriptor,
@@ -216,7 +220,7 @@ def test_lase_location_normal_remainder_is_zero():
     # Gaussian shifts have an exactly quadratic log-likelihood ratio
     fam = get_family("location_normal")
     f, h = standard_test_pair(fam, 512)
-    draw = sample_original(fam, f, 512, np.random.default_rng(4))
+    draw = sample_original(design_cell(fam, f, 512), np.random.default_rng(4))
     terms = lase_terms(fam, f, h, draw)
     assert abs(terms.remainder) < 1e-10
 
@@ -228,8 +232,9 @@ def test_vn_is_deterministic_and_matches_quadratic_scale():
         fam = get_family(name)
         n = 4096
         f, h = standard_test_pair(fam, n)
-        d1 = sample_original(fam, f, n, np.random.default_rng(1))
-        d2 = sample_original(fam, f, n, np.random.default_rng(2))
+        cell = design_cell(fam, f, n)
+        d1 = sample_original(cell, np.random.default_rng(1))
+        d2 = sample_original(cell, np.random.default_rng(2))
         t1 = lase_terms(fam, f, h, d1)
         t2 = lase_terms(fam, f, h, d2)
         assert t1.vn == t2.vn
@@ -247,8 +252,9 @@ def test_xn_is_centered():
     rng = np.random.default_rng(77)
     vals = np.empty(reps)
     vn = None
+    cell = design_cell(fam, f, n)
     for r in range(reps):
-        draw = sample_original(fam, f, n, rng)
+        draw = sample_original(cell, rng)
         terms = lase_terms(fam, f, h, draw)
         vals[r] = terms.xn
         vn = terms.vn
@@ -263,8 +269,9 @@ def test_rho_prop_shrinks_with_n(name):
     for n in (256, 4096):
         f, h = standard_test_pair(fam, n)
         vals = []
+        cell = design_cell(fam, f, n)
         for _ in range(200):
-            draw = sample_original(fam, f, n, rng)
+            draw = sample_original(cell, rng)
             vals.append(abs(lase_terms(fam, f, h, draw).rho_prop))
         medians.append(float(np.median(vals)))
     if name == "location_normal":
@@ -318,6 +325,9 @@ def test_lindeberg_rejects_bad_arguments():
         lindeberg_sum(fam, f, 100, 1.5, 0.1)
     with pytest.raises(ArgumentError):
         lindeberg_sum(fam, f, 100, 0.5, 0.0)
+    for n in (0, -4):
+        with pytest.raises(ArgumentError, match="at least one design point"):
+            lindeberg_sum(fam, f, n, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------

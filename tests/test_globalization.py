@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from lecam_equiv.errors import ArgumentError, DomainError
-from lecam_equiv.experiments import ExperimentDraw, design_grid, sample_original
+from lecam_equiv.experiments import ExperimentDraw, design_cell, design_grid, sample_original
 from lecam_equiv.families import get_family
 from lecam_equiv.function_space import RegressionFunction, rate_gamma_bar
 from lecam_equiv.globalization import (
@@ -124,11 +124,12 @@ def test_preliminary_estimate_sup_error_bernoulli():
     f = RegressionFunction.constant(0.5)
     n = 1 << 14
     t = design_grid(n)
+    cell = design_cell(family, f, n)
     hits = 0
     seeds = 20
     for s in range(seeds):
         rng = np.random.default_rng(500 + s)
-        draw = sample_original(family, f, n, rng, seed=s)
+        draw = sample_original(cell, rng, seed=s)
         fhat = preliminary_estimate(family, draw, beta=1.0)
         if np.max(np.abs(fhat(t) - 0.5)) <= 0.08:
             hits += 1
@@ -142,10 +143,11 @@ def test_preliminary_estimate_error_decreases_with_n():
     for n in (1 << 10, 1 << 12, 1 << 14):
         t = design_grid(n)
         truth = f(t)
+        cell = design_cell(family, f, n)
         errs = []
         for s in range(15):
             rng = np.random.default_rng(900 + s)
-            draw = sample_original(family, f, n, rng, seed=s)
+            draw = sample_original(cell, rng, seed=s)
             fhat = preliminary_estimate(family, draw, beta=1.0)
             errs.append(float(np.max(np.abs(fhat(t) - truth))))
         medians.append(float(np.median(errs)))
@@ -179,7 +181,7 @@ def test_preliminary_estimate_rejects_other_models():
 def test_preliminary_estimate_reports_target_rate():
     family = get_family("poisson")
     rng = np.random.default_rng(4)
-    draw = sample_original(family, RegressionFunction.constant(1.0), 512, rng)
+    draw = sample_original(design_cell(family, RegressionFunction.constant(1.0), 512), rng)
     fhat = preliminary_estimate(family, draw, beta=1.0)
     assert fhat.sup_target == rate_gamma_bar(512, 1.0, 1.0)
 
@@ -193,7 +195,7 @@ def test_gaussianize_never_reads_the_truth_descriptor():
     family = get_family("bernoulli")
     f = RegressionFunction.affine(0.25, 0.1)
     rng = np.random.default_rng(11)
-    draw = sample_original(family, f, 512, rng, seed=1)
+    draw = sample_original(design_cell(family, f, 512), rng, seed=1)
     relabeled = ExperimentDraw(
         model="original",
         n=draw.n,
@@ -214,7 +216,7 @@ def test_gaussianize_is_deterministic_given_seed():
     family = get_family("poisson")
     f = RegressionFunction.affine(1.5, 1.0)
     rng = np.random.default_rng(12)
-    draw = sample_original(family, f, 256, rng, seed=2)
+    draw = sample_original(design_cell(family, f, 256), rng, seed=2)
     noise = np.random.default_rng(5).standard_normal(256)
     kept = noise.copy()
     out_a = gaussianize(family, draw, 1.0, noise)
@@ -227,7 +229,7 @@ def test_gaussianize_output_shape_and_tags():
     family = get_family("gaussian_scale")
     f = RegressionFunction.affine(2.0, 1.0)
     rng = np.random.default_rng(13)
-    draw = sample_original(family, f, 300, rng, seed=3)
+    draw = sample_original(design_cell(family, f, 300), rng, seed=3)
     out = gaussianize(family, draw, 1.0, np.random.default_rng(6).standard_normal(300))
     assert out.draw.model == "gaussianized"
     assert out.draw.n == 300
@@ -247,9 +249,10 @@ def test_gaussianize_location_residuals_look_standard_normal():
     truth = np.asarray(family.gamma(f(t)), dtype=float)
     passes = 0
     seeds = 10
+    cell = design_cell(family, f, n)
     for s in range(seeds):
         rng = np.random.default_rng(2000 + s)
-        draw = sample_original(family, f, n, rng, seed=s)
+        draw = sample_original(cell, rng, seed=s)
         out = gaussianize(family, draw, 1.0, np.random.default_rng(3000 + s).standard_normal(n))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
@@ -266,9 +269,10 @@ def test_gaussianize_bernoulli_residuals_look_standard_normal():
     truth = np.asarray(family.gamma(f(t)), dtype=float)
     passes = 0
     seeds = 10
+    cell = design_cell(family, f, n)
     for s in range(seeds):
         rng = np.random.default_rng(4000 + s)
-        draw = sample_original(family, f, n, rng, seed=s)
+        draw = sample_original(cell, rng, seed=s)
         out = gaussianize(family, draw, 1.0, np.random.default_rng(5000 + s).standard_normal(n))
         resid = out.draw.observations - truth
         ks = stats.kstest(resid, "norm").statistic
@@ -281,11 +285,11 @@ def test_gaussianize_argument_checks():
     bern = get_family("bernoulli")
     pois = get_family("poisson")
     rng = np.random.default_rng(14)
-    draw = sample_original(bern, RegressionFunction.constant(0.5), 64, rng)
+    draw = sample_original(design_cell(bern, RegressionFunction.constant(0.5), 64), rng)
     noise = np.random.default_rng(0).standard_normal(64)
     with pytest.raises(ArgumentError):
         gaussianize(pois, draw, 1.0, noise)
-    small = sample_original(bern, RegressionFunction.constant(0.5), 6, rng)
+    small = sample_original(design_cell(bern, RegressionFunction.constant(0.5), 6), rng)
     with pytest.raises(ArgumentError):
         gaussianize(bern, small, 1.0, noise[:6])
     with pytest.raises(ArgumentError, match="does not match"):
@@ -317,7 +321,7 @@ def test_gaussianize_warns_when_block_statistics_clip():
 def test_gaussianize_single_block_flag_for_small_n():
     family = get_family("location_normal")
     rng = np.random.default_rng(15)
-    draw = sample_original(family, RegressionFunction.constant(0.0), 8, rng)
+    draw = sample_original(design_cell(family, RegressionFunction.constant(0.0), 8), rng)
     out = gaussianize(family, draw, 1.0, np.random.default_rng(1).standard_normal(8))
     assert out.single_block
     assert out.partition.n == 4  # even half of eight points
@@ -382,7 +386,7 @@ ORACLE_FUNCTIONS = {
 )
 def test_gaussianize_matches_per_block_reference(name, f, n):
     family = get_family(name)
-    draw = sample_original(family, f, n, np.random.default_rng(n), seed=n)
+    draw = sample_original(design_cell(family, f, n), np.random.default_rng(n), seed=n)
     rng_ref = np.random.default_rng(900 + n)
     rng_noise = np.random.default_rng(900 + n)
     y_ref, clips_ref = _gaussianize_per_block(family, draw, 1.0, rng_ref)
@@ -431,10 +435,10 @@ def _assert_stack_matches_rows(family, stack, seeds):
 def test_stacked_gaussianize_rows_match_single_draws(name, n, R):
     family = get_family(name)
     rng = np.random.default_rng([n, R])
-    draw = sample_original(family, ORACLE_FUNCTIONS[name], n, rng)
+    cell = design_cell(family, ORACLE_FUNCTIONS[name], n)
+    draw = sample_original(cell, rng)
     obs = np.stack([draw.observations]
-                   + [sample_original(family, ORACLE_FUNCTIONS[name], n, rng).observations
-                      for _ in range(R - 1)])
+                   + [sample_original(cell, rng).observations for _ in range(R - 1)])
     if R > 1:
         obs[1] = CLIPPING_VALUE[name]
     stack = dataclasses.replace(draw, observations=obs)
@@ -486,7 +490,7 @@ def test_gamma_scale_estimate_recovers_truth():
 def test_gamma_scale_estimate_rejects_original_data():
     family = get_family("poisson")
     rng = np.random.default_rng(17)
-    draw = sample_original(family, RegressionFunction.constant(1.0), 64, rng)
+    draw = sample_original(design_cell(family, RegressionFunction.constant(1.0), 64), rng)
     with pytest.raises(ArgumentError):
         gamma_scale_estimate(family, draw, beta=1.0)
 
@@ -594,6 +598,12 @@ def test_risk_transfer_argument_checks():
         risk_transfer_demo(family, f, 256, [], rng, R=50)
     with pytest.raises(ArgumentError):
         risk_transfer_demo(family, f, 256, [-1.0], rng, R=50)
+    # too small a design fails before the first replicate is drawn
+    state = rng.bit_generator.state
+    for n in (0, 4):
+        with pytest.raises(ArgumentError, match="at least 8 observations"):
+            risk_transfer_demo(family, f, n, [1.0], rng, R=50)
+    assert rng.bit_generator.state == state
 
 
 def test_risk_transfer_matches_per_replicate_oracle():

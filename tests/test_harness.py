@@ -21,7 +21,8 @@ from lecam_equiv.harness import (
 )
 
 import lecam_equiv.harness as harness_module
-from lecam_equiv.families import get_family
+from lecam_equiv.experiments import design_cell, sample_original
+from lecam_equiv.families import ParametricFamily, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import risk_transfer_demo
 
@@ -478,6 +479,30 @@ def test_replicate_stacks_keep_the_working_set_small():
     assert risk_peak < STACK_PEAK_BOUND_MB
     assert unit_peak < STACK_PEAK_BOUND_MB
     assert coupled_peak < STACK_PEAK_BOUND_MB
+
+
+def test_a_unit_checks_its_design_once(monkeypatch):
+    # each unit builds one design cell, and its draws sample the checked theta
+    checks = []
+    check = ParametricFamily.in_working_interval
+
+    def counting(self, theta):
+        checks.append(len(theta))
+        return check(self, theta)
+
+    monkeypatch.setattr(ParametricFamily, "in_working_interval", counting)
+    harness_module._run_globalize(_globalize_config(replicates=40, batches=1), (1024, 0))
+    risk_transfer_demo(get_family("bernoulli"), RegressionFunction.affine(0.4, 0.2), 256,
+                       [1.0], np.random.default_rng(0), R=50)
+    two_batches = dataclasses.replace(_coupled_config(replicates=16), batches=2)
+    harness_module._run_local_hellinger(two_batches, 1024)
+    assert checks == [1024, 256, 1024]
+
+    cell = design_cell(get_family("poisson"), RegressionFunction.affine(1.5, 1.0), 16)
+    for values in (cell.t, cell.theta, cell.info):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    assert sample_original(cell, np.random.default_rng(0)).design is cell.t
 
 
 def test_cc_audit_unit_keeps_only_the_two_log_likelihoods():

@@ -407,5 +407,5 @@ def test_clipped_mass_is_small_on_pinned_plans(family, f_desc, L, n, grid):
                         c_rate=config.c_rate, grid_size=grid)
     assert 0.0 <= plan.sum_law.clipped_mass < CLIPPED_MASS_BOUND
     # too coarse a grid leaves ringing that the clip must remove
-    laws = [plan.family.score_law(float(t)) for t in plan.theta]
+    laws = [plan.cell.family.score_law(float(t)) for t in plan.cell.theta]
     assert WeightedSumLaw(laws, plan.h_values, grid_size=16).clipped_mass > CLIPPED_MASS_BOUND

@@ -130,3 +130,40 @@ def test_every_record_field_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """The innermost def around each call of name, as name(...) or x.name(...)."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    callers.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_the_design_is_derived_in_one_place():
+    # every unit builds one checked design cell and its draws sample that
+    # theta; a second derivation of the grid or the check would bypass it
+    for name in ("design_grid", "in_working_interval"):
+        callers = [
+            owner
+            for path in sorted(SRC.glob("*.py"))
+            for owner in _callers(ast.parse(path.read_text()), name)
+        ]
+        assert callers == ["design_cell"], name
+
+
+def test_design_caller_is_reported():
+    tree = ast.parse(
+        "def a():\n    design_grid(3)\n\n\nclass B:\n"
+        "    def c(self):\n        return x.design_grid(1)\n\n\ndesign_grid(2)\n"
+    )
+    assert _callers(tree, "design_grid") == ["a", "c", "<module>"]
