@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ArgumentError, CapacityError, SupportMismatchError
 
@@ -89,6 +88,8 @@ def hellinger_sq_1d(p: DensityDescriptor, q: DensityDescriptor) -> float:
         qq = _align_on_union(union, q.values, q.probs)
         val = 0.5 * float(np.sum((np.sqrt(pp) - np.sqrt(qq)) ** 2))
     elif isinstance(p, PdfDescriptor) and isinstance(q, PdfDescriptor):
+        from scipy import integrate  # on use: no study kind reaches this branch
+
         lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
         val = 0.5 * integrate.quad(
             lambda x: (math.sqrt(max(float(p.fn(x)), 0.0)) - math.sqrt(max(float(q.fn(x)), 0.0)))

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ArgumentError, DomainError, NumericError, SingularityError
 from .laws import AtomLaw, ScaledChi2Law, ScoreLaw, StandardNormalLaw
@@ -35,6 +35,11 @@ from .laws import AtomLaw, ScaledChi2Law, ScoreLaw, StandardNormalLaw
 def _out(out):
     """A map's numpy result as a Python float when it is 0-d."""
     return out if out.ndim else float(out)
+
+
+def _poisson_pmf(k, mu):
+    """Poisson(mu) pmf at integer k >= 0; the same bits as scipy.stats.poisson.pmf."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
 
 
 _FINE, _COARSE = 1024, 512
@@ -319,7 +324,7 @@ class Poisson(ParametricFamily):
 
     def _density(self, x, theta):
         return np.where(
-            (x >= 0) & (x == np.floor(x)), stats.poisson.pmf(np.floor(x), theta), 0.0
+            (x >= 0) & (x == np.floor(x)), _poisson_pmf(np.floor(x), theta), 0.0
         )
 
     def _score(self, x, theta):
@@ -372,7 +377,7 @@ class PoissonScoreLaw(ScoreLaw):
         if self._atom_cache is None:
             xs = Poisson().support_atoms(self.theta)
             self._atom_cache = AtomLaw(
-                xs / self.theta - 1.0, stats.poisson.pmf(xs, self.theta)
+                xs / self.theta - 1.0, _poisson_pmf(xs, self.theta)
             )
         return self._atom_cache
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ArgumentError
 
@@ -81,6 +80,8 @@ class RegressionFunction:
             knots_y = np.asarray(self.params[1::2])
             if np.any(np.diff(knots_t) <= 0):
                 raise ArgumentError("spline knots must have increasing t")
+            from scipy.interpolate import CubicSpline  # on use: most studies need no spline
+
             self._spline = CubicSpline(knots_t, knots_y, bc_type="natural")
             self._spline_d = self._spline.derivative()
         else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy import stats
 
 from .errors import ArgumentError, TruncationConstantError
 
@@ -126,9 +125,9 @@ class ScaledChi2Law(ScoreLaw):
         lo = max(0.0, 1.0 - self.theta * k)
         hi = 1.0 + self.theta * k
         # chi2(1) partial moments: E W 1{W<=w} = F_3(w), E W^2 1{W<=w} = 3 F_5(w)
-        p_in = stats.chi2.cdf(hi, 1) - stats.chi2.cdf(lo, 1)
-        ew = stats.chi2.cdf(hi, 3) - stats.chi2.cdf(lo, 3)
-        ew2 = 3.0 * (stats.chi2.cdf(hi, 5) - stats.chi2.cdf(lo, 5))
+        p_in = special.chdtr(1, hi) - special.chdtr(1, lo)
+        ew = special.chdtr(3, hi) - special.chdtr(3, lo)
+        ew2 = 3.0 * (special.chdtr(5, hi) - special.chdtr(5, lo))
         m1 = (ew - p_in) / self.theta
         m2 = (ew2 - 2.0 * ew + p_in) / self.theta**2
         return float(m1), float(m2), float(p_in)

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from lecam_equiv.errors import ArgumentError, DomainError, NumericError, SingularityError
 from lecam_equiv.families import (
     BUILTIN_FAMILIES,
     GaussianScale,
     ParametricFamily,
+    PoissonScoreLaw,
     TabulatedLocation,
+    _poisson_pmf,
     _r1_remainder,
     _secant_score,
     check_regularity,
@@ -157,6 +159,22 @@ def test_extended_tangent_bernoulli_limit():
     assert errors[0] > errors[1] > errors[2]
     assert errors[1] / errors[0] == pytest.approx(0.1, rel=0.5)
     assert errors[2] / errors[1] == pytest.approx(0.1, rel=0.5)
+
+
+def test_poisson_pmf_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(18)
+    k = rng.integers(0, 400, size=200_000).astype(float)
+    mu = rng.uniform(0.01, 200.0, size=k.size)
+    assert _poisson_pmf(k, mu).tobytes() == stats.poisson.pmf(k, mu).tobytes()
+
+
+def test_poisson_atoms_are_scipys_pmf_bit_for_bit():
+    fam = get_family("poisson")
+    for theta in np.linspace(0.1, 10.0, 100):
+        xs = fam.support_atoms(theta)
+        pmf = stats.poisson.pmf(xs, theta).tobytes()
+        assert fam.density(xs, theta).tobytes() == pmf
+        assert PoissonScoreLaw(theta).atoms().probs.tobytes() == pmf
 
 
 def test_extended_tangent_poisson_value():

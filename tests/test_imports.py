@@ -1,0 +1,103 @@
+"""A fresh `import lecam_equiv` loads numpy and scipy.special, nothing more of scipy.
+
+scipy.stats is not used by the package.  scipy.integrate loads with the
+quadrature branch of `hellinger_sq_1d`, and scipy.interpolate with a
+`spline` regression function.  Each check starts a fresh interpreter,
+because this test session has loaded all three already.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lecam_equiv import RegressionFunction, hellinger_sq_1d
+from lecam_equiv.distances import PdfDescriptor
+
+REPO = Path(__file__).resolve().parent.parent
+ON_USE = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
+KNOTS_T = [0.0, 0.25, 0.5, 0.75, 1.0]
+KNOTS_Y = [0.4, 0.5, 0.45, 0.55, 0.5]
+T = [0.1, 0.4, 0.6]
+
+
+def _fresh(code: str):
+    """Run code in a fresh interpreter on the source tree; its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    prelude = f"import json, math, sys\nON_USE = {ON_USE!r}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_parse_config_leave_the_on_use_modules_unloaded():
+    configs = sorted(str(path) for path in (REPO / "tests" / "golden").glob("*.ini"))
+    out = _fresh(
+        "import lecam_equiv\n"
+        "from lecam_equiv.harness import parse_config\n"
+        f"for path in {configs!r}:\n"
+        "    parse_config(path)\n"
+        "print(json.dumps([m for m in ON_USE if m in sys.modules]))\n"
+    )
+    assert configs and out == []
+
+
+def test_a_spline_function_loads_interpolate_on_use():
+    out = _fresh(
+        "from lecam_equiv import RegressionFunction\n"
+        "before = 'scipy.interpolate' in sys.modules\n"
+        f"f = RegressionFunction.spline({KNOTS_T!r}, {KNOTS_Y!r}, beta=1.0, L=2.0)\n"
+        "after = 'scipy.interpolate' in sys.modules\n"
+        f"print(json.dumps([before, after, f({KNOTS_T!r}).tolist(), f({T!r}).tolist(),"
+        f" f.derivative({T!r}).tolist()]))\n"
+    )
+    f = RegressionFunction.spline(KNOTS_T, KNOTS_Y, beta=1.0, L=2.0)
+    t = np.array(T)
+    assert out[:2] == [False, True]
+    assert out[2:] == [f(np.array(KNOTS_T)).tolist(), f(t).tolist(), f.derivative(t).tolist()]
+    # the values test_spline_interpolates_knots asserts
+    assert np.allclose(out[2], KNOTS_Y, atol=1e-12)
+    h = 1e-6
+    assert np.allclose(out[4], (f(t + h) - f(t - h)) / (2.0 * h), atol=1e-6)
+
+
+def _normal_pdf(mu):
+    return PdfDescriptor(
+        lambda x, m=mu: math.exp(-0.5 * (x - m) ** 2) / math.sqrt(2.0 * math.pi),
+        mu - 12.0,
+        mu + 12.0,
+    )
+
+
+def test_a_quadrature_hellinger_loads_integrate_on_use():
+    out = _fresh(
+        "from lecam_equiv import hellinger_sq_1d\n"
+        "from lecam_equiv.distances import PdfDescriptor\n"
+        "def normal_pdf(mu):\n"
+        "    return PdfDescriptor(\n"
+        "        lambda x, m=mu: math.exp(-0.5 * (x - m) ** 2) / math.sqrt(2.0 * math.pi),\n"
+        "        mu - 12.0,\n"
+        "        mu + 12.0,\n"
+        "    )\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "h2 = hellinger_sq_1d(normal_pdf(0.0), normal_pdf(2.0))\n"
+        "print(json.dumps([before, 'scipy.integrate' in sys.modules, h2]))\n"
+    )
+    assert out[:2] == [False, True]
+    assert out[2] == hellinger_sq_1d(_normal_pdf(0.0), _normal_pdf(2.0))
+    # the value test_hellinger_gaussian_quadrature_matches_closed_form asserts
+    assert out[2] == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)

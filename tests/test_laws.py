@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
@@ -112,6 +112,31 @@ def test_scaled_chi2_law_matches_quadrature():
         assert m1 == pytest.approx(q1, abs=1e-8)
         assert m2 == pytest.approx(q2, abs=1e-8)
         assert p == pytest.approx(qp, abs=1e-8)
+
+
+@pytest.mark.parametrize("df", [1, 3, 5])
+def test_chdtr_is_scipys_chi2_cdf_bit_for_bit(df):
+    rng = np.random.default_rng(df)
+    x = np.concatenate(
+        [[0.0, np.inf], rng.uniform(0.0, 4.0, 100_000), rng.exponential(20.0, 100_000)]
+    )
+    assert special.chdtr(df, x).tobytes() == stats.chi2.cdf(x, df).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+def test_scaled_chi2_clipped_moments_are_the_stats_formula_bit_for_bit(theta, kappa):
+    # k = kappa / theta: below 1/theta the lower bound 1 - theta k is positive, above it 0
+    k = kappa / theta
+    lo, hi = max(0.0, 1.0 - theta * k), 1.0 + theta * k
+    assert (lo == 0.0) == (kappa > 1.0)
+    cdf = stats.chi2.cdf
+    p_in = cdf(hi, 1) - cdf(lo, 1)
+    ew = cdf(hi, 3) - cdf(lo, 3)
+    ew2 = 3.0 * (cdf(hi, 5) - cdf(lo, 5))
+    expected = ((ew - p_in) / theta, (ew2 - 2.0 * ew + p_in) / theta**2, p_in)
+    got = ScaledChi2Law(theta).clipped_moments(k)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_scaled_chi2_cf_matches_quadrature():

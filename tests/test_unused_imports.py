@@ -44,6 +44,63 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
 
 
+def _import_time_scipy(tree: ast.Module) -> list[str]:
+    """scipy subpackages other than special imported outside any function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                visit(child)
+                continue
+            found.extend(
+                f"{name} (line {child.lineno})"
+                for name in names
+                if name.startswith("scipy.") and name.split(".")[1] != "special"
+            )
+
+    visit(tree)
+    return found
+
+
+def test_scipy_beyond_special_is_imported_on_use():
+    # `import lecam_equiv` loads numpy and scipy.special only: a study
+    # that never reaches quadrature or a spline should not pay for
+    # scipy.integrate or scipy.interpolate at import
+    found = {
+        path.name: eager
+        for path in sorted(SRC.glob("*.py"))
+        if (eager := _import_time_scipy(ast.parse(path.read_text())))
+    }
+    assert found == {}, (
+        "import these scipy subpackages inside the function that uses them; "
+        "only scipy.special loads with the package"
+    )
+
+
+def test_import_time_scipy_is_reported():
+    tree = ast.parse(
+        "import scipy\nimport scipy.stats\nfrom scipy import special, integrate\n"
+        "from scipy.special import ndtr\nfrom scipy.interpolate import CubicSpline\n"
+        "class A:\n    from scipy import fft\n\n\n"
+        "def f():\n    from scipy import optimize\n"
+    )
+    assert _import_time_scipy(tree) == [
+        "scipy.stats (line 2)",
+        "scipy.integrate (line 3)",
+        "scipy.interpolate (line 5)",
+        "scipy.fft (line 7)",
+    ]
+
+
 def _uncalled_exports(names, sources: dict) -> list[str]:
     """Names with no whole-word use outside __init__.py and their own def/class line."""
     missing = []
