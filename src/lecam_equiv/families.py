@@ -43,18 +43,50 @@ def _poisson_pmf(k, mu):
 
 
 _FINE, _COARSE = 1024, 512
+_NEWTON_STEPS = 20
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int):
+    """Nodes, increasing, and weights of the n-node Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n finds the roots in [0, 1) from the starts
+    cos(pi (k - 1/4) / (n + 1/2)); the negative roots mirror them, so
+    the nodes are antisymmetric and the weights symmetric exactly.  The
+    weights are 2 / ((1 - x^2) P_n'(x)^2) at the converged nodes.
+    """
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise NumericError(f"Gauss-Legendre rule of {n} nodes: Newton's method did not converge")
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    # x decreases from the largest root; an odd n's middle root 0 is kept once
+    return np.concatenate([-x, x[::-1][n % 2 :]]), np.concatenate([w, w[::-1][n % 2 :]])
 
 
 @functools.cache
 def _legendre_rules():
     """Nodes of the fine and coarse Gauss-Legendre rules on [-1, 1], then each rule's weights.
 
-    Built on first use, not at import.  scipy's construction needs O(n)
-    memory; numpy's leggauss solves an n x n eigenproblem, which adds
-    about 16 MB to the peak resident memory.
+    Built on first use, not at import, by `_gauss_legendre` in O(n)
+    memory.  numpy's leggauss solves an n x n eigenproblem, which adds
+    about 16 MB to the peak resident memory, and scipy's roots_legendre
+    loads scipy.linalg for its banded eigensolver, about 6 MB more.
     """
-    fine, w_fine = special.roots_legendre(_FINE)
-    coarse, w_coarse = special.roots_legendre(_COARSE)
+    fine, w_fine = _gauss_legendre(_FINE)
+    coarse, w_coarse = _gauss_legendre(_COARSE)
     rules = (np.concatenate([fine, coarse]), w_fine, w_coarse)
     for array in rules:
         array.flags.writeable = False
@@ -116,7 +148,7 @@ class ParametricFamily:
     def require_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         lo, hi = self.theta_interval
-        if np.any(theta <= lo) or np.any(theta >= hi):
+        if not np.all((theta > lo) & (theta < hi)):  # NaN fails too
             raise DomainError(
                 f"{self.name}: parameter outside the open interval ({lo}, {hi})"
             )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from lecam_equiv.errors import ArgumentError, DomainError, NumericError, SingularityError
 from lecam_equiv.families import (
@@ -13,6 +13,9 @@ from lecam_equiv.families import (
     ParametricFamily,
     PoissonScoreLaw,
     TabulatedLocation,
+    _COARSE,
+    _FINE,
+    _gauss_legendre,
     _poisson_pmf,
     _r1_remainder,
     _secant_score,
@@ -194,6 +197,23 @@ def test_extended_tangent_zero_density_raises():
 def test_fisher_domain_error():
     with pytest.raises(DomainError):
         get_family("gaussian_scale").gamma(0.0)
+
+
+@pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+def test_parameters_outside_the_open_interval_raise_domain_error(name):
+    fam = get_family(name)
+    lo, hi = fam.theta_interval
+    inside = 0.5 * (fam.working_interval[0] + fam.working_interval[1])
+    rng = np.random.default_rng(5)
+    # NaN fails the interval check too, alone or inside an array
+    for bad in (math.nan, lo, hi, -math.inf, math.inf):
+        for theta in (bad, np.array([inside, bad])):
+            with pytest.raises(DomainError, match="open interval"):
+                fam.gamma(theta)
+            with pytest.raises(DomainError, match="open interval"):
+                fam.sample(theta, rng)
+    assert math.isfinite(fam.gamma(inside))
+    assert np.all(np.isfinite(fam.sample(np.array([inside, inside]), rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +510,59 @@ def test_r2_moment_of_too_rough_a_beta_is_a_numeric_error_either_way():
         check_regularity(family, grid, 0.05, 0.6)
     with pytest.raises(NumericError):
         quad_r2_moments(family, grid, 0.05, 0.6)
+
+
+@pytest.mark.parametrize("n", [_FINE, _COARSE])
+def test_gauss_legendre_rule_integrates_every_even_power_it_should(n):
+    nodes, weights = _gauss_legendre(n)
+    assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.all(weights > 0) and np.array_equal(weights, weights[::-1])
+    assert abs(float(np.sum(weights)) - 2.0) <= 1e-14
+    # exact for degree <= 2n - 1; the odd powers vanish by the symmetry
+    powers = np.arange(0, 2 * n, 2)
+    moments = (nodes[None, :] ** powers[:, None]) @ weights
+    np.testing.assert_allclose(moments, 2.0 / (powers + 1.0), rtol=1e-11, atol=0.0)
+
+
+def test_gauss_legendre_small_rules_in_closed_form():
+    nodes, weights = _gauss_legendre(3)
+    r = math.sqrt(0.6)
+    np.testing.assert_allclose(nodes, [-r, 0.0, r], rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(weights, [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0], rtol=1e-15)
+    nodes, weights = _gauss_legendre(2)
+    np.testing.assert_allclose(nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], rtol=1e-15)
+    np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [_FINE, _COARSE])
+def test_gauss_legendre_rule_agrees_with_scipy(n):
+    # scipy's own weights near the ends are off by up to about 2e-9
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = special.roots_legendre(n)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=2e-16)
+    np.testing.assert_allclose(weights, ref_weights, rtol=2e-9, atol=0.0)
+
+
+def test_gauss_legendre_raises_when_newton_runs_out_of_steps(monkeypatch):
+    monkeypatch.setattr(families_module, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericError, match="did not converge"):
+        _gauss_legendre(64)
+
+
+def test_legendre_rules_are_built_once_and_read_only():
+    rules = families_module._legendre_rules
+    rules.cache_clear()
+    check_regularity(get_family("gaussian_scale"), [1.0, 1.05], epsilon=0.1, beta=1.0)
+    nodes, w_fine, w_coarse = rules()
+    assert rules.cache_info().misses == 1 and rules.cache_info().hits >= 1
+    fine, coarse = _gauss_legendre(_FINE)[0], _gauss_legendre(_COARSE)[0]
+    np.testing.assert_array_equal(nodes, np.concatenate([fine, coarse]))
+    assert w_fine.size == _FINE and w_coarse.size == _COARSE
+    for array in (nodes, w_fine, w_coarse):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

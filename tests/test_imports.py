@@ -2,8 +2,10 @@
 
 scipy.stats is not used by the package.  scipy.integrate loads with the
 quadrature branch of `hellinger_sq_1d`, and scipy.interpolate with a
-`spline` regression function.  Each check starts a fresh interpreter,
-because this test session has loaded all three already.
+`spline` regression function.  Running a study of any kind loads no
+other public scipy subpackage than scipy.special.  Each check starts a
+fresh interpreter, because this test session has loaded all of them
+already.
 """
 
 import json
@@ -54,6 +56,22 @@ def test_import_and_parse_config_leave_the_on_use_modules_unloaded():
         "print(json.dumps([m for m in ON_USE if m in sys.modules]))\n"
     )
     assert configs and out == []
+
+
+def test_every_golden_study_loads_no_scipy_subpackage_but_special(tmp_path):
+    # scipy.version and the private scipy._* modules are loaded by scipy itself
+    configs = sorted(str(path) for path in (REPO / "tests" / "golden").glob("*.ini"))
+    out = _fresh(
+        "import dataclasses\n"
+        "from lecam_equiv.harness import parse_config, run_study\n"
+        f"for path in {configs!r}:\n"
+        "    config = parse_config(path)\n"
+        f"    out_dir = {str(tmp_path)!r} + '/' + config.kind\n"
+        "    run_study(dataclasses.replace(config, out_dir=out_dir), jobs=1)\n"
+        "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+        "print(json.dumps(sorted(m for m in loaded if m != 'version' and not m.startswith('_'))))\n"
+    )
+    assert configs and out == ["special"]
 
 
 def test_a_spline_function_loads_interpolate_on_use():
