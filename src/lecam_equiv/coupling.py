@@ -189,9 +189,10 @@ class CouplingPlan:
     """Per-cell precomputation shared by every replicate draw.
 
     Holds the design cell, the weighted-sum law of the score side (one
-    FFT build; None when every score law is standard normal, which
-    couples by identity, or when the shift is zero) and, for families whose log-likelihood ratio is affine in
-    the score, the remainder table: remainder = remainder_weights . scores
+    FFT build; None when every score law is standard normal or the shift
+    is zero, and both cases couple by identity) and, for a plan with a
+    sum law whose family has a log-likelihood ratio affine in the score,
+    the remainder table: remainder = remainder_weights . scores
     + remainder_offset.  Building the plan once and passing it to
     build_coupled_draw amortizes the heavy numerics across replicates.
     """
@@ -218,10 +219,11 @@ class CouplingPlan:
         self.sigma2 = float(np.dot(self.h_values * self.h_values, cell.info))
         self.quadratic = 0.5 * self.sigma2
         laws = [family.score_law(float(th)) for th in cell.theta]
-        self.all_gaussian = all(law.is_gaussian for law in laws)
+        all_gaussian = all(law.is_gaussian for law in laws)
         self.remainder_weights = None
         self.remainder_offset = 0.0
-        if not self.all_gaussian:
+        self.sum_law = None
+        if not all_gaussian and self.sigma2 > 0.0:
             shifted = family.require_theta(cell.theta + self.h_values)
             affine = family.log_lr_affine(cell.theta, shifted)
             if affine is not None:
@@ -234,8 +236,6 @@ class CouplingPlan:
                 # sum(log z) - (h . scores - quadratic) is affine too
                 self.remainder_weights = a - self.h_values
                 self.remainder_offset = float(np.sum(b)) + self.quadratic
-        self.sum_law = None
-        if not self.all_gaussian and self.sigma2 > 0.0:
             self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
 
 
@@ -249,9 +249,9 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
 
     An original-model dataset is simulated under the central measure
     (shift zero) and scored; the weighted score sum is mapped to a
-    Gaussian of the same variance by the jittered quantile transform of
-    its exact sum law, and the per-point Gaussian vector zeta is
-    completed around that sum so its law is exactly the
+    Gaussian of the same variance by the quantile transform of its
+    exact sum law, taken with jitter, and the per-point Gaussian vector
+    zeta is completed around that sum so its law is exactly the
     heteroscedastic product.  With q = 0.5 * sum(h^2 * info), each
     draw satisfies by construction
       log_lik_original = sum(h * scores) - q + remainder
@@ -260,17 +260,17 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     so the original-side log-likelihood is the dataset's true
     log-likelihood ratio: a dot product with the plan's remainder
     table, or one lase_terms call on the whole stack for a family
-    without one.  When every score law is already standard normal the
-    two sides coincide identically and the remainder is zero
+    without one.  A plan without a sum law couples by identity: when
+    every score law is already standard normal, or the shift is zero,
+    the two sides coincide identically and the remainder is zero
     analytically.
 
     rngs is a sequence of R generators; the result holds (R,) arrays.
     Each replicate consumes its own generator in the same order: the
-    sample, then standard_normal(n) for the Gaussian fill (not on the
-    all-Gaussian path), then one jitter normal when the plan has a sum
-    law.  Row r equals the draw of [rngs[r]] alone, byte for byte.  A
-    NumericError raised while drawing a replicate carries its row index
-    in `row`.
+    sample, then, when the plan has a sum law, standard_normal(n) for
+    the Gaussian fill and one jitter normal.  Row r equals the draw of
+    [rngs[r]] alone, byte for byte.  A NumericError raised while drawing
+    a replicate carries its row index in `row`.
     """
     if isinstance(rngs, np.random.Generator):
         raise ArgumentError("rngs must be a sequence of generators, one per replicate")
@@ -278,19 +278,17 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     family, n = plan.cell.family, plan.cell.n
     h_vals = plan.h_values
     quad = plan.quadratic
-    coupled = not plan.all_gaussian
-    jittered = plan.sum_law is not None
+    coupled = plan.sum_law is not None
 
     x = np.empty((len(rngs), n))
     normals = np.empty_like(x) if coupled else None
-    jitter = np.empty(len(rngs)) if jittered else None
+    jitter = np.empty(len(rngs)) if coupled else None
     for row, gen in enumerate(rngs):
         try:
             x[row] = family.sample(plan.cell.theta, gen)
             if coupled:
                 normals[row] = gen.standard_normal(n)
-                if jittered:
-                    jitter[row] = gen.standard_normal()
+                jitter[row] = gen.standard_normal()
         except NumericError as exc:
             exc.row = row
             raise
@@ -298,8 +296,8 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     scores = np.asarray(family.score(x, plan.cell.theta), dtype=float)
     weighted_sum = _row_dots(h_vals, scores)
     if not coupled:
-        # scores are exact Gaussians already: identity coupling, and the
-        # expansion remainder vanishes analytically
+        # scores are exact Gaussians already, or the shift is zero:
+        # identity coupling, and the expansion remainder vanishes analytically
         rho = 0.0
         loglik_gauss = weighted_sum - quad
     else:
@@ -317,13 +315,10 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
             )
             rho = lase_terms(family, plan.cell.f, plan.h, data).remainder
         noise = np.sqrt(plan.cell.info) * normals
-        if not jittered:
-            zeta = noise
-        else:
-            u = plan.sum_law.uniformize(weighted_sum, jitter)
-            coupled_sum = plan.sum_law.sigma * special.ndtri(u)
-            fill = h_vals * plan.cell.info / plan.sigma2
-            zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
+        u = plan.sum_law.uniformize(weighted_sum, jitter)
+        coupled_sum = plan.sum_law.sigma * special.ndtri(u)
+        fill = h_vals * plan.cell.info / plan.sigma2
+        zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
         loglik_gauss = _row_dots(h_vals, zeta) - quad
     return CoupledLikelihoodDraw(
         log_lik_original=weighted_sum - quad + rho,

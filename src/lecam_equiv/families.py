@@ -556,22 +556,24 @@ class TabulatedLocation(ParametricFamily):
         safe = np.maximum(self.dens, 1e-12 * self.dens.max())
         score_tab = -dp / safe
         score_tab[self.dens <= 0] = 0.0
-        weights = self._point_weights()
+        # trapezoid probability weights attached to the grid points
+        weights = np.zeros_like(grid)
+        half = 0.5 * np.diff(grid)
+        weights[:-1] += half * self.dens[:-1]
+        weights[1:] += half * self.dens[1:]
+        weights /= weights.sum()
         mean_score = float(weights @ score_tab)
         self._score_tab = score_tab - mean_score
         self._info = float(weights @ self._score_tab**2)
         if self._info <= 0:
             raise ArgumentError("location_custom: zero Fisher information")
         self._noise_mean = float(weights @ grid)
-
-    def _point_weights(self) -> np.ndarray:
-        """Trapezoid probability weights attached to the grid points."""
-        g, d = self.grid, self.dens
-        w = np.zeros_like(g)
-        half = 0.5 * np.diff(g)
-        w[:-1] += half * d[:-1]
-        w[1:] += half * d[1:]
-        return w / w.sum()
+        # neither the weights nor the score law depends on theta: one
+        # read-only copy of each serves every design point
+        self._weights = weights
+        self._score_law = AtomLaw.from_unsorted(self._score_tab, weights)
+        for arr in (weights, self._score_law.values, self._score_law.probs):
+            arr.flags.writeable = False
 
     @classmethod
     def from_file(cls, path) -> "TabulatedLocation":
@@ -603,7 +605,7 @@ class TabulatedLocation(ParametricFamily):
         return theta + noise
 
     def score_law(self, theta) -> AtomLaw:
-        return AtomLaw.from_unsorted(self._score_tab, self._point_weights())
+        return self._score_law
 
     def stat_mean(self, theta):
         return np.asarray(theta, dtype=float) + self._noise_mean
@@ -617,7 +619,7 @@ class TabulatedLocation(ParametricFamily):
     def _expect_given_density(self, theta, fn) -> float:
         theta = float(theta)
         xs = self.grid + theta
-        return float(self._point_weights() @ fn(xs, self.density(xs, theta)))
+        return float(self._weights @ fn(xs, self.density(xs, theta)))
 
     def _affinity(self, theta, u):
         if theta.ndim or u.ndim:

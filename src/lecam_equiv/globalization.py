@@ -87,39 +87,36 @@ class StepFunction:
 
 @dataclass(frozen=True, eq=False)
 class BlockPartition:
-    """Contiguous blocks of the design index set {1..n}."""
+    """Contiguous blocks of the design index set {1..n}, given by their cut points.
+
+    Block k holds the labels cuts[k] + 1 .. cuts[k + 1], so the cuts run
+    from 0 to n and a block's rows are the slice cuts[k]:cuts[k + 1].
+    """
 
     n: int
-    m_blocks: int
-    boundaries: np.ndarray
-    blocks: list
+    cuts: np.ndarray
     delta_n: float
-    alpha_prime: float
-    q: float
+
+    @property
+    def m_blocks(self) -> int:
+        return self.cuts.size - 1
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.blocks])
-
-    @property
-    def single_block(self) -> bool:
-        return self.m_blocks == 1
-
-
-def _block_count(n: int, beta: float, q: float) -> tuple[int, float, float]:
-    alpha_prime = 1.0 / (2.0 * beta) + q * (BLOCK_EXPONENT - 1.0 / (2.0 * beta))
-    gamma_n = rate_gamma_bar(n, beta, 1.0)
-    delta_n = gamma_n ** (2.0 * alpha_prime)
-    m = 1 if delta_n >= 1.0 else int(math.floor(1.0 / delta_n))
-    return m, delta_n, alpha_prime
+        return np.diff(self.cuts)
 
 
 def block_partition(n: int, beta: float, q: float) -> BlockPartition:
     """Partition {1..n} into blocks whose width tracks the squared rate.
 
     The block scale is delta_n = gamma_bar_n^(2 alpha') with
-    alpha' = 1/(2 beta) + q (BLOCK_EXPONENT - 1/(2 beta)); boundaries
-    sit at the largest design point below each multiple of 1/M_n.
+    alpha' = 1/(2 beta) + q (BLOCK_EXPONENT - 1/(2 beta)); the
+    M_n = floor(1/delta_n) blocks (one when delta_n >= 1) are cut at
+    floor(n k / M_n) for k = 0..M_n.  Every block holds at least two
+    points: M_n <= (n / log n)^e with e = (1 + q (1.8 beta - 1)) /
+    (2 beta + 1), where 1.8 = 2 BLOCK_EXPONENT.  For q <= 1/4, e falls
+    as beta grows, so over beta > 1/1.8 it stays below 1/2.111 < 0.474,
+    and M_n <= floor(n/2) for every n >= 4.
     """
     if n < 4:
         raise ArgumentError("need at least 4 design points")
@@ -127,36 +124,11 @@ def block_partition(n: int, beta: float, q: float) -> BlockPartition:
         raise ArgumentError("q must lie in (0, 1/4]")
     if not 1.0 / (2.0 * beta) < BLOCK_EXPONENT < 1.0:
         raise ArgumentError("block exponent must lie in (1/(2 beta), 1)")
-    m, delta_n, alpha_prime = _block_count(n, beta, q)
-    if m > n // 2:
-        probe = n
-        while True:
-            probe *= 2
-            if _block_count(probe, beta, q)[0] <= probe // 2:
-                break
-        lo, hi = n, probe
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if _block_count(mid, beta, q)[0] <= mid // 2:
-                hi = mid
-            else:
-                lo = mid
-        raise ArgumentError(
-            f"n={n} is too small for beta={beta:.4g}: {m} blocks would each "
-            f"hold under two points; need n >= {hi}"
-        )
+    alpha = 1.0 / (2.0 * beta) + q * (BLOCK_EXPONENT - 1.0 / (2.0 * beta))
+    delta_n = rate_gamma_bar(n, beta, 1.0) ** (2.0 * alpha)
+    m = 1 if delta_n >= 1.0 else int(math.floor(1.0 / delta_n))
     cuts = np.floor(n * np.arange(m + 1) / m).astype(int)
-    boundaries = cuts / n
-    blocks = [np.arange(cuts[k] + 1, cuts[k + 1] + 1) for k in range(m)]
-    return BlockPartition(
-        n=n,
-        m_blocks=m,
-        boundaries=boundaries,
-        blocks=blocks,
-        delta_n=delta_n,
-        alpha_prime=alpha_prime,
-        q=q,
-    )
+    return BlockPartition(n=n, cuts=cuts, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +213,6 @@ class GaussianizedData:
 
     draw: ExperimentDraw
     kernel_descriptor: str
-    odd_count: int
-    even_count: int
     partition: BlockPartition
     clip_warning_count: int | np.ndarray
 
@@ -251,10 +221,6 @@ class GaussianizedData:
             raise ArgumentError("kernel output must carry the gaussianized tag")
         if not np.all(np.isfinite(self.draw.observations)):
             raise ArgumentError("kernel output must be finite")
-
-    @property
-    def single_block(self) -> bool:
-        return self.partition.single_block
 
 
 def gaussianize(
@@ -320,9 +286,7 @@ def gaussianize(
     stats_even = np.asarray(family.suff_stat(draw.observations[..., even]), dtype=float)
     # blocks are contiguous runs of the even rows; slice means keep the
     # summation order of a per-block loop, which np.add.reduceat does not
-    sizes = part.sizes
-    ends = np.cumsum(sizes)
-    spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    spans = [slice(lo, hi) for lo, hi in zip(part.cuts[:-1], part.cuts[1:])]
     stat_means = np.stack([stats_even[..., s].mean(axis=-1) for s in spans], axis=-1)
     centers = np.array([t_even[s].mean() for s in spans])
     clipped = _clip_to_image(family, family.stat_mean, stat_means)
@@ -333,7 +297,7 @@ def gaussianize(
     fill = noise[..., n_odd:].copy()
     for s in spans:
         fill[..., s] -= fill[..., s].mean(axis=-1, keepdims=True)
-    y[..., even] = stabilized[..., even] + np.repeat(shift, sizes, axis=-1) + fill
+    y[..., even] = stabilized[..., even] + np.repeat(shift, part.sizes, axis=-1) + fill
     counts = np.ravel(clip_counts)
     for count in counts[counts > 0]:
         warnings.warn(
@@ -360,8 +324,6 @@ def gaussianize(
     return GaussianizedData(
         draw=out,
         kernel_descriptor=desc,
-        odd_count=n_odd,
-        even_count=part.n,
         partition=part,
         clip_warning_count=clip_counts if clip_counts.ndim else int(clip_counts),
     )

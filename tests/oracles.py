@@ -179,8 +179,10 @@ def coupled_draw_fields(plan, rng):
     """(log_lik_original, log_lik_gaussian, scores, gaussians, remainder) of one draw.
 
     The coupled draw built one replicate at a time from one generator:
-    the sample, then standard_normal(n) for the Gaussian fill, then one
-    jitter normal for the quantile transform of the sum law.
+    the sample, then, when the plan has a sum law, standard_normal(n)
+    for the Gaussian fill and one jitter normal for the quantile
+    transform of the sum law.  A plan without one (all-Gaussian scores
+    or a zero shift) couples by identity.
     """
     cell = plan.cell
     family, n = cell.family, cell.n
@@ -189,7 +191,7 @@ def coupled_draw_fields(plan, rng):
     x = family.sample(cell.theta, rng)
     scores = np.asarray(family.score(x, cell.theta), dtype=float)
     weighted_sum = float(np.dot(h_vals, scores))
-    if plan.all_gaussian:
+    if plan.sum_law is None:
         rho = 0.0
         zeta = scores
         loglik_gauss = weighted_sum - quad
@@ -203,16 +205,13 @@ def coupled_draw_fields(plan, rng):
             )
             rho = lase_terms(family, cell.f, plan.h, draw).remainder
         noise = np.sqrt(cell.info) * rng.standard_normal(n)
-        if plan.sum_law is None:
-            zeta = noise
-        else:
-            law = plan.sum_law
-            t = np.asarray(weighted_sum, dtype=float)
-            jitter = rng.standard_normal(t.shape) * law.smooth_bw
-            u = np.clip(np.interp(t + jitter, law.grid, law.cdf_grid), 1e-14, 1.0 - 1e-14)
-            coupled_sum = law.sigma * float(ndtri(u))
-            fill = h_vals * cell.info / plan.sigma2
-            zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
+        law = plan.sum_law
+        t = np.asarray(weighted_sum, dtype=float)
+        jitter = rng.standard_normal(t.shape) * law.smooth_bw
+        u = np.clip(np.interp(t + jitter, law.grid, law.cdf_grid), 1e-14, 1.0 - 1e-14)
+        coupled_sum = law.sigma * float(ndtri(u))
+        fill = h_vals * cell.info / plan.sigma2
+        zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
         loglik_gauss = float(np.dot(h_vals, zeta)) - quad
     loglik_orig = weighted_sum - quad + rho
     return loglik_orig, loglik_gauss, scores, zeta, rho

@@ -34,7 +34,7 @@ from lecam_equiv.experiments import (
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import _stack_bounds
-from lecam_equiv.laws import TruncatedLaw, truncation_params
+from lecam_equiv.laws import AtomLaw, TruncatedLaw, truncation_params
 
 from oracles import coupled_draw_fields, exp_moment_margins
 
@@ -247,6 +247,27 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
     assert len(calls) == 2
 
 
+def test_location_custom_plan_reads_one_shared_score_law(monkeypatch):
+    # a coarse table: the plan evaluates every point's log_cf over its atoms
+    xs = np.linspace(-8.0, 8.0, 101)
+    fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
+    f = RegressionFunction.constant(0.0)
+    h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
+    shared = CouplingPlan(fam, f, h, 256, grid_size=1 << 10)
+
+    def rebuilt(theta):
+        # the law built afresh for each design point, trapezoid weights included
+        w = np.zeros_like(fam.grid)
+        half = 0.5 * np.diff(fam.grid)
+        w[:-1] += half * fam.dens[:-1]
+        w[1:] += half * fam.dens[1:]
+        return AtomLaw.from_unsorted(fam._score_tab, w / w.sum())
+
+    monkeypatch.setattr(fam, "score_law", rebuilt)
+    per_point = CouplingPlan(fam, f, h, 256, grid_size=1 << 10)
+    assert per_point.sum_law.cdf_grid.tobytes() == shared.sum_law.cdf_grid.tobytes()
+
+
 @functools.lru_cache(maxsize=None)
 def _stacking_plan(kind):
     """One plan per draw path; at 1024 points a capped stack holds 32 rows."""
@@ -279,7 +300,10 @@ def _bytes(value):
 def test_stacked_draws_match_single_draws(kind, replicates):
     plan = _stacking_plan(kind)
     assert (plan.sum_law is None) == (kind in ("location_normal", "zero_shift"))
-    assert (plan.remainder_weights is None) == (kind in ("location_normal", "location_custom"))
+    # a remainder table is built only beside a sum law
+    assert (plan.remainder_weights is None) == (
+        kind in ("location_normal", "location_custom", "zero_shift")
+    )
     seeds = [[29, r] for r in range(replicates)]
     bounds = _stack_bounds(plan.cell.n, 0, replicates)
     assert (len(bounds) > 1) == (replicates == 50 and plan.cell.n == 1024)

@@ -609,6 +609,15 @@ def test_tabulated_location_recovers_normal_structure():
     assert abs(x.var() - 1.0) < 0.05
 
 
+def test_tabulated_location_builds_its_theta_free_tables_once():
+    xs, dens = normal_table(points=801)
+    fam = TabulatedLocation(xs, dens)
+    law = fam.score_law(0.1)
+    # the score law does not depend on theta: every design point shares it
+    assert law is fam.score_law(0.7)
+    assert not law.values.flags.writeable and not law.probs.flags.writeable
+
+
 def test_tabulated_location_from_file(tmp_path):
     xs, dens = normal_table(points=801)
     path = tmp_path / "noise.txt"

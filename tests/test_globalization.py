@@ -67,12 +67,12 @@ def test_step_function_rows_share_the_windows():
 
 def test_block_partition_covers_index_set():
     part = block_partition(1024, beta=1.0, q=0.25)
-    flat = np.concatenate(part.blocks)
-    assert np.array_equal(flat, np.arange(1, 1025))
-    assert part.boundaries[0] == 0.0
-    assert part.boundaries[-1] == 1.0
-    assert np.all(np.diff(part.boundaries) > 0)
-    assert part.m_blocks == len(part.blocks)
+    blocks = [np.arange(lo + 1, hi + 1) for lo, hi in zip(part.cuts[:-1], part.cuts[1:])]
+    assert np.array_equal(np.concatenate(blocks), np.arange(1, 1025))
+    assert part.cuts[0] == 0
+    assert part.cuts[-1] == 1024
+    assert np.all(np.diff(part.cuts) > 0)
+    assert part.m_blocks == len(blocks) == part.sizes.size
 
 
 def test_block_partition_scale_invariants():
@@ -85,9 +85,10 @@ def test_block_partition_scale_invariants():
     assert sizes.min() >= math.floor(part.n * part.delta_n / 2.0)
     # the count follows the block scale
     assert part.m_blocks == math.floor(1.0 / part.delta_n)
-    # alpha' interpolates between 1/(2 beta) and the module exponent
-    assert 1.0 / 2.0 < part.alpha_prime < BLOCK_EXPONENT
-    assert math.isclose(part.alpha_prime, 0.5 + 0.25 * (BLOCK_EXPONENT - 0.5))
+    # delta_n = gamma_bar^(2 alpha'), alpha' between 1/(2 beta) and the module exponent
+    alpha_prime = 0.5 + 0.25 * (BLOCK_EXPONENT - 0.5)
+    assert 1.0 / 2.0 < alpha_prime < BLOCK_EXPONENT
+    assert math.isclose(part.delta_n, rate_gamma_bar(1024, 1.0) ** (2.0 * alpha_prime))
 
 
 def test_block_count_grows_with_n():
@@ -98,8 +99,22 @@ def test_block_count_grows_with_n():
 
 def test_block_partition_single_block_for_tiny_n():
     part = block_partition(4, beta=1.0, q=0.25)
-    assert part.single_block
-    assert np.array_equal(part.blocks[0], np.arange(1, 5))
+    assert part.m_blocks == 1
+    assert np.array_equal(part.cuts, [0, 4])
+
+
+def test_block_partition_cuts_hold_two_points_per_block_on_every_accepted_input():
+    # M_n <= (n / log n)^e with e < 0.474 over beta > 1/1.8 and q <= 1/4, so
+    # no accepted (n, beta, q) yields a block of fewer than two points
+    betas = [(1.0 + 1e-9) / 1.8, *np.linspace(1.0 / 1.8, 2.0, 8)[1:], 3.0, 10.0]
+    ns = [*range(4, 2049), *np.unique(np.geomspace(2049, 10**9, 40).astype(int))]
+    for beta in betas:
+        for q in (1e-6, 0.1, 0.25):
+            for n in ns:
+                cuts = block_partition(int(n), beta, q).cuts
+                assert cuts[0] == 0 and cuts[-1] == n, (n, beta, q)
+                sizes = np.diff(cuts)
+                assert sizes.min() >= 2, (n, beta, q)
 
 
 def test_block_partition_argument_checks():
@@ -235,8 +250,7 @@ def test_gaussianize_output_shape_and_tags():
     assert out.draw.n == 300
     assert np.array_equal(out.draw.design, draw.design)
     assert out.draw.f_desc == draw.f_desc
-    assert out.odd_count == 150 and out.even_count == 150
-    assert out.odd_count + out.even_count == draw.n
+    assert out.partition.n == 150  # the even half; the odd half holds the other 150
     assert "window" in out.kernel_descriptor and "block" in out.kernel_descriptor
     assert np.all(np.isfinite(out.draw.observations))
 
@@ -323,7 +337,7 @@ def test_gaussianize_single_block_flag_for_small_n():
     rng = np.random.default_rng(15)
     draw = sample_original(design_cell(family, RegressionFunction.constant(0.0), 8), rng)
     out = gaussianize(family, draw, 1.0, np.random.default_rng(1).standard_normal(8))
-    assert out.single_block
+    assert out.partition.m_blocks == 1
     assert out.partition.n == 4  # even half of eight points
 
 
@@ -354,8 +368,8 @@ def _gaussianize_per_block(family, draw, beta, rng, q=0.25):
     clip_count = 0
     t_even = draw.design[even]
     stats_even = np.asarray(family.suff_stat(draw.observations[even]), dtype=float)
-    for labels in part.blocks:
-        rows = labels - 1
+    for start, stop in zip(part.cuts[:-1], part.cuts[1:]):
+        rows = np.arange(start, stop)
         t_block = t_even[rows]
         stat_mean = float(stats_even[rows].mean())
         clipped = min(max(stat_mean, m_lo), m_hi)
