@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ArgumentError, TruncationConstantError
 
@@ -95,6 +94,8 @@ class StandardNormalLaw(ScoreLaw):
         return -0.5 * omega**2, np.zeros_like(omega)
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
+        from scipy import special  # on use: no golden or benchmark study truncates scores
+
         # E xi^2 1{|xi|>k} = 2*(k*phi(k) + 1 - Phi(k)) for the standard normal
         phi_k = np.exp(-0.5 * k * k) / np.sqrt(2.0 * np.pi)
         tail = float(special.ndtr(-k))
@@ -121,6 +122,8 @@ class ScaledChi2Law(ScoreLaw):
         return -0.25 * np.log1p(4.0 * t * t), 0.5 * np.arctan(2.0 * t) - t
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
+        from scipy import special  # on use: no golden or benchmark study truncates scores
+
         # |xi| <= k maps to W in [max(0, 1-theta*k), 1+theta*k]
         lo = max(0.0, 1.0 - self.theta * k)
         hi = 1.0 + self.theta * k

@@ -366,6 +366,19 @@ def test_coupled_draw_location_normal_sides_coincide():
     assert np.array_equal(d.log_lik_original, d.log_lik_gaussian)
 
 
+def test_coupled_sum_quantile_matches_ndtri():
+    from scipy.special import ndtri
+
+    # the draw's Phi^-1 (AS241 on libm) over uniformize's clip range
+    tail = np.logspace(-14.0, math.log10(0.5), 200_000)
+    u = np.concatenate([tail, 1.0 - tail])
+    got = np.array([coupling._STD_NORMAL.inv_cdf(p) for p in u.tolist()])
+    want = ndtri(u)
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+    assert coupling._STD_NORMAL.inv_cdf(0.5) == 0.0
+    assert math.isnan(coupling._STD_NORMAL.inv_cdf(math.nan))
+
+
 def test_coupled_draw_gaussian_side_has_exact_product_law():
     fam = get_family("bernoulli")
     n = 64

@@ -26,7 +26,7 @@ from lecam_equiv.families import ParametricFamily, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import risk_transfer_demo
 
-from oracles import globalize_ks
+from oracles import globalize_ks, ks_statistic_erfc
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,48 @@ def _coupled_config(replicates):
         out_dir=".",
         coupling_grid=1024,
     )
+
+
+def _ks_rows(m, rng):
+    """Rows of m points: shifted and scaled normals, +-40 tails, +-inf, ties, a constant."""
+    shifts = ((0.0, 1.0), (0.4, 1.0), (-0.3, 2.5), (0.0, 0.2))
+    rows = [rng.normal(loc, scale, m) for loc, scale in shifts]
+    tails = rng.standard_normal(m)
+    tails[0], tails[-1] = -40.0, 40.0
+    infinite = rng.standard_normal(m)
+    infinite[0], infinite[-1] = -np.inf, np.inf
+    ties = np.round(rng.standard_normal(m), 1)
+    return np.array(rows + [tails, infinite, ties, np.full(m, 0.3)])
+
+
+@pytest.mark.parametrize("m", [1, 8, 64, 256, 1024])
+def test_ks_statistic_normal_equals_libm_at_every_point(m):
+    from scipy.special import ndtr
+
+    values = _ks_rows(m, np.random.default_rng(m))
+    got = harness_module._ks_statistic_normal(values)
+    assert got.tolist() == [ks_statistic_erfc(row) for row in values]
+    # the statistic the globalize study read from scipy's ndtr before
+    u = np.sort(ndtr(values), axis=-1)
+    k = np.arange(1, m + 1, dtype=float)
+    old = np.maximum(np.max(k / m - u, axis=-1), np.max(u - (k - 1.0) / m, axis=-1))
+    assert np.max(np.abs(got - old)) <= 4.5e-16
+
+
+def test_ks_statistic_normal_gives_nan_for_a_row_with_nan():
+    # np.max propagates the NaN; a row whose approximate maximum is NaN
+    # has no point near it, and must not come out as -inf, which passes
+    values = np.random.default_rng(4).standard_normal((3, 64))
+    values[1, 17] = np.nan
+    got = harness_module._ks_statistic_normal(values)
+    assert math.isnan(got[1])
+    assert [got[0], got[2]] == [ks_statistic_erfc(values[0]), ks_statistic_erfc(values[2])]
+
+
+def test_phi_approx_stays_within_a_quarter_of_the_ks_margin():
+    x = np.linspace(-40.0, 40.0, 2_000_001)
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    assert np.max(np.abs(harness_module._phi_approx(x) - phi)) <= harness_module._KS_MARGIN / 4
 
 
 def test_globalize_unit_matches_per_replicate_oracle():

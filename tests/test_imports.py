@@ -1,11 +1,12 @@
-"""A fresh `import lecam_equiv` loads numpy and scipy.special, nothing more of scipy.
+"""A fresh `import lecam_equiv` loads numpy and the standard library, no scipy.
 
-scipy.stats is not used by the package.  scipy.integrate loads with the
+scipy.stats is not used by the package.  scipy.special loads with the
+Poisson pmf and the truncation moments, scipy.integrate with the
 quadrature branch of `hellinger_sq_1d`, and scipy.interpolate with a
 `spline` regression function.  Running a study of any kind loads no
-other public scipy subpackage than scipy.special.  Each check starts a
-fresh interpreter, because this test session has loaded all of them
-already.
+public scipy subpackage, and no numpy.f2py, which scipy.special's
+array-API shim pulls in.  Each check starts a fresh interpreter,
+because this test session has loaded all of them already.
 """
 
 import json
@@ -22,7 +23,7 @@ from lecam_equiv import RegressionFunction, hellinger_sq_1d
 from lecam_equiv.distances import PdfDescriptor
 
 REPO = Path(__file__).resolve().parent.parent
-ON_USE = ("scipy.stats", "scipy.integrate", "scipy.interpolate")
+ON_USE = ("scipy", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.interpolate")
 KNOTS_T = [0.0, 0.25, 0.5, 0.75, 1.0]
 KNOTS_Y = [0.4, 0.5, 0.45, 0.55, 0.5]
 T = [0.1, 0.4, 0.6]
@@ -58,7 +59,7 @@ def test_import_and_parse_config_leave_the_on_use_modules_unloaded():
     assert configs and out == []
 
 
-def test_every_golden_study_loads_no_scipy_subpackage_but_special(tmp_path):
+def test_every_golden_study_loads_no_public_scipy_subpackage(tmp_path):
     # scipy.version and the private scipy._* modules are loaded by scipy itself
     configs = sorted(str(path) for path in (REPO / "tests" / "golden").glob("*.ini"))
     out = _fresh(
@@ -69,9 +70,10 @@ def test_every_golden_study_loads_no_scipy_subpackage_but_special(tmp_path):
         f"    out_dir = {str(tmp_path)!r} + '/' + config.kind\n"
         "    run_study(dataclasses.replace(config, out_dir=out_dir), jobs=1)\n"
         "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
-        "print(json.dumps(sorted(m for m in loaded if m != 'version' and not m.startswith('_'))))\n"
+        "public = sorted(m for m in loaded if m != 'version' and not m.startswith('_'))\n"
+        "print(json.dumps([public, 'numpy.f2py' in sys.modules]))\n"
     )
-    assert configs and out == ["special"]
+    assert configs and out == [[], False]
 
 
 def test_a_spline_function_loads_interpolate_on_use():

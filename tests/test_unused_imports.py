@@ -45,7 +45,7 @@ def test_unused_import_is_reported():
 
 
 def _import_time_scipy(tree: ast.Module) -> list[str]:
-    """scipy subpackages other than special imported outside any function body."""
+    """scipy and its subpackages imported outside any function body."""
     found = []
 
     def visit(node):
@@ -64,26 +64,23 @@ def _import_time_scipy(tree: ast.Module) -> list[str]:
             found.extend(
                 f"{name} (line {child.lineno})"
                 for name in names
-                if name.startswith("scipy.") and name.split(".")[1] != "special"
+                if name == "scipy" or name.startswith("scipy.")
             )
 
     visit(tree)
     return found
 
 
-def test_scipy_beyond_special_is_imported_on_use():
-    # `import lecam_equiv` loads numpy and scipy.special only: a study
-    # that never reaches quadrature or a spline should not pay for
-    # scipy.integrate or scipy.interpolate at import
+def test_scipy_is_imported_on_use():
+    # `import lecam_equiv` loads numpy and the standard library only: a
+    # study pays for no scipy subpackage it never reaches, and
+    # scipy.special alone brings numpy.f2py, numpy.testing and numpy.ma
     found = {
         path.name: eager
         for path in sorted(SRC.glob("*.py"))
         if (eager := _import_time_scipy(ast.parse(path.read_text())))
     }
-    assert found == {}, (
-        "import these scipy subpackages inside the function that uses them; "
-        "only scipy.special loads with the package"
-    )
+    assert found == {}, "import scipy inside the function that uses it"
 
 
 def test_import_time_scipy_is_reported():
@@ -94,8 +91,11 @@ def test_import_time_scipy_is_reported():
         "def f():\n    from scipy import optimize\n"
     )
     assert _import_time_scipy(tree) == [
+        "scipy (line 1)",
         "scipy.stats (line 2)",
+        "scipy.special (line 3)",
         "scipy.integrate (line 3)",
+        "scipy.special (line 4)",
         "scipy.interpolate (line 5)",
         "scipy.fft (line 7)",
     ]
