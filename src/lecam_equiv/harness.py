@@ -21,7 +21,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -74,8 +73,10 @@ def derive_seed(master: int, n: int, replicate: int) -> int:
 
 
 def stream_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator pinned to the Philox algorithm."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """Counter-based generator pinned to the Philox algorithm, keyed by seed."""
+    from ._philox import PhiloxKey  # on use: it loads numpy.random
+
+    return np.random.Generator(np.random.Philox(PhiloxKey(seed & _MASK64)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,21 @@ def _coupled_batches(config: StudyConfig, n: int, batches: int):
         yield plan, draws
 
 
+def _median(values) -> float:
+    """np.median of a list of floats, bit for bit, without loading numpy.ma.
+
+    The middle value, or (a + b) / 2 of the two middle values, summed
+    from +0.0 as np.median's mean sums them; a NaN anywhere gives NaN.
+    """
+    values = sorted(map(float, values))
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    mid = len(values) // 2
+    if len(values) % 2:
+        return 0.0 + values[mid]
+    return (0.0 + values[mid - 1] + values[mid]) / 2
+
+
 def _by_n(config: StudyConfig, results) -> dict:
     """Statistics of (n, batch) units grouped by n, in batch order."""
     per_n = {n: [] for n in config.n_grid}
@@ -393,7 +409,7 @@ def _run_local_hellinger(config: StudyConfig, n: int):
             f"{n}, {batch}, {_fmt(report.value)}, {_fmt(report.mc_stderr)}, "
             f"{config.replicates}, {report.seed}"
         )
-    return rows, float(np.median(estimates))
+    return rows, _median(estimates)
 
 
 def _fold_local_hellinger(config: StudyConfig, results):
@@ -473,7 +489,7 @@ def _fold_globalize(config: StudyConfig, results):
     fractions = [(n, sum(ok for _, ok in s) / len(s)) for n, s in per_n.items()]
     medians = {
         "ks_stat_median": [
-            (n, float(np.median([ks for ks, _ in s]))) for n, s in per_n.items()
+            (n, _median([ks for ks, _ in s])) for n, s in per_n.items()
         ],
         "ks_pass_fraction": fractions,
     }
@@ -506,7 +522,7 @@ def _run_risk_transfer(config: StudyConfig, unit):
 
 
 def _fold_risk_transfer(config: StudyConfig, results):
-    values = [(n, float(np.median(m))) for n, m in _by_n(config, results).items()]
+    values = [(n, _median(m)) for n, m in _by_n(config, results).items()]
     verdicts = {"shrinking_risk_margin": _decreasing([v for _, v in values])}
     return {"margin_median": values}, verdicts
 
@@ -665,6 +681,9 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     if jobs == 1 or len(units) == 1:
         outputs = [_study_unit(t) for t in tasks]
     else:
+        # on use: the process pool loads multiprocessing, which a serial pass never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             outputs = list(pool.map(_study_unit, tasks))
     rows = [row for unit_rows, _stats in outputs for row in unit_rows]

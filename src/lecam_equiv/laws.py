@@ -246,6 +246,54 @@ class TruncatedLaw(ScoreLaw):
 # half-width of the sum-law value grid, in standard deviations
 SPAN_SIGMAS = 16.0
 
+# running log modulus below which a frequency bin leaves the sum-law build:
+# exp underflows to exactly 0.0 below about -745.13, and the log moduli
+# still to be added are nonpositive, so the bin's output is already 0.0
+_LIVE_CUT = -800.0
+
+
+def _live_half_spectrum(laws, weights, grid_size, dx, x0):
+    """Smoothed spectrum of sum_i w_i xi_i on the live bins of 0..grid_size // 2.
+
+    Returns (live, head): head holds the spectrum at the bin indices in
+    live, or at every bin when live is None.  A bin leaves once its
+    running log modulus falls below _LIVE_CUT; the laws added after that
+    are not evaluated there.
+    """
+    # the angular fftfreq bins 0..grid_size // 2, bit for bit: for even
+    # grid_size the last one is the Nyquist bin at -grid_size / 2
+    omega = np.arange(grid_size // 2 + 1, dtype=float)
+    if grid_size % 2 == 0:
+        omega[-1] = -omega[-1]
+    omega *= 1.0 / (grid_size * dx)
+    omega *= 2.0 * np.pi
+    # accumulate the log cf to avoid underflow of the product,
+    # starting from the one-bin smoothing term
+    log_mod = -0.5 * (dx * omega) ** 2
+    phase = np.zeros(omega.size)
+    live = None  # indices of the bins still in the build; None while all are
+    for law, w in zip(laws, weights):
+        if w == 0.0:
+            continue
+        lm, ph = law.log_cf(omega * w)
+        log_mod += lm
+        phase += ph
+        del lm, ph  # freed before the next law's call
+        # a NaN compares false, so a NaN bin stays live and propagates
+        drop = log_mod < _LIVE_CUT
+        if drop.any():
+            keep = ~drop
+            live = np.flatnonzero(keep) if live is None else live[keep]
+            omega, log_mod, phase = omega[keep], log_mod[keep], phase[keep]
+    head = np.empty(omega.size, dtype=complex)
+    head.real = np.cos(phase)
+    head.imag = np.sin(phase)
+    head *= np.exp(log_mod)
+    shift = -1j * omega
+    shift *= x0
+    head *= np.exp(shift, out=shift)
+    return live, head
+
 
 class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
@@ -258,12 +306,17 @@ class WeightedSumLaw:
     mirror.  That is exact, not an approximation: every built-in log_cf
     is even in its log modulus and odd in its phase, so the mirror holds
     the values that evaluating the negative bins would give, bit for
-    bit.  The inverse FFT gives a density on a value grid spanning
-    +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian smoothing is
-    folded in so that quasi-atomic laws produce a well-behaved grid
-    density; `uniformize` compensates by jittering the input at the same
-    bandwidth, so U = F(T + jitter) is uniform up to grid resolution.
-    The negative density mass clipped to zero is kept in clipped_mass.
+    bit.  A bin leaves the build once its running log modulus falls
+    below _LIVE_CUT, and later laws are evaluated on the live bins only.
+    That is exact too: |cf| <= 1, so every log modulus still to be added
+    is nonpositive (up to an ulp for atom laws) and exp of the full sum
+    would be exactly 0.0.  The inverse FFT gives a density on a value
+    grid spanning +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian
+    smoothing is folded in so that quasi-atomic laws produce a
+    well-behaved grid density; `uniformize` compensates by jittering the
+    input at the same bandwidth, so U = F(T + jitter) is uniform up to
+    grid resolution.  The negative density mass clipped to zero is kept
+    in clipped_mass.
     """
 
     def __init__(
@@ -280,31 +333,25 @@ class WeightedSumLaw:
         span = SPAN_SIGMAS * self.sigma
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
-        # nonnegative bins and the Nyquist bin; the rest are their mirror
-        half = (2.0 * np.pi * np.fft.fftfreq(grid_size, d=dx))[: grid_size // 2 + 1]
-        # accumulate the log cf to avoid underflow of the product,
-        # starting from the smoothing term
-        log_mod = -0.5 * (self.smooth_bw * half) ** 2
-        phase = np.zeros(half.size)
-        for law, w in zip(laws, weights):
-            if w == 0.0:
-                continue
-            lm, ph = law.log_cf(half * w)
-            log_mod += lm
-            phase += ph
         x0 = -span
-        spectrum = np.empty(grid_size, dtype=complex)
-        spectrum[: half.size] = (
-            np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase)) * np.exp(-1j * half * x0)
-        )
-        spectrum[half.size :] = np.conj(spectrum[1 : (grid_size + 1) // 2][::-1])
-        dens = np.real(np.fft.ifft(spectrum)) / dx
-        self.clipped_mass = float(np.sum(np.maximum(-dens, 0.0)) * dx)
-        dens = np.maximum(dens, 0.0)
-        cdf = np.cumsum(dens) * dx
+        live, head = _live_half_spectrum(laws, weights, grid_size, dx, x0)
+        n_half = grid_size // 2 + 1
+        spectrum = np.zeros(grid_size, dtype=complex)
+        spectrum[slice(n_half) if live is None else live] = head
+        del head
+        np.conjugate(spectrum[1 : (grid_size + 1) // 2][::-1], out=spectrum[n_half:])
+        np.fft.ifft(spectrum, out=spectrum)
+        cdf = spectrum.real / dx  # the density, until the cumsum below
+        del spectrum
+        neg = np.negative(cdf)
+        self.clipped_mass = float(np.sum(np.maximum(neg, 0.0, out=neg)) * dx)
+        del neg
+        np.maximum(cdf, 0.0, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf *= dx
         cdf /= cdf[-1]
-        self.grid = x0 + dx * np.arange(grid_size)
         self.cdf_grid = cdf
+        self.grid = x0 + dx * np.arange(grid_size)
 
     def uniformize(self, t: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Map draws of T to (0,1) so the output is uniform under the law.

@@ -67,6 +67,52 @@ def test_stream_rng_is_philox_and_reproducible():
     assert np.array_equal(a, b)
 
 
+def _philox_streams():
+    return [0, 1, 2**63, 2**64 - 1] + [derive_seed(3, n, r) for n in (16, 4096) for r in range(50)]
+
+
+def test_stream_rng_is_philox_keyed_by_the_seed():
+    for seed in _philox_streams():
+        ours, keyed = stream_rng(seed), np.random.Generator(np.random.Philox(key=seed))
+        assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state), seed
+        for draw in (
+            lambda g: g.random(1000),
+            lambda g: g.poisson(2.5, 1000),
+            lambda g: g.standard_normal(1000),
+        ):
+            assert draw(ours).tobytes() == draw(keyed).tobytes(), seed
+
+
+def test_stream_rng_draws_no_os_entropy(monkeypatch):
+    import numpy.random.bit_generator as bit_generator
+
+    def no_entropy(*_args):
+        raise AssertionError("OS entropy drawn")
+
+    expected = np.random.Generator(np.random.Philox(key=7)).random(8)
+    # the seed sequence that Philox(key=...) builds and discards draws entropy here
+    monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.Philox(key=7)
+    assert stream_rng(7).random(8).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 101, 400])
+def test_harness_median_is_np_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    spread = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+    ties = rng.choice([-1e300, -1.0, -1e-300, -0.0, 0.0, 1e-300, 2.5, 1e300], size)
+    for values in (spread.tolist(), ties.tolist(), [-0.0] * size, [5e-324, -0.0][:size]):
+        expected = np.float64(np.median(values)).tobytes()
+        assert np.float64(harness_module._median(values)).tobytes() == expected, values
+
+
+def test_harness_median_of_a_nan_is_nan():
+    for values in ([math.nan], [1.0, math.nan, 2.0], [0.5, 1.0, 2.0, math.nan]):
+        assert math.isnan(np.median(values))
+        assert math.isnan(harness_module._median(values))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

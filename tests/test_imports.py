@@ -5,8 +5,10 @@ Poisson pmf and the truncation moments, scipy.integrate with the
 quadrature branch of `hellinger_sq_1d`, and scipy.interpolate with a
 `spline` regression function.  Running a study of any kind loads no
 public scipy subpackage, and no numpy.f2py, which scipy.special's
-array-API shim pulls in.  Each check starts a fresh interpreter,
-because this test session has loaded all of them already.
+array-API shim pulls in.  A serial study loads no numpy.ma, which
+np.median's NaN check pulls in, and no process-pool stack.  Each check
+starts a fresh interpreter, because this test session has loaded all
+of them already.
 """
 
 import json
@@ -74,6 +76,27 @@ def test_every_golden_study_loads_no_public_scipy_subpackage(tmp_path):
         "print(json.dumps([public, 'numpy.f2py' in sys.modules]))\n"
     )
     assert configs and out == [[], False]
+
+
+# numpy.random.bit_generator imports secrets itself, so it is not listed
+SERIAL_UNUSED = ("numpy.ma", "multiprocessing", "concurrent.futures.process")
+
+
+def test_a_serial_golden_study_loads_no_numpy_ma_or_process_pool(tmp_path):
+    configs = sorted(str(path) for path in (REPO / "tests" / "golden").glob("*.ini"))
+    out = _fresh(
+        "import dataclasses\n"
+        "from lecam_equiv.harness import parse_config, run_study\n"
+        "loaded = []\n"
+        f"for path in {configs!r}:\n"
+        "    config = parse_config(path)\n"
+        f"    out_dir = {str(tmp_path)!r} + '/' + config.kind\n"
+        "    run_study(dataclasses.replace(config, out_dir=out_dir), jobs=1)\n"
+        f"    loaded.append([config.kind] + [m for m in {SERIAL_UNUSED!r} if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert len(out) == len(configs) >= 6
+    assert all(len(kind_loaded) == 1 for kind_loaded in out), out
 
 
 def test_a_spline_function_loads_interpolate_on_use():

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
+from lecam_equiv.experiments import design_cell
 from lecam_equiv.families import PoissonScoreLaw, TabulatedLocation, get_family
 from lecam_equiv.harness import StudyConfig, _local_shift
 from lecam_equiv.laws import (
+    SPAN_SIGMAS,
     AtomLaw,
     ScaledChi2Law,
+    ScoreLaw,
     StandardNormalLaw,
     TruncatedLaw,
     WeightedSumLaw,
@@ -434,3 +438,124 @@ def test_clipped_mass_is_small_on_pinned_plans(family, f_desc, L, n, grid):
     # too coarse a grid leaves ringing that the clip must remove
     laws = [plan.cell.family.score_law(float(t)) for t in plan.cell.theta]
     assert WeightedSumLaw(laws, plan.h_values, grid_size=16).clipped_mass > CLIPPED_MASS_BOUND
+
+
+# ---------------------------------------------------------------------------
+# the live band: bins whose log modulus has underflowed leave the build
+# ---------------------------------------------------------------------------
+
+_PLAN_SETUPS = {
+    "poisson": ("affine(1.5, 1.0)", 3.0),
+    "bernoulli": ("affine(0.4, 0.2)", 1.0),
+    "gaussian_scale": ("affine(2.0, 1.0)", 3.0),
+}
+
+
+def _plan_laws(family, n, scale=1.0):
+    """Score laws and shift weights of the local-hellinger plan at design size n."""
+    f_desc, L = _PLAN_SETUPS[family]
+    config = StudyConfig(kind="local-hellinger", family=family, f_desc=f_desc, L=L, c_rate=0.5)
+    fam = config.resolve_family()
+    cell = design_cell(fam, config.resolve_f(), n)
+    weights = scale * np.asarray(_local_shift(config, n)(cell.t), dtype=float)
+    return [fam.score_law(float(t)) for t in cell.theta], weights
+
+
+def _assert_full_spectrum_bytes(laws, weights, grid_size):
+    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
+    assert sum_law.grid.tobytes() == grid.tobytes()
+    assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
+    assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(clipped_mass).tobytes()
+    return sum_law
+
+
+@pytest.mark.parametrize(
+    "family, n, grid_size",
+    [
+        ("poisson", 1024, 1024),
+        ("poisson", 4096, 1 << 14),
+        ("gaussian_scale", 1024, 1024),
+        ("gaussian_scale", 4096, 1 << 14),
+        ("bernoulli", 4096, 1 << 14),
+        ("poisson", 1024, 1023),
+    ],
+)
+def test_live_band_sum_law_is_the_full_spectrum_bit_for_bit(family, n, grid_size):
+    laws, weights = _plan_laws(family, n)
+    _assert_full_spectrum_bytes(laws, weights, grid_size)
+
+
+def test_live_band_truncated_atoms_with_a_zero_weight_bit_for_bit():
+    laws, weights = _plan_laws("poisson", 1024)
+    laws = [TruncatedLaw(law, truncation_params(law, 0.8, 2.0)) for law in laws]
+    weights[100] = 0.0
+    _assert_full_spectrum_bytes(laws, weights, 1024)
+
+
+class _RecordingLaw(ScoreLaw):
+    """A score law that records the size of every frequency array it is given."""
+
+    def __init__(self, base, sizes):
+        self.base = base
+        self.sizes = sizes
+
+    def second_moment(self):
+        return self.base.second_moment()
+
+    def log_cf(self, omega):
+        self.sizes.append(np.size(omega))
+        return self.base.log_cf(omega)
+
+
+def test_live_band_evaluates_later_laws_on_fewer_bins():
+    laws, weights = _plan_laws("poisson", 1024)
+    sizes = []
+    recording = [_RecordingLaw(law, sizes) for law in laws]
+    sum_law = WeightedSumLaw(recording, weights, grid_size=1024)
+    assert sizes[0] == 1024 // 2 + 1
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] < sizes[0] // 2
+    assert sum_law.cdf_grid.tobytes() == WeightedSumLaw(laws, weights, 1024).cdf_grid.tobytes()
+
+
+class _NanAtLaw(ScoreLaw):
+    """A score law whose log modulus is NaN at the frequencies +-omega_nan."""
+
+    def __init__(self, base, omega_nan):
+        self.base = base
+        self.omega_nan = omega_nan
+
+    def second_moment(self):
+        return self.base.second_moment()
+
+    def log_cf(self, omega):
+        log_mod, phase = self.base.log_cf(omega)
+        return np.where(np.abs(omega) == self.omega_nan, np.nan, log_mod), phase
+
+
+def test_live_band_keeps_a_nan_bin_and_propagates_it_as_the_full_spectrum_does():
+    laws, weights = _plan_laws("poisson", 1024)
+    grid_size = 1024
+    sigma = math.sqrt(sum(w * w * law.second_moment() for law, w in zip(laws, weights)))
+    omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=2.0 * SPAN_SIGMAS * sigma / grid_size)
+    # bin 400 of 513 leaves the band once its log modulus underflows; a NaN
+    # put there by the first law must keep it live, as NaN < cut is false
+    laws[0] = _NanAtLaw(laws[0], abs(omega[400] * weights[0]))
+    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
+    assert np.isnan(sum_law.cdf_grid).all() and np.isnan(sum_law.clipped_mass)
+    assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
+    assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(clipped_mass).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_PLAN_SETUPS)),
+    n=st.integers(1, 512),
+    grid_size=st.integers(256, 4096),
+    scale=st.floats(0.05, 20.0),
+)
+def test_live_band_matches_the_full_spectrum_on_random_plans(family, n, grid_size, scale):
+    laws, weights = _plan_laws(family, n, scale)
+    _assert_full_spectrum_bytes(laws, weights, grid_size)
