@@ -160,7 +160,7 @@ def truncate_scores(
     r_n = c_rate / math.sqrt(n)
     clip_level = r_n ** (alpha - 1.0)
     laws = _truncation_table(family, cell.theta, cell.info, clip_level, c1)
-    x = family.sample(cell.theta, rng)
+    x = family.sample(cell.table, rng)
     xi = np.asarray(family.score(x, cell.theta), dtype=float)
     clip_means = np.array([law.params.clip_mean for law in laws])
     kick_probs = np.array([law.params.p for law in laws])
@@ -291,7 +291,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     jitter = np.empty(len(rngs)) if coupled else None
     for row, gen in enumerate(rngs):
         try:
-            x[row] = family.sample(plan.cell.theta, gen)
+            x[row] = family.sample(plan.cell.table, gen)
             if coupled:
                 normals[row] = gen.standard_normal(n)
                 jitter[row] = gen.standard_normal()

@@ -11,15 +11,20 @@ affinities rather than by Monte Carlo.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError, SingularityError
-from .families import ParametricFamily
+from .families import ParametricFamily, SamplingTable
 from .function_space import RegressionFunction, rate_gamma_bar
 
 MODEL_TAGS = ("original", "global-gaussian", "gaussianized")
+
+# The read-only design of every live design cell, by id.  A draw on one
+# of them skips the O(n) ordering check: design_cell built it increasing.
+_CELL_DESIGNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +37,9 @@ class ExperimentDraw:
     """One realized dataset on the design grid i/n, i = 1..n.
 
     observations is (n,) for one draw, or (rows, n) for a stack of
-    replicate draws that share the design; n is its last axis.
+    replicate draws that share the design; n is its last axis.  The
+    design must be finite and strictly increasing, which a design
+    cell's is.
     """
 
     model: str
@@ -51,8 +58,11 @@ class ExperimentDraw:
             raise ArgumentError("observations must be one draw or a stack of draws")
         if np.shape(self.observations)[-1] != self.n or len(self.design) != self.n:
             raise ArgumentError("draw length must equal n")
-        if self.n > 0 and np.any(np.diff(self.design) <= 0):
-            raise ArgumentError("design points must be strictly increasing")
+        design = self.design
+        if _CELL_DESIGNS.get(id(design)) is not design and not (
+            np.all(np.diff(design) > 0) and np.all(np.isfinite(design))
+        ):
+            raise ArgumentError("design points must be finite and strictly increasing")
 
 
 def design_grid(n: int) -> np.ndarray:
@@ -134,10 +144,27 @@ class DesignCell:
     t: np.ndarray
     theta: np.ndarray
     info: np.ndarray
+    table: SamplingTable
+
+    def draw(self, observations, seed: int = 0) -> ExperimentDraw:
+        """An original-model draw, or a stack of them, on this cell's design."""
+        return ExperimentDraw(
+            model="original",
+            n=self.n,
+            design=self.t,
+            observations=observations,
+            family=self.family.name,
+            f_desc=self.f.descriptor,
+            seed=seed,
+        )
 
 
 def design_cell(family: ParametricFamily, f: RegressionFunction, n: int) -> DesignCell:
-    """t = i/n, theta = f(t) in the working interval, info = I(theta), all read-only."""
+    """t = i/n, theta = f(t) in the working interval, info = I(theta), all read-only.
+
+    theta is checked here once, and table holds it with the constants
+    of the family's sampler, so the unit's draws check nothing again.
+    """
     if n < 0:
         raise ArgumentError("design size n must be nonnegative")
     t = design_grid(n)
@@ -147,25 +174,18 @@ def design_cell(family: ParametricFamily, f: RegressionFunction, n: int) -> Desi
         raise DomainError(
             f"{family.name}: regression values leave the working interval [{lo}, {hi}]"
         )
-    family.require_theta(theta)
+    table = family.sampling_table(theta)
     info = np.asarray(family.fisher(theta), dtype=float)
     t.flags.writeable = theta.flags.writeable = info.flags.writeable = False
-    return DesignCell(family, f, n, t, theta, info)
+    _CELL_DESIGNS[id(t)] = t
+    return DesignCell(family, f, n, t, theta, info, table)
 
 
 def sample_original(
     cell: DesignCell, rng: np.random.Generator, seed: int = 0
 ) -> ExperimentDraw:
     """n independent observations X_i ~ p(., f(i/n)) on the cell's design."""
-    return ExperimentDraw(
-        model="original",
-        n=cell.n,
-        design=cell.t,
-        observations=cell.family.sample(cell.theta, rng),
-        family=cell.family.name,
-        f_desc=cell.f.descriptor,
-        seed=seed,
-    )
+    return cell.draw(cell.family.sample(cell.table, rng), seed=seed)
 
 
 # ---------------------------------------------------------------------------

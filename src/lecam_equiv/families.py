@@ -43,6 +43,9 @@ def _poisson_pmf(k, mu):
     return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
 
 
+# the largest uniform numpy's Generator draws: (2^53 - 1) / 2^53
+_U_MAX = 1.0 - 2.0**-53
+
 _FINE, _COARSE = 1024, 512
 _NEWTON_STEPS = 20
 
@@ -131,13 +134,28 @@ def _weighted_quad(family: ParametricFamily, theta: float, fn, lo: float, hi: fl
     return _quad(family.name, weighted, lo, hi)
 
 
+@dataclass(frozen=True, eq=False)
+class SamplingTable:
+    """Checked parameters with the per-point constants of a family's sampler.
+
+    `ParametricFamily.sampling_table` builds one; a design cell builds
+    it once, and `sample` on it draws without checking theta again.
+    consts is None for every family but Bernoulli, whose sampler needs
+    per-point cutoffs.
+    """
+
+    family: ParametricFamily
+    theta: np.ndarray
+    consts: object
+
+
 class ParametricFamily:
     """One observation channel p(x, theta), theta in an open interval.
 
     Families implement the underscored maps (`_density`, `_score`, ...)
     on float arrays.  The public maps convert their inputs once, check
-    theta in `gamma` and `sample`, and return a Python float for a 0-d
-    result.
+    theta in `gamma`, `sampling_table` and `sample` (unless it is given
+    a table), and return a Python float for a 0-d result.
     """
 
     name: str = "abstract"
@@ -178,9 +196,22 @@ class ParametricFamily:
     def gamma_inverse(self, y):
         return _out(self._gamma_inverse(np.asarray(y, dtype=float)))
 
+    def sampling_table(self, theta) -> SamplingTable:
+        """Theta, checked once, with the constants `sample` draws from."""
+        theta = self.require_theta(theta)
+        return SamplingTable(self, theta, self._sampling_consts(theta))
+
     def sample(self, theta, rng: np.random.Generator):
-        x = self._sample(self.require_theta(theta), rng)
-        return _out(np.asarray(x, dtype=float))
+        """One observation per entry of theta, or of a table from sampling_table.
+
+        Raw parameters are checked and tabulated first; a table is not
+        checked again.
+        """
+        if not isinstance(theta, SamplingTable):
+            theta = self.sampling_table(theta)
+        elif theta.family is not self:
+            raise ArgumentError(f"{self.name}: sampling table of another family")
+        return _out(np.asarray(self._sample(theta, rng), dtype=float))
 
     def _density(self, x, theta):
         raise NotImplementedError
@@ -197,7 +228,10 @@ class ParametricFamily:
     def _gamma_inverse(self, y):
         raise NotImplementedError
 
-    def _sample(self, theta, rng):
+    def _sampling_consts(self, theta):
+        return None
+
+    def _sample(self, table: SamplingTable, rng):
         raise NotImplementedError
 
     def score_law(self, theta) -> ScoreLaw:
@@ -298,8 +332,26 @@ class Bernoulli(ParametricFamily):
     def _gamma_inverse(self, y):
         return np.sin(y / 2.0) ** 2
 
-    def _sample(self, theta, rng):
-        return rng.binomial(1, theta)
+    def _sampling_consts(self, theta):
+        # numpy's binomial(1, theta) inverts with p = min(theta, 1 - theta):
+        # one uniform u and X = [u > qn], qn = exp(1 * log(1 - p)) in libm,
+        # flipped for theta > 1/2.  Its loop draws a second uniform only if
+        # u - qn > p qn / (1 - p) in floating point, which rounding keeps
+        # monotone in u; a cell where the largest u reaches that stays on
+        # rng.binomial (None).
+        flip = theta > 0.5
+        p = np.where(flip, 1.0 - theta, theta)
+        q = 1.0 - p
+        cut = np.array([math.exp(math.log(v)) for v in q.ravel().tolist()]).reshape(q.shape)
+        if np.any(_U_MAX - cut > p * cut / q):
+            return None
+        return cut, flip
+
+    def _sample(self, table, rng):
+        if table.consts is None:
+            return rng.binomial(1, table.theta)
+        cut, flip = table.consts
+        return (rng.random(cut.shape or None) > cut) ^ flip
 
     def score_law(self, theta) -> "BernoulliScoreLaw":
         return BernoulliScoreLaw(float(theta))
@@ -372,8 +424,8 @@ class Poisson(ParametricFamily):
     def _gamma_inverse(self, y):
         return (y / 2.0) ** 2
 
-    def _sample(self, theta, rng):
-        return rng.poisson(theta)
+    def _sample(self, table, rng):
+        return rng.poisson(table.theta)
 
     def score_law(self, theta) -> "PoissonScoreLaw":
         return PoissonScoreLaw(float(theta))
@@ -449,8 +501,9 @@ class GaussianScale(ParametricFamily):
     def _gamma_inverse(self, y):
         return np.exp(y / math.sqrt(2.0))
 
-    def _sample(self, theta, rng):
-        return theta * rng.standard_normal(np.shape(theta) or None)
+    def _sample(self, table, rng):
+        theta = table.theta
+        return theta * rng.standard_normal(theta.shape or None)
 
     def score_law(self, theta) -> ScaledChi2Law:
         return ScaledChi2Law(float(theta))
@@ -507,8 +560,9 @@ class LocationNormal(ParametricFamily):
     def _gamma_inverse(self, y):
         return y
 
-    def _sample(self, theta, rng):
-        return theta + rng.standard_normal(np.shape(theta) or None)
+    def _sample(self, table, rng):
+        theta = table.theta
+        return theta + rng.standard_normal(theta.shape or None)
 
     def score_law(self, theta) -> StandardNormalLaw:
         return StandardNormalLaw()
@@ -600,8 +654,9 @@ class TabulatedLocation(ParametricFamily):
     def _gamma_inverse(self, y):
         return y / math.sqrt(self._info)
 
-    def _sample(self, theta, rng):
-        u = rng.random(np.shape(theta) or None)
+    def _sample(self, table, rng):
+        theta = table.theta
+        u = rng.random(theta.shape or None)
         noise = np.interp(u, self._cdf, self.grid)
         return theta + noise
 

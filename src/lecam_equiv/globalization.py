@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distances import DistanceReport
 from .errors import ArgumentError
-from .experiments import ExperimentDraw, design_cell, sample_original
+from .experiments import DesignCell, ExperimentDraw, design_cell, sample_original
 from .families import ParametricFamily
 from .function_space import RegressionFunction, rate_gamma_bar
 
@@ -339,22 +339,22 @@ def _stack_bounds(n: int, lo: int, hi: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, hi)) for start in range(lo, hi, step)]
 
 
-def _replicate_stacks(n: int, lo: int, hi: int, replicate):
+def _replicate_stacks(cell: DesignCell, lo: int, hi: int, replicate):
     """Yield (start, stop, stack, noise) over replicates lo..hi-1 in stacks.
 
-    replicate(r) returns replicate r's original draw of size n and its
+    replicate(r) returns replicate r's original draw on the cell and its
     kernel noise row.  It is called for r = lo, lo+1, ... in turn, so a
     generator shared between replicates is consumed as in a loop of one
-    replicate at a time; the stacks follow _stack_bounds and each
-    carries the labels of its last draw.
+    replicate at a time; the stacks follow _stack_bounds, each is one
+    draw on the cell, and each carries the seed label of its last draw.
     """
-    for start, stop in _stack_bounds(n, lo, hi):
-        obs = np.empty((stop - start, n))
+    for start, stop in _stack_bounds(cell.n, lo, hi):
+        obs = np.empty((stop - start, cell.n))
         noise = np.empty_like(obs)
         for row, r in enumerate(range(start, stop)):
             draw, noise[row] = replicate(r)
             obs[row] = draw.observations
-        yield start, stop, replace(draw, observations=obs), noise
+        yield start, stop, cell.draw(obs, seed=draw.seed), noise
 
 
 def gamma_scale_estimate(
@@ -467,7 +467,7 @@ def risk_transfer_demo(
         # one generator: replicate r's sample, then its kernel noise
         return sample_original(cell, rng, seed=r), rng.standard_normal(n)
 
-    for lo, hi, stack, noise in _replicate_stacks(n, 0, R, replicate):
+    for lo, hi, stack, noise in _replicate_stacks(cell, 0, R, replicate):
         fhat_a = preliminary_estimate(family, stack, beta)
         err_a[lo:hi] = np.max(np.abs(fhat_a(cell.t) - cell.theta), axis=-1)
         gz = gaussianize(family, stack, beta, noise, q=q)

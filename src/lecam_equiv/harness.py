@@ -470,7 +470,7 @@ def _run_globalize(config: StudyConfig, unit):
 
     rows = []
     stats = []
-    for start, stop, stack, noise in _replicate_stacks(n, lo, hi, replicate):
+    for start, stop, stack, noise in _replicate_stacks(cell, lo, hi, replicate):
         out = gaussianize(family, stack, config.beta, noise, q=config.q)
         ks_rows = _ks_statistic_normal(out.draw.observations - target)
         for r, ks in zip(range(start, stop), ks_rows):

@@ -226,6 +226,24 @@ def test_gaussianize_non_numeric_draw_file_exit_two(tmp_path, capsys, old, new):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gaussianize_nan_design_point_exit_two(tmp_path, capsys):
+    draw = sample_original(
+        design_cell(get_family("poisson"), RegressionFunction.constant(1.0), 12),
+        np.random.default_rng(8), seed=8,
+    )
+    src = tmp_path / "draw.csv"
+    write_draw(draw, src)
+    lines = src.read_text().splitlines()
+    i, _, x = lines[9].split(", ")  # the sixth row, after four header lines
+    lines[9] = f"{i}, nan, {x}"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "g.csv"
+    code = cli.main(["gaussianize", str(src), "--out", str(out)])
+    assert code == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_is_installed():
     """The `lecam-equiv` script declared in pyproject.toml runs and lists its commands.
 

@@ -97,6 +97,32 @@ def test_draw_file_header_and_row_validation(tmp_path):
         read_draw(path)
 
 
+def test_read_draw_rejects_a_nan_design_point(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "# family = poisson\n# model = original\n# n = 3\n# seed = 0\n"
+        "1, 0.25, 1.0\n2, nan, 0.0\n3, 0.75, 2.0\n"
+    )
+    with pytest.raises(ArgumentError, match="strictly increasing"):
+        read_draw(path)
+
+
+def test_a_copy_of_a_cell_design_is_checked_again():
+    cell = design_cell(get_family("poisson"), RegressionFunction.constant(1.0), 4)
+    x = np.zeros(4)
+    assert cell.draw(x).design is cell.t
+    # an equal array that is not the cell's is checked
+    t = cell.t.copy()
+    t[1] = math.nan
+    with pytest.raises(ArgumentError, match="strictly increasing"):
+        ExperimentDraw("original", 4, t, x, "poisson", "constant(1.0)")
+    # a NaN or infinite point that no difference sees: one point, or an end
+    for design in ([math.nan], [0.5, math.inf], [-math.inf, 0.5]):
+        with pytest.raises(ArgumentError, match="finite"):
+            ExperimentDraw("original", len(design), np.array(design),
+                           np.zeros(len(design)), "poisson", "constant(1.0)")
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

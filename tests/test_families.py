@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from lecam_equiv.errors import ArgumentError, DomainError, NumericError, SingularityError
@@ -324,6 +325,83 @@ def test_score_law_matches_sampler():
         fourth = np.mean(s**4)
         assert abs(s.mean()) < 6.0 * math.sqrt(info / n)
         assert abs(np.mean(s**2) - info) < 6.0 * math.sqrt(max(fourth, 1.0) / n)
+
+
+def _same_stream(draw, theta, seed):
+    """draw(theta, gen) against Generator.binomial(1, theta) on an equal generator.
+
+    True when both give the same bits and leave their generators at the
+    same position.
+    """
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = np.asarray(draw(theta, a), dtype=float)
+    y = np.asarray(b.binomial(1, theta), dtype=float)
+    return x.tobytes() == y.tobytes() and a.random() == b.random()
+
+
+_BERNOULLI_THETAS = {
+    "half": lambda n, rng: np.full(n, 0.5),
+    "above_half": lambda n, rng: rng.uniform(0.5, 1.0, n),
+    "working_ends": lambda n, rng: np.resize([0.05, 0.95], n),
+    "open_interval": lambda n, rng: rng.uniform(0.001, 0.999, n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024])
+@pytest.mark.parametrize("case", sorted(_BERNOULLI_THETAS))
+def test_bernoulli_table_sampler_is_numpys_binomial_bit_for_bit(case, n):
+    fam = get_family("bernoulli")
+    for seed in range(20):
+        theta = _BERNOULLI_THETAS[case](n, np.random.default_rng(1000 + seed))
+        table = fam.sampling_table(theta)
+        assert table.consts is not None
+        assert _same_stream(lambda th, gen: fam.sample(table, gen), theta, seed)
+        assert _same_stream(fam.sample, theta, seed)  # raw theta, cutoffs on the fly
+
+
+def test_bernoulli_scalar_theta_is_numpys_binomial():
+    fam = get_family("bernoulli")
+    for theta in (0.05, 0.3, 0.5, 0.7, 0.95):
+        assert _same_stream(fam.sample, theta, 3)
+        assert isinstance(fam.sample(theta, np.random.default_rng(3)), float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bernoulli_table_sampler_matches_binomial_on_any_theta(theta, n, seed):
+    fam = get_family("bernoulli")
+    thetas = np.full(n, theta)
+    thetas[::2] = 1.0 - theta  # both sides of 1/2, where the flip applies
+    thetas = np.clip(thetas, math.ulp(0.0), 1.0 - 2.0**-53)
+    assert _same_stream(fam.sample, thetas, seed)
+
+
+def test_bernoulli_cells_that_reach_the_restart_stay_on_binomial(monkeypatch):
+    # with the largest uniform above 1 every point could reach the inversion
+    # loop's second uniform: the table keeps rng.binomial, and the same bits
+    monkeypatch.setattr(families_module, "_U_MAX", 2.0)
+    fam = get_family("bernoulli")
+    theta = np.random.default_rng(4).uniform(0.05, 0.95, 257)
+    table = fam.sampling_table(theta)
+    assert table.consts is None
+    assert _same_stream(lambda th, gen: fam.sample(table, gen), theta, 9)
+
+
+def test_sampling_table_checks_theta_once_and_belongs_to_its_family():
+    bernoulli, poisson = get_family("bernoulli"), get_family("poisson")
+    with pytest.raises(DomainError, match="open interval"):
+        bernoulli.sampling_table(np.array([0.5, 1.0]))
+    table = poisson.sampling_table(np.array([1.0, 2.0]))
+    assert table.consts is None
+    with pytest.raises(ArgumentError, match="another family"):
+        bernoulli.sample(table, np.random.default_rng(0))
+    # a table of theta draws the same bits as theta itself
+    x = poisson.sample(table, np.random.default_rng(1))
+    assert x.tobytes() == poisson.sample(table.theta, np.random.default_rng(1)).tobytes()
 
 
 # ---------------------------------------------------------------------------

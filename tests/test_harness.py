@@ -593,6 +593,56 @@ def test_a_unit_checks_its_design_once(monkeypatch):
     assert sample_original(cell, np.random.default_rng(0)).design is cell.t
 
 
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its binomial calls."""
+
+    binomial_calls = 0
+
+    def binomial(self, *args, **kwargs):
+        _CountingGenerator.binomial_calls += 1
+        return super().binomial(*args, **kwargs)
+
+
+def test_bernoulli_units_draw_without_binomial_or_theta_rechecks(monkeypatch):
+    # every draw samples the cell's table: one uniform comparison per point,
+    # and theta checks per unit that do not grow with the replicate count
+    monkeypatch.setattr(_CountingGenerator, "binomial_calls", 0)
+    checks = []
+    require = ParametricFamily.require_theta
+
+    def counting(self, theta):
+        checks.append(np.size(theta))
+        return require(self, theta)
+
+    monkeypatch.setattr(ParametricFamily, "require_theta", counting)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+
+    def risk_unit_checks(replicates):
+        config = StudyConfig(
+            kind="risk-transfer", family="bernoulli", f_desc="affine(0.4, 0.2)",
+            n_grid=(64,), replicates=replicates, batches=1, master_seed=3, out_dir=".",
+        )
+        checks.clear()
+        harness_module._run_risk_transfer(config, (64, 0))
+        return len(checks)
+
+    assert risk_unit_checks(50) == risk_unit_checks(100)
+
+    fam = get_family("bernoulli")
+    f = RegressionFunction.affine(0.4, 0.2)
+    h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
+    plan = harness_module.CouplingPlan(fam, f, h, 64, grid_size=1024)
+
+    def stack_checks(rows):
+        checks.clear()
+        harness_module.build_coupled_draw(
+            plan, [_CountingGenerator(np.random.PCG64(r)) for r in range(rows)])
+        return len(checks)
+
+    assert stack_checks(4) == stack_checks(8) == 0
+    assert _CountingGenerator.binomial_calls == 0
+
+
 def test_cc_audit_unit_keeps_only_the_two_log_likelihoods():
     # the audit reads two numbers per replicate, so a unit's draws hold
     # two (R,) float arrays and nothing per design point

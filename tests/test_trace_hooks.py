@@ -53,8 +53,9 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
 
 
+# families.sample too: a draw that left family.sample would zero that layer
 KERNEL_SPANS = {"globalization.gaussianize", "experiments.sample_original",
-                "globalization.preliminary_estimate"}
+                "globalization.preliminary_estimate", "families.sample"}
 
 
 def _traced_names(call):
