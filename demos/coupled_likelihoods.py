@@ -29,7 +29,7 @@ for n in (256, 1024, 4096):
     f, h = standard_test_pair(family, n)
     plan = CouplingPlan(family, f, h, n, grid_size=1 << 13)
     stack = build_coupled_draw(plan, [stream_rng(derive_seed(1, n, r)) for r in range(300)])
-    report = mc_hellinger_coupled([stack], n=n, family=family.name)
+    report = mc_hellinger_coupled([stack])
     print(f"  n={n:>5d}: H^2 = {report.value:.3e} +- {report.mc_stderr:.1e}")
 
 print()
@@ -39,7 +39,7 @@ n = 1024
 f, h = standard_test_pair(loc, n)
 plan = CouplingPlan(loc, f, h, n, grid_size=1 << 12)
 stack = build_coupled_draw(plan, [stream_rng(derive_seed(2, n, r)) for r in range(200)])
-report = mc_hellinger_coupled([stack], n=n, family=loc.name)
+report = mc_hellinger_coupled([stack])
 print(f"  location H^2 estimate: {report.value} +- {report.mc_stderr} (identical paths)")
 
 print()

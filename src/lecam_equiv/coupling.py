@@ -26,7 +26,7 @@ from .errors import (
     SingularityError,
     TruncationConstantError,
 )
-from .experiments import ExperimentDraw, design_cell, lase_terms
+from .experiments import design_cell, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
 from .laws import (
@@ -310,16 +310,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
         if plan.remainder_weights is not None:
             rho = _row_dots(plan.remainder_weights, scores) + plan.remainder_offset
         else:
-            data = ExperimentDraw(
-                model="original",
-                n=n,
-                design=plan.cell.t,
-                observations=x,
-                family=family.name,
-                f_desc=plan.cell.f.descriptor,
-                h_desc=plan.h.descriptor,
-            )
-            rho = lase_terms(family, plan.cell.f, plan.h, data).remainder
+            rho = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x)).remainder
         noise = np.sqrt(plan.cell.info) * normals
         u = plan.sum_law.uniformize(weighted_sum, jitter)
         quantiles = map(_STD_NORMAL.inv_cdf, u.tolist())

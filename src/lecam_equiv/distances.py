@@ -218,11 +218,6 @@ class DistanceReport:
     value: float
     mc_stderr: float | None = None
     replicate_count: int = 0
-    n: int = 0
-    family: str = ""
-    f_desc: str = ""
-    h_desc: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -240,7 +235,7 @@ def _log_lik_arrays(draws) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
+def mc_hellinger_coupled(draws) -> DistanceReport:
     """Monte Carlo squared Hellinger distance from coupled likelihood pairs.
 
     Each draw carries log likelihood ratios of the two experiments
@@ -266,5 +261,4 @@ def mc_hellinger_coupled(draws, **report_fields) -> DistanceReport:
         value=float(min(max(value, 0.0), 1.0)),
         mc_stderr=stderr,
         replicate_count=r,
-        **report_fields,
     )

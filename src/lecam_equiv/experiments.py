@@ -37,18 +37,15 @@ class ExperimentDraw:
     """One realized dataset on the design grid i/n, i = 1..n.
 
     observations is (n,) for one draw, or (rows, n) for a stack of
-    replicate draws that share the design; n is its last axis.  The
+    replicate draws that share the design; n is the design length.  The
     design must be finite and strictly increasing, which a design
-    cell's is.
+    cell's is.  The record holds what a draw file holds.
     """
 
     model: str
-    n: int
     design: np.ndarray
     observations: np.ndarray
     family: str
-    f_desc: str
-    h_desc: str = ""
     seed: int = 0
 
     def __post_init__(self):
@@ -56,13 +53,17 @@ class ExperimentDraw:
             raise ArgumentError(f"unknown model tag {self.model!r}")
         if np.ndim(self.observations) not in (1, 2):
             raise ArgumentError("observations must be one draw or a stack of draws")
-        if np.shape(self.observations)[-1] != self.n or len(self.design) != self.n:
-            raise ArgumentError("draw length must equal n")
+        if np.shape(self.observations)[-1] != len(self.design):
+            raise ArgumentError("draw length must equal the design length")
         design = self.design
         if _CELL_DESIGNS.get(id(design)) is not design and not (
             np.all(np.diff(design) > 0) and np.all(np.isfinite(design))
         ):
             raise ArgumentError("design points must be finite and strictly increasing")
+
+    @property
+    def n(self) -> int:
+        return len(self.design)
 
 
 def design_grid(n: int) -> np.ndarray:
@@ -117,14 +118,13 @@ def read_draw(path) -> ExperimentDraw:
         raise ArgumentError(f"draw file declares n={n} but has {len(rows)} rows")
     design = np.array([r[0] for r in rows])
     obs = np.array([r[1] for r in rows])
+    if not np.all(np.isfinite(obs)):
+        raise ArgumentError("draw file observations must be finite")
     return ExperimentDraw(
         model=header["model"],
-        n=n,
         design=design,
         observations=obs,
         family=header["family"],
-        f_desc=header.get("f", ""),
-        h_desc=header.get("h", ""),
         seed=seed,
     )
 
@@ -150,11 +150,9 @@ class DesignCell:
         """An original-model draw, or a stack of them, on this cell's design."""
         return ExperimentDraw(
             model="original",
-            n=self.n,
             design=self.t,
             observations=observations,
             family=self.family.name,
-            f_desc=self.f.descriptor,
             seed=seed,
         )
 

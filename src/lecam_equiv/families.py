@@ -867,8 +867,8 @@ def check_regularity(
         raise ArgumentError("check_regularity: empty parameter grid")
     if not epsilon >= 0:
         raise ArgumentError("check_regularity: epsilon must be nonnegative")
-    if not 0.5 < beta:
-        raise ArgumentError("check_regularity: beta must exceed 1/2")
+    if not 0.5 < beta < math.inf:
+        raise ArgumentError("check_regularity: beta must be finite and exceed 1/2")
     family.require_theta(grid)
     d1 = default_delta_r1(beta)
     d2 = default_delta_r2(beta)

@@ -183,8 +183,8 @@ def rate_gamma_bar(n: int, beta: float, c_beta: float = 1.0) -> float:
     """Localization radius c * (log n / n)^(beta / (2 beta + 1))."""
     if n < 2:
         raise ArgumentError("rate needs n >= 2 so that log n > 0")
-    if beta <= 0.5:
-        raise ArgumentError("rate needs beta > 1/2")
+    if not 0.5 < beta < math.inf:
+        raise ArgumentError("rate needs a finite beta > 1/2")
     if c_beta <= 0:
         raise ArgumentError("rate constant must be positive")
     return c_beta * (math.log(n) / n) ** (beta / (2.0 * beta + 1.0))

@@ -169,12 +169,13 @@ def _window_estimate(family, draw, values, beta, to_mean, from_mean):
     if draw.n < 2:
         raise ArgumentError("need at least two observations")
     m = draw.n
+    sup_target = rate_gamma_bar(m, beta, 1.0)
     width = WINDOW_CONSTANT * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
     n_windows = max(1, math.ceil(1.0 / width))
     clipped = _clip_to_image(family, to_mean, _window_means(draw.design, values, n_windows))
     lo, hi = family.working_interval
     theta = np.minimum(hi, np.maximum(lo, from_mean(clipped)))
-    return StepFunction(theta, sup_target=rate_gamma_bar(m, beta, 1.0))
+    return StepFunction(theta, sup_target=sup_target)
 
 
 def preliminary_estimate(
@@ -267,12 +268,9 @@ def gaussianize(
     n_odd = (n + 1) // 2
     odd_draw = ExperimentDraw(
         model="original",
-        n=n_odd,
         design=draw.design[odd],
         observations=draw.observations[..., odd],
         family=draw.family,
-        f_desc=draw.f_desc,
-        h_desc=draw.h_desc,
         seed=draw.seed,
     )
     fhat = preliminary_estimate(family, odd_draw, beta)
@@ -309,12 +307,9 @@ def gaussianize(
 
     out = ExperimentDraw(
         model="gaussianized",
-        n=n,
         design=draw.design,
         observations=y,
         family=draw.family,
-        f_desc=draw.f_desc,
-        h_desc=draw.h_desc,
         seed=draw.seed,
     )
     desc = (
@@ -407,10 +402,6 @@ def homoscedastic_transform_check(
         kind="hellinger2",
         method="closed-form",
         value=min(max(value, 0.0), 1.0),
-        n=n,
-        family=family.name,
-        f_desc=f.descriptor,
-        h_desc=h.descriptor,
     )
 
 

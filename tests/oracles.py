@@ -97,11 +97,9 @@ def sample_global_gaussian(family, f, n, rng, seed=0) -> ExperimentDraw:
     obs = np.asarray(family.gamma(theta), dtype=float) + rng.standard_normal(n)
     return ExperimentDraw(
         model="global-gaussian",
-        n=n,
         design=t,
         observations=obs,
         family=family.name,
-        f_desc=f.descriptor,
         seed=seed,
     )
 
@@ -205,10 +203,7 @@ def coupled_draw_fields(plan, rng):
         if plan.remainder_weights is not None:
             rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
         else:
-            draw = ExperimentDraw(
-                "original", n, cell.t, np.asarray(x, dtype=float),
-                family.name, cell.f.descriptor, plan.h.descriptor,
-            )
+            draw = ExperimentDraw("original", cell.t, np.asarray(x, dtype=float), family.name)
             rho = lase_terms(family, cell.f, plan.h, draw).remainder
         noise = np.sqrt(cell.info) * rng.standard_normal(n)
         law = plan.sum_law

@@ -246,7 +246,7 @@ def test_criterion_06_local_equivalence_trend():
             for batch in range(20):
                 rngs = [stream_rng(derive_seed(606, n, batch * 400 + r)) for r in range(400)]
                 stack = build_coupled_draw(plan, rngs)
-                estimates.append(mc_hellinger_coupled([stack], n=n, family=name).value)
+                estimates.append(mc_hellinger_coupled([stack]).value)
             medians.append(float(np.median(estimates)))
         decreasing = all(b < a for a, b in zip(medians, medians[1:]))
         drop = medians[-1] <= 0.7 * medians[0]
@@ -259,7 +259,7 @@ def test_criterion_06_local_equivalence_trend():
     f, h = standard_test_pair(family, n)
     plan = CouplingPlan(family, f, h, n, grid_size=1 << 12)
     stack = build_coupled_draw(plan, [stream_rng(derive_seed(607, n, r)) for r in range(400)])
-    report = mc_hellinger_coupled([stack], n=n, family="location_normal")
+    report = mc_hellinger_coupled([stack])
     location_ok = report.value == 0.0 and report.mc_stderr == 0.0
     elapsed = time.monotonic() - t0
     ok = trend_ok and location_ok and elapsed < 600.0

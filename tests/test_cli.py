@@ -244,6 +244,47 @@ def test_gaussianize_nan_design_point_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gaussianize_non_finite_observation_exit_two(tmp_path, capsys, value):
+    draw = sample_original(
+        design_cell(get_family("poisson"), RegressionFunction.constant(1.0), 12),
+        np.random.default_rng(8), seed=8,
+    )
+    src = tmp_path / "draw.csv"
+    write_draw(draw, src)
+    lines = src.read_text().splitlines()
+    i, t, _ = lines[9].split(", ")  # the sixth row, after four header lines
+    lines[9] = f"{i}, {t}, {value}"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "g.csv"
+    code = cli.main(["gaussianize", str(src), "--out", str(out)])
+    assert code == 2
+    assert "observations must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_gaussianize_non_finite_beta_exit_two(tmp_path, capsys, beta):
+    draw = sample_original(
+        design_cell(get_family("poisson"), RegressionFunction.constant(1.0), 12),
+        np.random.default_rng(8), seed=8,
+    )
+    src = tmp_path / "draw.csv"
+    write_draw(draw, src)
+    out = tmp_path / "g.csv"
+    code = cli.main(["gaussianize", str(src), "--out", str(out), "--beta", beta])
+    assert code == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_check_family_non_finite_beta_exit_two(capsys, beta):
+    code = cli.main(["check-family", "poisson", "--beta", beta])
+    assert code == 2
+    assert "beta" in capsys.readouterr().err
+
+
 def test_console_script_is_installed():
     """The `lecam-equiv` script declared in pyproject.toml runs and lists its commands.
 

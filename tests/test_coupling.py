@@ -222,7 +222,7 @@ def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
     for seed in range(5):
         # a draw samples first, so the same seed reproduces its dataset
         x = fam.sample(plan.cell.theta, np.random.default_rng(seed))
-        data = ExperimentDraw("original", n, plan.cell.t, x, fam.name, f.descriptor, h.descriptor)
+        data = ExperimentDraw("original", plan.cell.t, x, fam.name)
         exact = lase_terms(fam, f, h, data).exact_loglik
         assert abs(stack.log_lik_original[seed] - exact) <= 1e-12
 
@@ -424,7 +424,7 @@ def test_coupled_hellinger_estimate_decreases_with_n():
         f, h = standard_test_pair(fam, n)
         plan = CouplingPlan(fam, f, h, n, grid_size=1 << 14)
         draws = [build_coupled_draw(plan, [rng] * 300)]
-        values.append(mc_hellinger_coupled(draws, n=n, family=fam.name).value)
+        values.append(mc_hellinger_coupled(draws).value)
     assert values[1] < values[0]
 
 

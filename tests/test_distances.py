@@ -254,11 +254,6 @@ def test_distance_report_invariants():
         value=0.25,
         mc_stderr=0.01,
         replicate_count=100,
-        n=256,
-        family="bernoulli",
-        f_desc="constant(0.5)",
-        h_desc="sinusoid(0.1, 1, 0)",
-        seed=7,
     )
     assert rep.mc_stderr == 0.01
 

@@ -41,21 +41,21 @@ def test_draw_rejects_bad_shapes_and_tags():
     t = design_grid(3)
     x = np.zeros(3)
     with pytest.raises(ArgumentError):
-        ExperimentDraw("nonsense", 3, t, x, "bernoulli", "constant(0.5)")
+        ExperimentDraw("nonsense", t, x, "bernoulli")
+    with pytest.raises(ArgumentError, match="design length"):
+        ExperimentDraw("original", t, x[:2], "bernoulli")
     with pytest.raises(ArgumentError):
-        ExperimentDraw("original", 2, t, x, "bernoulli", "constant(0.5)")
-    with pytest.raises(ArgumentError):
-        ExperimentDraw("original", 3, t[::-1].copy(), x, "bernoulli", "constant(0.5)")
+        ExperimentDraw("original", t[::-1].copy(), x, "bernoulli")
 
 
 def test_draw_holds_a_stack_of_replicates_on_one_design(tmp_path):
     t = design_grid(3)
-    stack = ExperimentDraw("original", 3, t, np.zeros((2, 3)), "bernoulli", "constant(0.5)")
-    assert stack.observations.shape == (2, 3)
+    stack = ExperimentDraw("original", t, np.zeros((2, 3)), "bernoulli")
+    assert stack.observations.shape == (2, 3) and stack.n == 3
     with pytest.raises(ArgumentError):
-        ExperimentDraw("original", 3, t, np.zeros((3, 2)), "bernoulli", "constant(0.5)")
+        ExperimentDraw("original", t, np.zeros((3, 2)), "bernoulli")
     with pytest.raises(ArgumentError):
-        ExperimentDraw("original", 3, t, np.zeros((1, 2, 3)), "bernoulli", "constant(0.5)")
+        ExperimentDraw("original", t, np.zeros((1, 2, 3)), "bernoulli")
     with pytest.raises(ArgumentError, match="not a stack"):
         write_draw(stack, tmp_path / "stack.csv")
     assert not (tmp_path / "stack.csv").exists()
@@ -72,8 +72,13 @@ def test_draw_file_roundtrip(tmp_path):
     assert back.family == "poisson"
     assert back.n == 17
     assert back.seed == 5
-    assert np.array_equal(back.design, draw.design)
-    assert np.array_equal(back.observations, draw.observations)
+    # the record holds what the file holds: every field survives, arrays bit for bit
+    for field in dataclasses.fields(ExperimentDraw):
+        got, want = getattr(back, field.name), getattr(draw, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
     # byte-for-byte determinism of the writer
     path2 = tmp_path / "again.csv"
     write_draw(draw, path2)
@@ -99,12 +104,15 @@ def test_draw_file_header_and_row_validation(tmp_path):
 
 def test_read_draw_rejects_a_nan_design_point(tmp_path):
     path = tmp_path / "nan.csv"
-    path.write_text(
-        "# family = poisson\n# model = original\n# n = 3\n# seed = 0\n"
-        "1, 0.25, 1.0\n2, nan, 0.0\n3, 0.75, 2.0\n"
-    )
+    header = "# family = poisson\n# model = original\n# n = 3\n# seed = 0\n"
+    path.write_text(header + "1, 0.25, 1.0\n2, nan, 0.0\n3, 0.75, 2.0\n")
     with pytest.raises(ArgumentError, match="strictly increasing"):
         read_draw(path)
+    # a non-finite observation is rejected the same way
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(header + f"1, 0.25, 1.0\n2, 0.5, {value}\n3, 0.75, 2.0\n")
+        with pytest.raises(ArgumentError, match="observations must be finite"):
+            read_draw(path)
 
 
 def test_a_copy_of_a_cell_design_is_checked_again():
@@ -115,12 +123,11 @@ def test_a_copy_of_a_cell_design_is_checked_again():
     t = cell.t.copy()
     t[1] = math.nan
     with pytest.raises(ArgumentError, match="strictly increasing"):
-        ExperimentDraw("original", 4, t, x, "poisson", "constant(1.0)")
+        ExperimentDraw("original", t, x, "poisson")
     # a NaN or infinite point that no difference sees: one point, or an end
     for design in ([math.nan], [0.5, math.inf], [-math.inf, 0.5]):
         with pytest.raises(ArgumentError, match="finite"):
-            ExperimentDraw("original", len(design), np.array(design),
-                           np.zeros(len(design)), "poisson", "constant(1.0)")
+            ExperimentDraw("original", np.array(design), np.zeros(len(design)), "poisson")
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +179,10 @@ def test_loglik_single_bernoulli_point():
     fam = get_family("bernoulli")
     f = RegressionFunction.constant(0.5)
     h = RegressionFunction.constant(0.1)
-    draw = ExperimentDraw(
-        "original", 1, design_grid(1), np.array([1.0]), "bernoulli", f.descriptor
-    )
+    draw = ExperimentDraw("original", design_grid(1), np.array([1.0]), "bernoulli")
     val = lase_terms(fam, f, h, draw).exact_loglik
     assert val == pytest.approx(math.log(0.6 / 0.5), abs=1e-15)
-    draw0 = ExperimentDraw(
-        "original", 1, design_grid(1), np.array([0.0]), "bernoulli", f.descriptor
-    )
+    draw0 = ExperimentDraw("original", design_grid(1), np.array([0.0]), "bernoulli")
     assert lase_terms(fam, f, h, draw0).exact_loglik == pytest.approx(
         math.log(0.4 / 0.5), abs=1e-15
     )
@@ -228,8 +231,7 @@ def test_stacked_lase_terms_rows_equal_single_draws(name):
     cell = design_cell(fam, f, 100)
     rows = [sample_original(cell, np.random.default_rng(seed)) for seed in range(4)]
     stack = ExperimentDraw(
-        "original", 100, rows[0].design, np.stack([d.observations for d in rows]),
-        fam.name, f.descriptor,
+        "original", rows[0].design, np.stack([d.observations for d in rows]), fam.name
     )
     terms = lase_terms(fam, f, h, stack)
     for row, draw in enumerate(rows):

@@ -447,6 +447,12 @@ def test_regularity_rejects_bad_epsilon(epsilon):
         check_regularity(get_family("bernoulli"), [0.4, 0.5], epsilon=epsilon, beta=1.0)
 
 
+@pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
+def test_regularity_rejects_bad_beta(beta):
+    with pytest.raises(ArgumentError, match="beta"):
+        check_regularity(get_family("poisson"), [1.0, 2.0], epsilon=0.05, beta=beta)
+
+
 class _TruncatedGaussianScale(GaussianScale):
     """N(0, theta^2) with the density cut to 0 beyond 8 theta."""
 

@@ -52,8 +52,9 @@ def test_rate_strictly_decreasing_in_n():
 def test_rate_argument_errors():
     with pytest.raises(ArgumentError):
         rate_gamma_bar(1, 1.0, 1.0)
-    with pytest.raises(ArgumentError):
-        rate_gamma_bar(100, 0.5, 1.0)
+    for beta in (0.5, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="beta"):
+            rate_gamma_bar(100, beta, 1.0)
     with pytest.raises(ArgumentError):
         rate_gamma_bar(100, 1.0, 0.0)
     with pytest.raises(ArgumentError):

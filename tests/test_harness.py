@@ -21,8 +21,9 @@ from lecam_equiv.harness import (
 )
 
 import lecam_equiv.harness as harness_module
+from lecam_equiv.coupling import CouplingPlan, build_coupled_draw
 from lecam_equiv.experiments import design_cell, sample_original
-from lecam_equiv.families import ParametricFamily, get_family
+from lecam_equiv.families import ParametricFamily, TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import risk_transfer_demo
 
@@ -403,6 +404,40 @@ def test_local_hellinger_medians_rederivable_from_rows(tmp_path):
             per_n.setdefault(int(parts[0]), []).append(float(parts[2]))
     recomputed = [(n, float(np.median(vs))) for n, vs in sorted(per_n.items())]
     assert recomputed == res.medians["h2_median"]
+
+
+def test_no_study_formats_a_descriptor_per_draw(monkeypatch):
+    # a draw holds data only: no study path reads a function's descriptor
+    reads = []
+    descriptor = RegressionFunction.descriptor
+
+    def counted(self):
+        reads.append(self.kind)
+        return descriptor.fget(self)
+
+    monkeypatch.setattr(RegressionFunction, "descriptor", property(counted))
+    globalize = StudyConfig(
+        kind="globalize", family="poisson", f_desc="affine(1.5, 1.0)", L=3.0,
+        n_grid=(256,), replicates=12, batches=1,
+    )
+    harness_module._run_globalize(globalize, (256, 0))
+    risk_transfer_demo(
+        get_family("bernoulli"), RegressionFunction.affine(0.4, 0.2), 256, [1.0],
+        np.random.default_rng(0), R=50,
+    )
+    local = dataclasses.replace(
+        globalize, kind="local-hellinger", c_rate=0.5, replicates=10, coupling_grid=1 << 10
+    )
+    harness_module._run_local_hellinger(local, 256)
+    xs = np.linspace(-8.0, 8.0, 801)
+    plan = CouplingPlan(
+        TabulatedLocation(xs, np.exp(-0.5 * xs * xs)), RegressionFunction.constant(0.0),
+        RegressionFunction.sinusoid(0.01, 1.0, 0.0), 16, grid_size=256,
+    )
+    assert plan.remainder_weights is None  # the stack goes through lase_terms
+    build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(3)])
+    assert reads == []
+    assert RegressionFunction.constant(1.0).descriptor == "constant(1)" and reads == ["constant"]
 
 
 def test_worker_pool_and_serial_runs_write_identical_bytes(tmp_path):
