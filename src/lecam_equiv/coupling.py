@@ -328,6 +328,8 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
 # condition audits
 # ---------------------------------------------------------------------------
 
+AUDIT_MIN_DRAWS = 100  # fewest draws the condition audit accepts
+
 
 def audit_cc_conditions(
     draws,
@@ -347,8 +349,8 @@ def audit_cc_conditions(
     """
     a, b = _log_lik_arrays(draws)
     r = a.size
-    if r < 100:
-        raise ArgumentError("need at least 100 draws for the condition audit")
+    if r < AUDIT_MIN_DRAWS:
+        raise ArgumentError(f"need at least {AUDIT_MIN_DRAWS} draws for the condition audit")
     if not 0.0 < r_n < 1.0:
         raise ArgumentError("r_n must lie in (0, 1)")
     if alpha1 <= 0.0 or eps <= 0.0:

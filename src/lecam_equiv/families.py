@@ -473,7 +473,11 @@ class PoissonScoreLaw(ScoreLaw):
         # log cf = theta (exp(it) - 1) - i omega with t = omega/theta
         omega = np.asarray(omega, dtype=float)
         t = omega / self.theta
-        return self.theta * (np.cos(t) - 1.0), self.theta * np.sin(t) - omega
+        log_mod = self.theta * (np.cos(t) - 1.0)
+        phase = np.sin(t, out=t)  # reusing t holds one array fewer in the sum-law build
+        phase *= self.theta
+        phase -= omega
+        return log_mod, phase
 
     def clipped_moments(self, k):
         return self.atoms().clipped_moments(k)
@@ -865,8 +869,8 @@ def check_regularity(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ArgumentError("check_regularity: empty parameter grid")
-    if not epsilon >= 0:
-        raise ArgumentError("check_regularity: epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ArgumentError("check_regularity: epsilon must be nonnegative and finite")
     if not 0.5 < beta < math.inf:
         raise ArgumentError("check_regularity: beta must be finite and exceed 1/2")
     family.require_theta(grid)

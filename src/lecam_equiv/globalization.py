@@ -224,6 +224,9 @@ class GaussianizedData:
             raise ArgumentError("kernel output must be finite")
 
 
+KERNEL_MIN_N = 8  # fewest observations the kernel splits and blocks
+
+
 def gaussianize(
     family: ParametricFamily,
     draw: ExperimentDraw,
@@ -254,8 +257,8 @@ def gaussianize(
         raise ArgumentError(
             f"draw comes from family {draw.family!r}, not {family.name!r}"
         )
-    if draw.n < 8:
-        raise ArgumentError("need at least 8 observations to split and block")
+    if draw.n < KERNEL_MIN_N:
+        raise ArgumentError(f"need at least {KERNEL_MIN_N} observations to split and block")
     noise = np.asarray(noise, dtype=float)
     if noise.shape != draw.observations.shape:
         raise ArgumentError(
@@ -424,6 +427,9 @@ class RiskTransferTable:
     sup_errors_transferred: np.ndarray
 
 
+RISK_MIN_REPLICATES = 50  # fewest replicates the risk-transfer demo accepts
+
+
 def risk_transfer_demo(
     family: ParametricFamily,
     f: RegressionFunction,
@@ -443,13 +449,13 @@ def risk_transfer_demo(
     draws each replicate's sample and then its kernel noise, replicate
     after replicate; the estimates run on replicate stacks.
     """
-    if R < 50:
-        raise ArgumentError("need at least 50 replicates")
+    if R < RISK_MIN_REPLICATES:
+        raise ArgumentError(f"need at least {RISK_MIN_REPLICATES} replicates")
     caps = np.asarray(loss_grid, dtype=float)
     if caps.ndim != 1 or caps.size == 0 or np.any(caps <= 0.0):
         raise ArgumentError("loss_grid must be a nonempty list of positive caps")
-    if n < 8:
-        raise ArgumentError("need at least 8 observations to split and block")
+    if n < KERNEL_MIN_N:
+        raise ArgumentError(f"need at least {KERNEL_MIN_N} observations to split and block")
     cell = design_cell(family, f, n)
     err_a = np.empty(R)
     err_b = np.empty(R)

@@ -27,13 +27,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .coupling import CouplingPlan, audit_cc_conditions, build_coupled_draw
+from .coupling import AUDIT_MIN_DRAWS, CouplingPlan, audit_cc_conditions, build_coupled_draw
 from .distances import mc_hellinger_coupled
 from .errors import ArgumentError, ConfigError, NumericError
 from .experiments import design_cell, sample_original
 from .families import check_regularity, get_family
 from .function_space import RegressionFunction, parse_function, rate_gamma_bar
 from .globalization import (
+    KERNEL_MIN_N,
+    RISK_MIN_REPLICATES,
     _replicate_stacks,
     _stack_bounds,
     gaussianize,
@@ -123,8 +125,12 @@ class StudyConfig:
             raise ConfigError("n_grid must list integers >= 2")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
-        if self.replicates < 10:
-            raise ConfigError("replicates must be at least 10")
+        fewest = {"cc-audit": AUDIT_MIN_DRAWS, "risk-transfer": RISK_MIN_REPLICATES}
+        least = fewest.get(self.kind, 10)
+        if self.replicates < least:
+            raise ConfigError(f"replicates must be at least {least} for {self.kind}")
+        if self.kind in ("globalize", "risk-transfer") and grid[0] < KERNEL_MIN_N:
+            raise ConfigError(f"n_grid entries must be at least {KERNEL_MIN_N} for {self.kind}")
         if self.batches < 1:
             raise ConfigError("batches must be at least 1")
         if not self.beta > 0.5:

@@ -253,25 +253,17 @@ _LIVE_CUT = -800.0
 
 
 def _live_half_spectrum(laws, weights, grid_size, dx, x0):
-    """Smoothed spectrum of sum_i w_i xi_i on the live bins of 0..grid_size // 2.
+    """Smoothed spectrum of sum_i w_i xi_i on the rfftfreq bins, for a grid from x0.
 
-    Returns (live, head): head holds the spectrum at the bin indices in
-    live, or at every bin when live is None.  A bin leaves once its
-    running log modulus falls below _LIVE_CUT; the laws added after that
-    are not evaluated there.
+    Zeros off the live band: a bin leaves once its running log modulus
+    falls below _LIVE_CUT, and the laws added after it are not evaluated there.
     """
-    # the angular fftfreq bins 0..grid_size // 2, bit for bit: for even
-    # grid_size the last one is the Nyquist bin at -grid_size / 2
-    omega = np.arange(grid_size // 2 + 1, dtype=float)
-    if grid_size % 2 == 0:
-        omega[-1] = -omega[-1]
-    omega *= 1.0 / (grid_size * dx)
-    omega *= 2.0 * np.pi
+    omega = 2.0 * np.pi * np.fft.rfftfreq(grid_size, dx)
     # accumulate the log cf to avoid underflow of the product,
     # starting from the one-bin smoothing term
     log_mod = -0.5 * (dx * omega) ** 2
     phase = np.zeros(omega.size)
-    live = None  # indices of the bins still in the build; None while all are
+    live = np.arange(omega.size)  # indices of the bins still in the build
     for law, w in zip(laws, weights):
         if w == 0.0:
             continue
@@ -283,40 +275,35 @@ def _live_half_spectrum(laws, weights, grid_size, dx, x0):
         drop = log_mod < _LIVE_CUT
         if drop.any():
             keep = ~drop
-            live = np.flatnonzero(keep) if live is None else live[keep]
-            omega, log_mod, phase = omega[keep], log_mod[keep], phase[keep]
-    head = np.empty(omega.size, dtype=complex)
-    head.real = np.cos(phase)
-    head.imag = np.sin(phase)
-    head *= np.exp(log_mod)
-    shift = -1j * omega
-    shift *= x0
-    head *= np.exp(shift, out=shift)
-    return live, head
+            live, omega, log_mod, phase = live[keep], omega[keep], log_mod[keep], phase[keep]
+    phase -= x0 * omega
+    mod = np.exp(log_mod, out=log_mod)
+    half = np.zeros(grid_size // 2 + 1, dtype=complex)
+    half.real[live] = mod * np.cos(phase)
+    half.imag[live] = mod * np.sin(phase)
+    return half
 
 
 class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
 
     Built once per (f, h, n) cell from the product of characteristic
-    functions on a frequency grid, summed as real log moduli and phases.
-    T is real, so its characteristic function is Hermitian: the laws are
-    evaluated on the grid_size // 2 + 1 bins 0..grid_size // 2 (the
-    Nyquist bin included), and each negative bin is the conjugate of its
-    mirror.  That is exact, not an approximation: every built-in log_cf
-    is even in its log modulus and odd in its phase, so the mirror holds
-    the values that evaluating the negative bins would give, bit for
-    bit.  A bin leaves the build once its running log modulus falls
-    below _LIVE_CUT, and later laws are evaluated on the live bins only.
-    That is exact too: |cf| <= 1, so every log modulus still to be added
-    is nonpositive (up to an ulp for atom laws) and exp of the full sum
-    would be exactly 0.0.  The inverse FFT gives a density on a value
-    grid spanning +-SPAN_SIGMAS standard deviations.  A one-bin Gaussian
-    smoothing is folded in so that quasi-atomic laws produce a
-    well-behaved grid density; `uniformize` compensates by jittering the
-    input at the same bandwidth, so U = F(T + jitter) is uniform up to
-    grid resolution.  The negative density mass clipped to zero is kept
-    in clipped_mass.
+    functions, summed as real log moduli and phases on the
+    grid_size // 2 + 1 nonnegative bins of np.fft.rfftfreq, which fix the
+    Hermitian cf of the real T.  np.fft.irfft inverts that half spectrum
+    (of the Nyquist bin it reads the real part) to a density on a value
+    grid spanning +-SPAN_SIGMAS standard deviations.  A bin leaves the
+    build once its running log modulus falls below _LIVE_CUT, and later
+    laws are evaluated on the live bins only.  That is exact: |cf| <= 1,
+    so every log modulus still to be added is nonpositive (up to an ulp
+    for atom laws) and exp of the full sum would be exactly 0.0.  A
+    one-bin Gaussian smoothing is folded in so that quasi-atomic laws
+    produce a well-behaved grid density; `uniformize` compensates by
+    jittering the input at the same bandwidth, so U = F(T + jitter) is
+    uniform up to grid resolution.  The negative density mass clipped to
+    zero is kept in clipped_mass.  Until ROADMAP item 20 lands, the grid
+    holds the law of -T, not of T (irfft sums with exp(+i omega x)), and
+    the exact-law tests of the sum law in tests/test_laws.py are xfail.
     """
 
     def __init__(
@@ -334,15 +321,9 @@ class WeightedSumLaw:
         dx = 2.0 * span / grid_size
         self.smooth_bw = dx
         x0 = -span
-        live, head = _live_half_spectrum(laws, weights, grid_size, dx, x0)
-        n_half = grid_size // 2 + 1
-        spectrum = np.zeros(grid_size, dtype=complex)
-        spectrum[slice(n_half) if live is None else live] = head
-        del head
-        np.conjugate(spectrum[1 : (grid_size + 1) // 2][::-1], out=spectrum[n_half:])
-        np.fft.ifft(spectrum, out=spectrum)
-        cdf = spectrum.real / dx  # the density, until the cumsum below
-        del spectrum
+        half = _live_half_spectrum(laws, weights, grid_size, dx, x0)
+        cdf = np.fft.irfft(half, n=grid_size) / dx  # the density, until the cumsum below
+        del half
         neg = np.negative(cdf)
         self.clipped_mass = float(np.sum(np.maximum(neg, 0.0, out=neg)) * dx)
         del neg

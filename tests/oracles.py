@@ -151,9 +151,13 @@ def globalize_ks(config, n, replicates):
 def full_spectrum_sum_law(laws, weights, grid_size):
     """(grid, cdf_grid, clipped_mass) of WeightedSumLaw, evaluating every frequency.
 
-    The characteristic function is evaluated on all grid_size bins,
-    negative frequencies included, instead of being mirrored from the
-    nonnegative half.
+    The characteristic function is evaluated on all grid_size bins of
+    fftfreq, negative frequencies included and with no live cut, and
+    asserted Hermitian bit for bit: each bin's log modulus equals its
+    mirror's and its phase is the negated mirror phase.  The bins
+    0..grid_size // 2 are then inverted with irfft; for even grid_size
+    the last of them is the Nyquist bin at -grid_size / 2, of which
+    irfft reads only the real part, even in omega.
     """
     weights = np.asarray(weights, dtype=float)
     var = sum(w * w * law.second_moment() for law, w in zip(laws, weights))
@@ -169,9 +173,18 @@ def full_spectrum_sum_law(laws, weights, grid_size):
         lm, ph = law.log_cf(omega * w)
         log_mod += lm
         phase += ph
-    phi = np.exp(log_mod) * (np.cos(phase) + 1j * np.sin(phase))
+    pairs = slice(1, (grid_size + 1) // 2)
+    mirror = slice(grid_size - 1, grid_size // 2, -1)
+    assert log_mod[pairs].tobytes() == log_mod[mirror].tobytes()
+    assert phase[pairs].tobytes() == (-phase[mirror]).tobytes()
     x0 = -span
-    dens = np.real(np.fft.ifft(phi * np.exp(-1j * omega * x0))) / dx
+    half = slice(grid_size // 2 + 1)
+    phase = phase[half] - x0 * omega[half]
+    mod = np.exp(log_mod[half])
+    phi = np.empty(phase.size, dtype=complex)
+    phi.real = mod * np.cos(phase)
+    phi.imag = mod * np.sin(phase)
+    dens = np.fft.irfft(phi, n=grid_size) / dx
     clipped_mass = float(np.sum(np.maximum(-dens, 0.0)) * dx)
     dens = np.maximum(dens, 0.0)
     cdf = np.cumsum(dens) * dx

@@ -136,7 +136,9 @@ def test_check_family_builtin_with_table_exit_two(capsys):
     assert "takes no density table" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["--grid-points", "-1"], ["--epsilon", "nan"]])
+@pytest.mark.parametrize(
+    "flags", [["--grid-points", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"]]
+)
 def test_check_family_bad_number_exit_two(flags, capsys):
     code = cli.main(["check-family", "bernoulli", *flags])
     assert code == 2

@@ -152,6 +152,17 @@ def test_config_rejects_bad_n_grid():
 def test_config_rejects_small_replicate_count():
     with pytest.raises(ConfigError):
         _config(replicates=9)
+    # each kind's own minimum, at parse time rather than after the work
+    for kind, overrides, match in [
+        ("cc-audit", dict(replicates=99), "at least 100 for cc-audit"),
+        ("risk-transfer", dict(replicates=49), "at least 50 for risk-transfer"),
+        ("globalize", dict(n_grid=(7, 256)), "at least 8 for globalize"),
+        ("risk-transfer", dict(replicates=50, n_grid=(7, 256)), "at least 8 for risk-transfer"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            _config(kind=kind, **overrides)
+    _config(kind="cc-audit", replicates=100)
+    _config(kind="risk-transfer", replicates=50, n_grid=(8, 256))
 
 
 def test_config_rejects_bad_scalars():

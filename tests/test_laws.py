@@ -559,3 +559,29 @@ def test_live_band_keeps_a_nan_bin_and_propagates_it_as_the_full_spectrum_does()
 def test_live_band_matches_the_full_spectrum_on_random_plans(family, n, grid_size, scale):
     laws, weights = _plan_laws(family, n, scale)
     _assert_full_spectrum_bytes(laws, weights, grid_size)
+
+
+# ---------------------------------------------------------------------------
+# exact laws: the grid CDF against the law of the weighted sum itself
+# ---------------------------------------------------------------------------
+
+_LAW_OF_MINUS_T = "ROADMAP item 20: the grid holds the law of −T"
+
+
+@pytest.mark.xfail(reason=_LAW_OF_MINUS_T)
+def test_sum_law_cdf_between_the_atoms_of_one_bernoulli_score():
+    # the score of Bernoulli(0.2) is -1.25 with probability 0.8 and 5.0 otherwise
+    law = get_family("bernoulli").score_law(0.2)
+    assert law.atoms().values.tolist() == pytest.approx([-1.25, 5.0], abs=1e-12)
+    sum_law = WeightedSumLaw([law], np.ones(1), grid_size=1 << 12)
+    assert np.interp(1.875, sum_law.grid, sum_law.cdf_grid) == pytest.approx(0.8, abs=1e-3)
+
+
+@pytest.mark.xfail(reason=_LAW_OF_MINUS_T)
+@pytest.mark.parametrize("k", [4, 32])
+def test_sum_law_of_scaled_chi2_scores_is_the_shifted_chi2(k):
+    # at theta = 1 each score is W - 1 with W ~ chi2(1), so the sum is chi2(k) - k
+    laws = [get_family("gaussian_scale").score_law(1.0)] * k
+    sum_law = WeightedSumLaw(laws, np.ones(k), grid_size=1 << 14)
+    exact = stats.chi2(k).cdf(sum_law.grid + k)
+    assert np.max(np.abs(sum_law.cdf_grid - exact)) <= 2e-3
