@@ -311,12 +311,15 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
             rho = _row_dots(plan.remainder_weights, scores) + plan.remainder_offset
         else:
             rho = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x)).remainder
-        noise = np.sqrt(plan.cell.info) * normals
         u = plan.sum_law.uniformize(weighted_sum, jitter)
         quantiles = map(_STD_NORMAL.inv_cdf, u.tolist())
         coupled_sum = plan.sum_law.sigma * np.fromiter(quantiles, float, count=u.size)
         fill = h_vals * plan.cell.info / plan.sigma2
-        zeta = noise + (coupled_sum - _row_dots(h_vals, noise))[:, None] * fill
+        # the Gaussian fill in the normals' buffer: first the noise, then zeta
+        zeta = normals
+        zeta *= np.sqrt(plan.cell.info)
+        gap = coupled_sum - _row_dots(h_vals, zeta)
+        zeta += gap[:, None] * fill
         loglik_gauss = _row_dots(h_vals, zeta) - quad
     return CoupledLikelihoodDraw(
         log_lik_original=weighted_sum - quad + rho,

@@ -466,6 +466,9 @@ class PoissonScoreLaw(ScoreLaw):
             )
         return self._atom_cache
 
+    def poisson_form(self) -> tuple[float, float, float]:
+        return self.theta, 1.0 / self.theta, -1.0
+
     def second_moment(self) -> float:
         return 1.0 / self.theta
 

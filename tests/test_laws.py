@@ -1,6 +1,9 @@
 """Score-law machinery: clipped moments, characteristic functions, truncation, sum laws."""
 
 import math
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
 from lecam_equiv.experiments import design_cell
 from lecam_equiv.families import PoissonScoreLaw, TabulatedLocation, get_family
-from lecam_equiv.harness import StudyConfig, _local_shift
+from lecam_equiv import laws as laws_module
+from lecam_equiv.harness import StudyConfig, _local_shift, parse_config
 from lecam_equiv.laws import (
     SPAN_SIGMAS,
     AtomLaw,
@@ -326,6 +330,39 @@ def test_weighted_sum_law_degenerate_weights():
         WeightedSumLaw(laws, np.zeros(4))
 
 
+@pytest.mark.parametrize("n_weights", [3, 5])
+def test_weighted_sum_law_needs_one_weight_per_law(n_weights):
+    laws = [PoissonScoreLaw(1.5) for _ in range(4)]
+    with pytest.raises(ArgumentError, match="one weight per law"):
+        WeightedSumLaw(laws, np.full(n_weights, 0.1), grid_size=256)
+    with pytest.raises(ArgumentError, match="one weight per law"):
+        WeightedSumLaw(laws, np.full((4, 1), 0.1), grid_size=256)
+
+
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan, 1e200])
+def test_weighted_sum_law_rejects_a_non_finite_variance_without_warnings(weight):
+    laws = [PoissonScoreLaw(1.5) for _ in range(3)]
+    weights = np.array([0.1, weight, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="finite positive variance"):
+            WeightedSumLaw(laws, weights, grid_size=256)
+
+
+@pytest.mark.parametrize("grid_size", [0, 1, -4, 2.5, 256.0, True, "256"])
+def test_weighted_sum_law_needs_an_integer_grid_of_at_least_two(grid_size):
+    laws = [PoissonScoreLaw(1.5) for _ in range(3)]
+    with pytest.raises(ArgumentError, match="grid_size"):
+        WeightedSumLaw(laws, np.full(3, 0.1), grid_size=grid_size)
+
+
+def test_weighted_sum_law_builds_on_the_smallest_grid():
+    laws = [PoissonScoreLaw(1.5) for _ in range(3)]
+    for grid_size in (2, np.int64(3)):
+        sum_law = WeightedSumLaw(laws, np.full(3, 0.1), grid_size=grid_size)
+        assert sum_law.cdf_grid.shape == (grid_size,) and sum_law.cdf_grid[-1] == 1.0
+
+
 def _complex_cf(law, omega):
     """Characteristic function in complex arithmetic, independent of log_cf."""
     if isinstance(law, PoissonScoreLaw):
@@ -382,6 +419,40 @@ def test_weighted_sum_law_cdf_grid_matches_complex_oracle(build):
     assert np.max(np.abs(sum_law.cdf_grid - oracle)) < 1e-13
 
 
+# Absolute agreement of cdf_grid and clipped_mass with the full-spectrum
+# reference build, which evaluates every law through its own log_cf.  The
+# rotation tables and the atom product round differently from log_cf; the
+# largest gap on the cases below is about 3e-14 (poisson at n = 4096).
+ORACLE_TOL = 1e-12
+
+
+def _through_log_cf(laws):
+    """Whether the build evaluates every law by its log_cf, not by rotation tables."""
+    return all(law.poisson_form() is None and law.atoms() is None for law in laws)
+
+
+def _assert_matches_full_spectrum(laws, weights, grid_size):
+    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
+    assert sum_law.grid.tobytes() == grid.tobytes()
+    if _through_log_cf(laws):
+        # the same per-bin arithmetic as the reference: the same bytes
+        assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
+        assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(clipped_mass).tobytes()
+    assert np.max(np.abs(sum_law.cdf_grid - cdf_grid)) <= ORACLE_TOL
+    assert abs(sum_law.clipped_mass - clipped_mass) <= ORACLE_TOL
+    return sum_law
+
+
+def _assert_cut_keeps_the_bytes(laws, weights, grid_size):
+    """The live band against the same build with no row ever dropped."""
+    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    with mock.patch.object(laws_module, "_LIVE_CUT", -np.inf):
+        uncut = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    assert sum_law.cdf_grid.tobytes() == uncut.cdf_grid.tobytes()
+    assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(uncut.clipped_mass).tobytes()
+
+
 def _tabulated_laws(th):
     # the generic AtomLaw log cf, on a table coarse enough to stay cheap
     xs = np.linspace(-8.0, 8.0, 101)
@@ -407,11 +478,7 @@ def test_half_spectrum_sum_law_matches_full_spectrum(build, grid_size):
     laws = build(th)
     weights = 0.15 + 0.08 * np.sin(2.0 * np.pi * np.arange(1, n + 1) / n)
     weights[5] = 0.0
-    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
-    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
-    assert sum_law.grid.tobytes() == grid.tobytes()
-    assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
-    assert sum_law.clipped_mass == clipped_mass
+    _assert_matches_full_spectrum(laws, weights, grid_size)
 
 
 # Negative FFT density mass the sum-law build may clip: an absolute bound
@@ -461,36 +528,75 @@ def _plan_laws(family, n, scale=1.0):
     return [fam.score_law(float(t)) for t in cell.theta], weights
 
 
-def _assert_full_spectrum_bytes(laws, weights, grid_size):
-    sum_law = WeightedSumLaw(laws, weights, grid_size=grid_size)
-    grid, cdf_grid, clipped_mass = full_spectrum_sum_law(laws, weights, grid_size)
-    assert sum_law.grid.tobytes() == grid.tobytes()
-    assert sum_law.cdf_grid.tobytes() == cdf_grid.tobytes()
-    assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(clipped_mass).tobytes()
-    return sum_law
+_LIVE_BAND_PLANS = [
+    ("poisson", 1024, 1024),
+    ("poisson", 4096, 1 << 14),
+    ("gaussian_scale", 1024, 1024),
+    ("gaussian_scale", 4096, 1 << 14),
+    ("bernoulli", 4096, 1 << 14),
+    ("poisson", 1024, 1023),
+]
 
 
-@pytest.mark.parametrize(
-    "family, n, grid_size",
-    [
-        ("poisson", 1024, 1024),
-        ("poisson", 4096, 1 << 14),
-        ("gaussian_scale", 1024, 1024),
-        ("gaussian_scale", 4096, 1 << 14),
-        ("bernoulli", 4096, 1 << 14),
-        ("poisson", 1024, 1023),
-    ],
-)
+# The live band against two full spectra: the reference build, which
+# evaluates every bin by log_cf, within ORACLE_TOL (bytes for laws that the
+# build evaluates by log_cf too), and the build with no row dropped, byte for byte.
+@pytest.mark.parametrize("family, n, grid_size", _LIVE_BAND_PLANS)
 def test_live_band_sum_law_is_the_full_spectrum_bit_for_bit(family, n, grid_size):
     laws, weights = _plan_laws(family, n)
-    _assert_full_spectrum_bytes(laws, weights, grid_size)
+    _assert_matches_full_spectrum(laws, weights, grid_size)
+    _assert_cut_keeps_the_bytes(laws, weights, grid_size)
 
 
 def test_live_band_truncated_atoms_with_a_zero_weight_bit_for_bit():
     laws, weights = _plan_laws("poisson", 1024)
     laws = [TruncatedLaw(law, truncation_params(law, 0.8, 2.0)) for law in laws]
     weights[100] = 0.0
-    _assert_full_spectrum_bytes(laws, weights, 1024)
+    _assert_matches_full_spectrum(laws, weights, 1024)
+    _assert_cut_keeps_the_bytes(laws, weights, 1024)
+
+
+_BENCHMARK_CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "coupling").glob("*.ini")
+)
+
+
+def _benchmark_plans():
+    """(family, score laws, weights, grid size) of every plan the coupling benchmark builds."""
+    for path in _BENCHMARK_CONFIGS:
+        config = parse_config(path)
+        fam = config.resolve_family()
+        for n in config.n_grid:
+            cell = design_cell(fam, config.resolve_f(), n)
+            weights = np.asarray(_local_shift(config, n)(cell.t), dtype=float)
+            laws = [fam.score_law(float(t)) for t in cell.theta]
+            yield config.family, laws, weights, config.coupling_grid
+
+
+def test_live_cut_keeps_the_bytes_of_the_benchmark_plans(monkeypatch):
+    plans = list(_benchmark_plans())
+    assert len(plans) == 8
+    built = [WeightedSumLaw(laws, w, grid_size=g) for _, laws, w, g in plans]
+    monkeypatch.setattr(laws_module, "_LIVE_CUT", -np.inf)
+    for sum_law, (_, laws, w, g) in zip(built, plans):
+        uncut = WeightedSumLaw(laws, w, grid_size=g)
+        assert sum_law.cdf_grid.tobytes() == uncut.cdf_grid.tobytes()
+        assert np.float64(sum_law.clipped_mass).tobytes() == np.float64(uncut.clipped_mass).tobytes()
+
+
+def test_sum_law_builds_raise_no_floating_point_error():
+    # bernoulli at theta = 1/2 has the two-atom cf cos(2 omega w), with exact
+    # zeros.  With 64 equal weights bin 64 of 2^12 sits on the first zero,
+    # so a block's product there underflows to 0.0: its modulus must be
+    # floored before it is divided out
+    half = get_family("bernoulli").score_law(0.5)
+    cases = [(laws, w, g) for _, laws, w, g in _benchmark_plans()]
+    cases += [([half] * k, np.full(k, 1.0 / math.sqrt(k)), 1 << 12) for k in (1, 8, 64)]
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        for laws, w, g in cases:
+            sum_law = WeightedSumLaw(laws, w, grid_size=g)
+            assert np.isfinite(sum_law.cdf_grid).all() and np.isfinite(sum_law.clipped_mass)
 
 
 class _RecordingLaw(ScoreLaw):
@@ -508,15 +614,30 @@ class _RecordingLaw(ScoreLaw):
         return self.base.log_cf(omega)
 
 
-def test_live_band_evaluates_later_laws_on_fewer_bins():
+def test_live_band_evaluates_later_laws_on_fewer_bins(monkeypatch):
     laws, weights = _plan_laws("poisson", 1024)
+    grid_size = 1 << 14
+    # through log_cf: the wrapper hides the Poisson form and sees every array
     sizes = []
     recording = [_RecordingLaw(law, sizes) for law in laws]
-    sum_law = WeightedSumLaw(recording, weights, grid_size=1024)
-    assert sizes[0] == 1024 // 2 + 1
+    sum_law = WeightedSumLaw(recording, weights, grid_size=grid_size)
+    assert sizes[0] == grid_size // 2 + 1
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] < sizes[0] // 2
-    assert sum_law.cdf_grid.tobytes() == WeightedSumLaw(laws, weights, 1024).cdf_grid.tobytes()
+    # on the rotation tables: a probe records the live rows of every block
+    rows = []
+    add_block = laws_module._LiveSpectrum.add_block
+
+    def probe(spectrum, kind, block):
+        rows.append(spectrum.log_mod.shape[0])
+        add_block(spectrum, kind, block)
+
+    monkeypatch.setattr(laws_module._LiveSpectrum, "add_block", probe)
+    tables = WeightedSumLaw(laws, weights, grid_size=grid_size)
+    assert rows[0] == -(-(grid_size // 2 + 1) // laws_module._ROW_BINS)
+    assert len(rows) > 1 and all(a >= b for a, b in zip(rows, rows[1:]))
+    assert rows[-1] < rows[0] // 2
+    assert np.max(np.abs(sum_law.cdf_grid - tables.cdf_grid)) <= ORACLE_TOL
 
 
 class _NanAtLaw(ScoreLaw):
@@ -558,7 +679,8 @@ def test_live_band_keeps_a_nan_bin_and_propagates_it_as_the_full_spectrum_does()
 )
 def test_live_band_matches_the_full_spectrum_on_random_plans(family, n, grid_size, scale):
     laws, weights = _plan_laws(family, n, scale)
-    _assert_full_spectrum_bytes(laws, weights, grid_size)
+    _assert_matches_full_spectrum(laws, weights, grid_size)
+    _assert_cut_keeps_the_bytes(laws, weights, grid_size)
 
 
 # ---------------------------------------------------------------------------
