@@ -356,8 +356,8 @@ def audit_cc_conditions(
         raise ArgumentError(f"need at least {AUDIT_MIN_DRAWS} draws for the condition audit")
     if not 0.0 < r_n < 1.0:
         raise ArgumentError("r_n must lie in (0, 1)")
-    if alpha1 <= 0.0 or eps <= 0.0:
-        raise ArgumentError("alpha1 and eps must be positive")
+    if not all(0.0 < v < math.inf for v in (alpha1, eps, gap_constant)):
+        raise ArgumentError("alpha1, eps and gap_constant must be positive and finite")
 
     gap_threshold = gap_constant * r_n**alpha1
     gap_events = (np.abs(a - b) >= gap_threshold).astype(float)

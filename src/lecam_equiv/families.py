@@ -353,8 +353,12 @@ class Bernoulli(ParametricFamily):
         cut, flip = table.consts
         return (rng.random(cut.shape or None) > cut) ^ flip
 
-    def score_law(self, theta) -> "BernoulliScoreLaw":
-        return BernoulliScoreLaw(float(theta))
+    def score_law(self, theta) -> AtomLaw:
+        # the law of (X - theta)/(theta (1 - theta)), X ~ Bernoulli(theta)
+        theta = float(theta)
+        return AtomLaw(
+            np.array([-1.0 / (1.0 - theta), 1.0 / theta]), np.array([1.0 - theta, theta])
+        )
 
     def log_lr_affine(self, theta, u):
         # log z = l0 + x D with x = theta + theta (1 - theta) score
@@ -372,32 +376,6 @@ class Bernoulli(ParametricFamily):
 
     def _affinity(self, theta, u):
         return np.sqrt(theta * u) + np.sqrt((1.0 - theta) * (1.0 - u))
-
-
-class BernoulliScoreLaw(AtomLaw):
-    """Law of (X - theta)/(theta (1 - theta)) for X ~ Bernoulli(theta).
-
-    Two atoms with a closed-form log cf: factoring out exp(i omega v0)
-    leaves one cosine, one sine, one arctan2 and one log per frequency.
-    """
-
-    def __init__(self, theta: float):
-        theta = float(theta)
-        super().__init__(
-            values=np.array([-1.0 / (1.0 - theta), 1.0 / theta]),
-            probs=np.array([1.0 - theta, theta]),
-        )
-
-    def log_cf(self, omega):
-        # cf = exp(i omega v0) ((1 - theta) + theta exp(i omega (v1 - v0)))
-        omega = np.asarray(omega, dtype=float)
-        (v0, v1), (q, p) = self.values, self.probs
-        arg = omega * (v1 - v0)
-        re = q + p * np.cos(arg)
-        im = p * np.sin(arg)
-        # the modulus vanishes at theta = 1/2: floor it at 1e-300
-        log_mod = np.log(np.maximum(np.hypot(re, im), 1e-300))
-        return log_mod, omega * v0 + np.arctan2(im, re)
 
 
 class Poisson(ParametricFamily):
@@ -452,7 +430,7 @@ class Poisson(ParametricFamily):
 
 
 class PoissonScoreLaw(ScoreLaw):
-    """Law of X/theta - 1 for X ~ Poisson(theta), with closed-form log cf."""
+    """Law of X/theta - 1 for X ~ Poisson(theta); sum laws read its Poisson form."""
 
     def __init__(self, theta: float):
         self.theta = float(theta)
@@ -471,16 +449,6 @@ class PoissonScoreLaw(ScoreLaw):
 
     def second_moment(self) -> float:
         return 1.0 / self.theta
-
-    def log_cf(self, omega):
-        # log cf = theta (exp(it) - 1) - i omega with t = omega/theta
-        omega = np.asarray(omega, dtype=float)
-        t = omega / self.theta
-        log_mod = self.theta * (np.cos(t) - 1.0)
-        phase = np.sin(t, out=t)  # reusing t holds one array fewer in the sum-law build
-        phase *= self.theta
-        phase -= omega
-        return log_mod, phase
 
     def clipped_moments(self, k):
         return self.atoms().clipped_moments(k)

@@ -185,8 +185,8 @@ def rate_gamma_bar(n: int, beta: float, c_beta: float = 1.0) -> float:
         raise ArgumentError("rate needs n >= 2 so that log n > 0")
     if not 0.5 < beta < math.inf:
         raise ArgumentError("rate needs a finite beta > 1/2")
-    if c_beta <= 0:
-        raise ArgumentError("rate constant must be positive")
+    if not 0.0 < c_beta < math.inf:
+        raise ArgumentError("rate constant must be positive and finite")
     return c_beta * (math.log(n) / n) ** (beta / (2.0 * beta + 1.0))
 
 
@@ -194,8 +194,8 @@ def localization_rate(
     n: int, beta: float, c_beta: float = 1.0, log_power: float = 0.0
 ) -> float:
     """rate_gamma_bar widened by an optional (log n)^log_power factor."""
-    if log_power < 0:
-        raise ArgumentError("log_power must be nonnegative")
+    if not 0.0 <= log_power < math.inf:
+        raise ArgumentError("log_power must be nonnegative and finite")
     return rate_gamma_bar(n, beta, c_beta) * math.log(n) ** log_power
 
 
@@ -248,8 +248,8 @@ def neighborhood_contains(
     """True iff sup|h| <= r and f + h stays in f's smoothness class/range."""
     if (f.beta, f.L) != (h.beta, h.L):
         raise ArgumentError("f and h must declare the same smoothness class")
-    if r < 0:
-        raise ArgumentError("neighborhood radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ArgumentError("neighborhood radius must be nonnegative and finite")
     grid = _dyadic_grid()
     h_vals = np.asarray(h(grid))
     if float(np.max(np.abs(h_vals))) > r * (1.0 + 1e-12) + 1e-300:

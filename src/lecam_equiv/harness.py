@@ -125,12 +125,11 @@ class StudyConfig:
             raise ConfigError("n_grid must list integers >= 2")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
-        fewest = {"cc-audit": AUDIT_MIN_DRAWS, "risk-transfer": RISK_MIN_REPLICATES}
-        least = fewest.get(self.kind, 10)
-        if self.replicates < least:
-            raise ConfigError(f"replicates must be at least {least} for {self.kind}")
-        if self.kind in ("globalize", "risk-transfer") and grid[0] < KERNEL_MIN_N:
-            raise ConfigError(f"n_grid entries must be at least {KERNEL_MIN_N} for {self.kind}")
+        kind = _KINDS[self.kind]
+        if self.replicates < kind.min_replicates:
+            raise ConfigError(f"replicates must be at least {kind.min_replicates} for {self.kind}")
+        if grid[0] < kind.min_n:
+            raise ConfigError(f"n_grid entries must be at least {kind.min_n} for {self.kind}")
         if self.batches < 1:
             raise ConfigError("batches must be at least 1")
         if not self.beta > 0.5:
@@ -597,6 +596,8 @@ class _StudyKind(NamedTuple):
     units: Callable  # config -> work units, in row order
     run: Callable  # (config, unit) -> (rows, stats)
     fold: Callable  # (config, [(unit, stats)]) -> (medians, verdicts)
+    min_replicates: int = 10  # fewest replicates a config of this kind accepts
+    min_n: int = 2  # smallest n_grid entry a config of this kind accepts
 
 
 _KINDS = {
@@ -607,16 +608,17 @@ _KINDS = {
     "cc-audit": _StudyKind(
         "n, gap_freq, gap_stderr, orig_tail_freq, orig_tail_stderr, "
         "gauss_tail_freq, gauss_tail_stderr, ess, reliable, replicates",
-        _per_n, _run_cc_audit, _fold_cc_audit,
+        _per_n, _run_cc_audit, _fold_cc_audit, min_replicates=AUDIT_MIN_DRAWS,
     ),
     "globalize": _StudyKind(
         "n, replicate, ks_stat, ks_crit, pass, seed",
-        _per_n_batch, _run_globalize, _fold_globalize,
+        _per_n_batch, _run_globalize, _fold_globalize, min_n=KERNEL_MIN_N,
     ),
     "risk-transfer": _StudyKind(
         "n, batch, cap, direct_risk, direct_stderr, transferred_risk, "
         "transferred_stderr, margin, seed",
         _per_n_batch, _run_risk_transfer, _fold_risk_transfer,
+        min_replicates=RISK_MIN_REPLICATES, min_n=KERNEL_MIN_N,
     ),
     "condition-audit": _StudyKind(
         "family, r1_sup, r2_sup, r3_min, r3_max, pairs, all_pass",

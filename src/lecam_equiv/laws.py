@@ -1,13 +1,14 @@
 """Distribution objects for per-observation score variables.
 
 Each regression design point i carries the law of the score
-l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The sum-law build and
-the bounded-score truncation need three things from such a law: exact
-low-order moments (plain and clipped), a log characteristic function
-for building laws of weighted sums, and, where the support is finite,
-its atoms.  `is_gaussian` marks the standard normal law, whose weighted
-sums need no FFT.  Discrete families get exact atom enumeration; the
-continuous built-ins get closed forms.
+l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The bounded-score
+truncation needs exact low-order moments (plain and clipped) of such a
+law.  The sum-law build reads exactly one description of its
+characteristic function: a Poisson form (`poisson_form`), else atoms
+(`atoms`), else, for a law with neither, its own `log_cf`.
+`is_gaussian` marks the standard normal law, whose weighted sums need
+no FFT.  Discrete families get exact atom enumeration; the continuous
+built-ins get closed-form log characteristic functions.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class ScoreLaw:
 
         Returned in real arithmetic as (log modulus, phase): two arrays
         shaped like omega.  The phase need not be reduced to (-pi, pi].
+        Only a law with neither a Poisson form nor atoms defines it.
         """
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no characteristic function")
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         """(E xi 1{|xi|<=k}, E xi^2 1{|xi|<=k}, P(|xi|<=k))."""
@@ -71,15 +73,6 @@ class AtomLaw(ScoreLaw):
 
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
-
-    def log_cf(self, omega):
-        arg = np.outer(np.asarray(omega, dtype=float), self.values)
-        # a fixed-order sum per row, so a row's bits do not depend on the
-        # other rows in the call or on the BLAS thread count
-        re = np.sum(np.cos(arg) * self.probs, axis=-1)
-        im = np.sum(np.sin(arg) * self.probs, axis=-1)
-        # the modulus can vanish where atoms cancel: floor it at 1e-300
-        return np.log(np.maximum(np.hypot(re, im), 1e-300)), np.arctan2(im, re)
 
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         inside = np.abs(self.values) <= k
@@ -240,11 +233,6 @@ class TruncatedLaw(ScoreLaw):
         m1, m2, _ = self.base.clipped_moments(tp.clip_level)
         return (m2 - m1 * m1) + 2.0 * tp.p * tp.x_n**2
 
-    def log_cf(self, omega):
-        if self._atoms is not None:
-            return self._atoms.log_cf(omega)
-        raise NotImplementedError("characteristic function needs an atomic base")
-
     def clipped_moments(self, k: float) -> tuple[float, float, float]:
         if self._atoms is not None:
             return self._atoms.clipped_moments(k)
@@ -381,7 +369,7 @@ class _LiveSpectrum:
             cf.real += p0
             self.acc *= cf
         mod = np.abs(self.acc)
-        # an exact zero of the cf is floored, as log_cf floors it
+        # an exact zero of the cf is floored before it is divided out
         np.maximum(mod, _TINY, out=mod)
         self.acc /= mod
         self.log_mod += np.log(mod, out=mod)

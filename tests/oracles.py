@@ -148,12 +148,44 @@ def globalize_ks(config, n, replicates):
     return out
 
 
+def log_cf(law, omega):
+    """(log modulus, phase) of a score law's characteristic function at omega.
+
+    The law is evaluated from the one description that the sum-law build
+    reads.  A Poisson form (rate, step, offset) gives rate (cos(omega step) - 1)
+    and rate sin(omega step) + offset omega.  Atoms give a sum in atom order
+    at each frequency, so a value does not depend on the other frequencies
+    in the call; the first atom is factored out as the linear phase omega v0,
+    and the modulus is floored at 1e-300 where the atoms cancel.  Any other
+    law gives its own log_cf.
+    """
+    omega = np.asarray(omega, dtype=float)
+    form = law.poisson_form()
+    if form is not None:
+        rate, step, offset = form
+        arg = omega * step
+        return rate * (np.cos(arg) - 1.0), rate * np.sin(arg) + offset * omega
+    atoms = law.atoms()
+    if atoms is None:
+        return law.log_cf(omega)
+    # factoring out v0 keeps mirror frequencies exact negatives: an atom sum
+    # whose sines cancel to +0.0 at both would give arctan2 = +pi at both
+    v0 = atoms.values[0]
+    re = np.full(omega.shape, atoms.probs[0])
+    im = np.zeros(omega.shape)
+    for v, p in zip(atoms.values[1:] - v0, atoms.probs[1:]):
+        arg = omega * v
+        re += p * np.cos(arg)
+        im += p * np.sin(arg)
+    return np.log(np.maximum(np.hypot(re, im), 1e-300)), omega * v0 + np.arctan2(im, re)
+
+
 def full_spectrum_sum_law(laws, weights, grid_size):
     """(grid, cdf_grid, clipped_mass) of WeightedSumLaw, evaluating every frequency.
 
-    The characteristic function is evaluated on all grid_size bins of
-    fftfreq, negative frequencies included and with no live cut, and
-    asserted Hermitian bit for bit: each bin's log modulus equals its
+    The characteristic function is evaluated by log_cf on all grid_size
+    bins of fftfreq, negative frequencies included and with no live cut,
+    and asserted Hermitian bit for bit: each bin's log modulus equals its
     mirror's and its phase is the negated mirror phase.  The bins
     0..grid_size // 2 are then inverted with irfft; for even grid_size
     the last of them is the Nyquist bin at -grid_size / 2, of which
@@ -170,7 +202,7 @@ def full_spectrum_sum_law(laws, weights, grid_size):
     for law, w in zip(laws, weights):
         if w == 0.0:
             continue
-        lm, ph = law.log_cf(omega * w)
+        lm, ph = log_cf(law, omega * w)
         log_mod += lm
         phase += ph
     pairs = slice(1, (grid_size + 1) // 2)

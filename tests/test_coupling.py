@@ -248,7 +248,7 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
 
 
 def test_location_custom_plan_reads_one_shared_score_law(monkeypatch):
-    # a coarse table: the plan evaluates every point's log_cf over its atoms
+    # a coarse table: the plan builds every point's cf from its 101 atoms
     xs = np.linspace(-8.0, 8.0, 101)
     fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
     f = RegressionFunction.constant(0.0)
@@ -453,6 +453,18 @@ def test_coupling_plan_neighborhood_gate():
         CouplingPlan(fam, f, too_big, n)
 
 
+@pytest.mark.parametrize("c_rate", [math.nan, math.inf])
+def test_coupling_plan_rejects_a_non_finite_rate_constant(c_rate):
+    # the shift leaves the ball at c_rate = 1; a NaN or infinite r_n must not admit it
+    fam = get_family("poisson")
+    f = RegressionFunction.affine(1.5, 1.0)
+    h = RegressionFunction.sinusoid(0.3, 1.0)
+    with pytest.raises(NeighborhoodError):
+        CouplingPlan(fam, f, h, 64, c_rate=1.0, grid_size=256)
+    with pytest.raises(ArgumentError, match="nonnegative and finite"):
+        CouplingPlan(fam, f, h, 64, c_rate=c_rate, grid_size=256)
+
+
 # ---------------------------------------------------------------------------
 # condition audits
 # ---------------------------------------------------------------------------
@@ -473,6 +485,26 @@ def test_audit_requires_enough_draws():
     rows = fake_gaussian_draws(0.5, 0.5, 99, np.random.default_rng(0))
     with pytest.raises(ArgumentError):
         audit_cc_conditions(rows, 0.1, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "alpha1, eps, gap_constant",
+    [
+        (math.nan, 0.5, 1.0),
+        (math.inf, 0.5, 1.0),
+        (0.5, math.nan, 1.0),
+        (0.5, math.inf, 1.0),
+        (0.5, 0.5, math.nan),
+        (0.5, 0.5, math.inf),
+        (0.5, 0.5, 0.0),
+        (0.5, 0.5, -1.0),
+    ],
+)
+def test_audit_rejects_constants_it_cannot_judge(alpha1, eps, gap_constant):
+    # a NaN threshold compares false and would read as an audit with no events
+    rows = fake_gaussian_draws(0.5, 0.6, 200, np.random.default_rng(5))
+    with pytest.raises(ArgumentError, match="positive and finite"):
+        audit_cc_conditions(rows, 0.1, alpha1, eps, gap_constant)
 
 
 def test_audit_identical_likelihoods_have_zero_gap_frequency():

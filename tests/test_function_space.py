@@ -55,10 +55,13 @@ def test_rate_argument_errors():
     for beta in (0.5, math.nan, math.inf):
         with pytest.raises(ArgumentError, match="beta"):
             rate_gamma_bar(100, beta, 1.0)
-    with pytest.raises(ArgumentError):
-        rate_gamma_bar(100, 1.0, 0.0)
-    with pytest.raises(ArgumentError):
-        localization_rate(100, 1.0, 1.0, log_power=-1.0)
+    # a NaN or infinite constant would give a NaN or infinite rate
+    for c_beta in (0.0, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="rate constant"):
+            rate_gamma_bar(100, 1.0, c_beta)
+    for log_power in (-1.0, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="log_power"):
+            localization_rate(100, 1.0, 1.0, log_power=log_power)
 
 
 def test_localization_rate_log_factor():
@@ -187,6 +190,15 @@ def test_neighborhood_range_violation():
     h = RegressionFunction.constant(0.1, beta=1.0, L=1.0)
     # 0.9 + 0.1 = 1.0 leaves the declared range
     assert not neighborhood_contains(f, h, 0.2)
+
+
+@pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+def test_neighborhood_radius_must_be_nonnegative_and_finite(r):
+    # a NaN or infinite radius compares false against every sup norm
+    f = RegressionFunction.affine(0.4, 0.2, beta=1.0, L=2.0)
+    h = RegressionFunction.sinusoid(0.05, 1.0, beta=1.0, L=2.0)
+    with pytest.raises(ArgumentError, match="nonnegative and finite"):
+        neighborhood_contains(f, h, r)
 
 
 def test_neighborhood_mismatched_class_raises():

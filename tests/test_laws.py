@@ -13,6 +13,7 @@ from scipy import integrate, special, stats
 from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
 from lecam_equiv.experiments import design_cell
+from lecam_equiv import families as families_module
 from lecam_equiv.families import PoissonScoreLaw, TabulatedLocation, get_family
 from lecam_equiv import laws as laws_module
 from lecam_equiv.harness import StudyConfig, _local_shift, parse_config
@@ -28,7 +29,7 @@ from lecam_equiv.laws import (
     truncation_params,
 )
 
-from oracles import full_spectrum_sum_law
+from oracles import full_spectrum_sum_law, log_cf
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,8 @@ def test_atom_law_clipped_moments():
 
 
 def _cf(law, omega):
-    """Characteristic function rebuilt from the (log modulus, phase) pair."""
-    lm, ph = law.log_cf(omega)
+    """Characteristic function rebuilt from the oracle's (log modulus, phase) pair."""
+    lm, ph = log_cf(law, omega)
     return np.exp(lm + 1j * ph)
 
 
@@ -60,11 +61,12 @@ def test_atom_law_cf_matches_direct_sum():
 
 
 def test_atom_law_log_cf_floors_a_vanishing_modulus():
-    # at omega = 1 the atoms -pi, 0, pi cancel exactly: cos(pi) rounds to
-    # -1 and the two sines are exact negatives
+    # at omega = 1 the atoms -pi, 0, pi cancel exactly: relative to the
+    # first they sit at 0, pi and 2 pi, cos(pi) rounds to -1 and
+    # sin(2 pi) to exactly -2 sin(pi)
     law = AtomLaw.from_unsorted([-math.pi, 0.0, math.pi], [0.25, 0.5, 0.25])
     with np.errstate(all="raise"):
-        lm, ph = law.log_cf(np.array([1.0, 0.5]))
+        lm, ph = log_cf(law, np.array([1.0, 0.5]))
     assert lm[0] == math.log(1e-300)
     assert np.all(np.isfinite(ph))
     assert lm[1] == pytest.approx(math.log(0.5), abs=1e-15)
@@ -77,12 +79,12 @@ def test_atom_law_log_cf_rows_do_not_depend_on_the_call():
     law = TabulatedLocation(xs, np.exp(-0.5 * xs * xs)).score_law(0.0)
     grid_size = 2048
     omega = 2.0 * np.pi * np.fft.fftfreq(grid_size, d=32.0 / grid_size)
-    full = law.log_cf(omega)
-    half = law.log_cf(omega[: grid_size // 2 + 1])
+    full = log_cf(law, omega)
+    half = log_cf(law, omega[: grid_size // 2 + 1])
     for part_full, part_half in zip(full, half):
         assert part_half.tobytes() == part_full[: grid_size // 2 + 1].tobytes()
     for k in range(0, grid_size, grid_size // 16):
-        one = law.log_cf(omega[k : k + 1])
+        one = log_cf(law, omega[k : k + 1])
         assert [part[0] for part in one] == [part[k] for part in full], k
 
 
@@ -177,30 +179,51 @@ def test_scaled_chi2_cf_matches_quadrature():
 
 
 def test_poisson_score_law_cf_matches_atom_sum():
+    # the Poisson form, which the sum-law build reads, and the truncated
+    # atoms, which the truncation reads, describe the same law
     law = PoissonScoreLaw(2.5)
+    rate, step, offset = law.poisson_form()
     atoms = law.atoms()
     omega = np.linspace(-3.0, 3.0, 13)
+    form_cf = np.exp(rate * (np.exp(1j * omega * step) - 1.0) + 1j * omega * offset)
     direct = np.exp(1j * np.outer(omega, atoms.values)) @ atoms.probs
-    assert np.allclose(_cf(law, omega), direct, atol=1e-12)
+    assert np.allclose(form_cf, direct, atol=1e-12)
+    assert rate * step**2 == pytest.approx(law.second_moment(), rel=1e-15)
+    assert atoms.second_moment() == pytest.approx(law.second_moment(), rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.7, 0.95])
 def test_bernoulli_log_cf_matches_atom_law(theta):
-    law = get_family("bernoulli").score_law(theta)
-    oracle = AtomLaw(law.values, law.probs)
-    assert isinstance(law, AtomLaw) and law.atoms() is law
-    omega = np.linspace(-100.0, 100.0, 4001)
-    log_mod, phase = law.log_cf(omega)
-    ref_mod, ref_phase = oracle.log_cf(omega)
-    # as complex numbers: the phases agree mod 2 pi, and at theta = 1/2
-    # the modulus has zeros where the log modulus cannot be compared.
-    # Both forms round cos/sin arguments of size up to |omega| max|v|.
-    tol = 4.0 * np.finfo(float).eps * 100.0 * np.abs(law.values).max()
-    cf = np.exp(log_mod + 1j * phase)
-    ref = np.exp(ref_mod + 1j * ref_phase)
-    assert np.max(np.abs(cf - ref)) < tol
-    away = ref_mod > -1.0
-    assert np.max(np.abs(log_mod - ref_mod)[away]) < 3.0 * tol
+    # the Bernoulli score law is the atom law of its two scores, so its cf
+    # is the atom law's: no closed form of its own
+    fam = get_family("bernoulli")
+    law = fam.score_law(theta)
+    assert type(law) is AtomLaw and law.atoms() is law
+    assert law.values.tobytes() == np.array([-1.0 / (1.0 - theta), 1.0 / theta]).tobytes()
+    assert law.probs.tobytes() == np.array([1.0 - theta, theta]).tobytes()
+    assert np.allclose(law.values, fam.score(np.array([0.0, 1.0]), theta), rtol=1e-15, atol=0.0)
+
+
+def _package_score_laws():
+    """Every ScoreLaw subclass defined in the package."""
+    for module in (laws_module, families_module):
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, ScoreLaw) and obj is not ScoreLaw:
+                if obj.__module__ == module.__name__:
+                    yield obj
+
+
+def test_a_score_law_gives_the_sum_law_build_one_characteristic_function():
+    # a law with a Poisson form or atoms is built from them: a log_cf of its
+    # own, defined or inherited, would be a second cf that nothing reads
+    checked = []
+    for cls in _package_score_laws():
+        has_form = cls.poisson_form is not ScoreLaw.poisson_form or cls.atoms is not ScoreLaw.atoms
+        has_log_cf = cls.log_cf is not ScoreLaw.log_cf
+        assert not (has_form and has_log_cf), cls.__name__
+        if has_log_cf:
+            checked.append(cls.__name__)
+    assert sorted(checked) == ["ScaledChi2Law", "StandardNormalLaw"]
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +443,8 @@ def test_weighted_sum_law_cdf_grid_matches_complex_oracle(build):
 
 
 # Absolute agreement of cdf_grid and clipped_mass with the full-spectrum
-# reference build, which evaluates every law through its own log_cf.  The
-# rotation tables and the atom product round differently from log_cf; the
+# reference build, which evaluates every law by oracles.log_cf.  The
+# rotation tables and the atom product round differently from it; the
 # largest gap on the cases below is about 3e-14 (poisson at n = 4096).
 ORACLE_TOL = 1e-12
 
@@ -454,7 +477,7 @@ def _assert_cut_keeps_the_bytes(laws, weights, grid_size):
 
 
 def _tabulated_laws(th):
-    # the generic AtomLaw log cf, on a table coarse enough to stay cheap
+    # a 101-atom law, on a table coarse enough to stay cheap
     xs = np.linspace(-8.0, 8.0, 101)
     law = TabulatedLocation(xs, np.exp(-0.5 * xs * xs)).score_law(0.0)
     return [law] * th.size
@@ -539,8 +562,9 @@ _LIVE_BAND_PLANS = [
 
 
 # The live band against two full spectra: the reference build, which
-# evaluates every bin by log_cf, within ORACLE_TOL (bytes for laws that the
-# build evaluates by log_cf too), and the build with no row dropped, byte for byte.
+# evaluates every bin by oracles.log_cf, within ORACLE_TOL (bytes for laws
+# that the build evaluates by log_cf too), and the build with no row
+# dropped, byte for byte.
 @pytest.mark.parametrize("family, n, grid_size", _LIVE_BAND_PLANS)
 def test_live_band_sum_law_is_the_full_spectrum_bit_for_bit(family, n, grid_size):
     laws, weights = _plan_laws(family, n)
@@ -611,7 +635,7 @@ class _RecordingLaw(ScoreLaw):
 
     def log_cf(self, omega):
         self.sizes.append(np.size(omega))
-        return self.base.log_cf(omega)
+        return log_cf(self.base, omega)
 
 
 def test_live_band_evaluates_later_laws_on_fewer_bins(monkeypatch):
@@ -651,7 +675,7 @@ class _NanAtLaw(ScoreLaw):
         return self.base.second_moment()
 
     def log_cf(self, omega):
-        log_mod, phase = self.base.log_cf(omega)
+        log_mod, phase = log_cf(self.base, omega)
         return np.where(np.abs(omega) == self.omega_nan, np.nan, log_mod), phase
 
 
