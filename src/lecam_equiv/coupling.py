@@ -30,6 +30,7 @@ from .experiments import design_cell, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
 from .laws import (
+    DEFAULT_GRID_SIZE,
     TruncatedLaw,
     WeightedSumLaw,
     apply_truncation,
@@ -204,7 +205,7 @@ class CouplingPlan:
         h: RegressionFunction,
         n: int,
         c_rate: float = 1.0,
-        grid_size: int = 1 << 16,
+        grid_size: int = DEFAULT_GRID_SIZE,
     ):
         if n <= 0:
             raise ArgumentError("need at least one design point")

@@ -44,8 +44,10 @@ class PmfDescriptor(DensityDescriptor):
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1:
             raise ArgumentError("pmf needs matching 1-d values and probs")
-        if np.any(probs < 0):
-            raise ArgumentError("pmf probabilities must be nonnegative")
+        if not np.all(np.isfinite(values)):
+            raise ArgumentError("pmf values must be finite")
+        if not np.all((probs >= 0) & (probs < np.inf)):
+            raise ArgumentError("pmf probabilities must be finite and nonnegative")
         order = np.argsort(values)
         return PmfDescriptor(values[order], probs[order])
 
@@ -122,7 +124,7 @@ def hellinger_sq_product(h2_components) -> ProductHellinger:
     sum of components clipped to 1, always >= value.
     """
     h2 = np.asarray(h2_components, dtype=float)
-    if h2.size and (np.any(h2 < 0.0) or np.any(h2 > 1.0)):
+    if not np.all((h2 >= 0.0) & (h2 <= 1.0)):
         raise ArgumentError("squared Hellinger components must lie in [0, 1]")
     if h2.size == 0:
         return ProductHellinger(0.0, 0.0)

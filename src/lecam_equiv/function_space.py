@@ -52,7 +52,7 @@ class RegressionFunction:
         L: float = 1.0,
         range_interval: tuple[float, float] | None = None,
     ):
-        if L <= 0:
+        if not L > 0:
             raise ArgumentError("smoothness radius L must be positive")
         self.kind = kind
         self.params = tuple(float(p) for p in params)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .globalization import (
     homoscedastic_transform_check,
     risk_transfer_demo,
 )
+from .laws import DEFAULT_GRID_SIZE
 
 OUTPUT_DIR_ENV = "LECAM_EQUIV_OUT"
 
@@ -99,14 +100,14 @@ class StudyConfig:
     c_rate: float = 1.0
     q: float = 0.25
     alpha: float = 0.75
-    n_grid: tuple = (256, 1024, 4096)
+    n_grid: tuple[int, ...] = (256, 1024, 4096)
     replicates: int = 100
     batches: int = 20
     master_seed: int = 0
     out_dir: str = "."
     table_path: str = ""
-    loss_caps: tuple = (0.25, 1.0)
-    coupling_grid: int = 1 << 16
+    loss_caps: tuple[float, ...] = (0.25, 1.0)
+    coupling_grid: int = DEFAULT_GRID_SIZE
     epsilon: float = 0.05
     grid_points: int = 25
     audit_eps: float = 0.5
@@ -171,50 +172,40 @@ class StudyConfig:
             raise ConfigError(f"cannot resolve family {self.family!r}: {exc}") from exc
 
     def resolve_f(self) -> RegressionFunction:
-        try:
-            return parse_function(self.f_desc, beta=self.beta, L=self.L)
-        except ArgumentError as exc:
-            raise ConfigError(f"cannot resolve f descriptor: {exc}") from exc
+        return self._resolve_function("f")
 
     def resolve_h(self) -> RegressionFunction:
+        return self._resolve_function("h")
+
+    def _resolve_function(self, key: str) -> RegressionFunction:
         try:
-            return parse_function(self.h_desc, beta=self.beta, L=self.L)
+            return parse_function(getattr(self, _CONFIG_KEYS[key][0]), beta=self.beta, L=self.L)
         except ArgumentError as exc:
-            raise ConfigError(f"cannot resolve h descriptor: {exc}") from exc
+            raise ConfigError(f"cannot resolve {key} descriptor: {exc}") from exc
 
 
-_CONFIG_KEYS = {
-    "kind": str,
-    "family": str,
-    "f": str,
-    "h": str,
-    "beta": float,
-    "L": float,
-    "c_rate": float,
-    "q": float,
-    "alpha": float,
-    "n_grid": "int_list",
-    "replicates": int,
-    "batches": int,
-    "seed": int,
-    "out": str,
-    "table": str,
-    "loss_caps": "float_list",
-    "coupling_grid": int,
-    "epsilon": float,
-    "grid_points": int,
-    "audit_eps": float,
-    "audit_threshold": float,
-    "gap_constant": float,
-    "ks_pass_fraction": float,
+# StudyConfig fields whose config file key is another name
+_FIELD_TO_KEY = {
+    "f_desc": "f",
+    "h_desc": "h",
+    "master_seed": "seed",
+    "out_dir": "out",
+    "table_path": "table",
 }
 
-_KEY_TO_FIELD = {
-    "f": "f_desc",
-    "h": "h_desc",
-    "seed": "master_seed",
-    "out": "out_dir",
-    "table": "table_path",
+
+def _caster(hint) -> Callable:
+    """Config value parser for a field type: a tuple type reads a comma list."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda raw: tuple(item(v) for v in raw.split(","))
+    return hint
+
+
+# config key -> (StudyConfig field, caster), in field order
+_CONFIG_KEYS = {
+    _FIELD_TO_KEY.get(name, name): (name, _caster(hint))
+    for name, hint in get_type_hints(StudyConfig).items()
 }
 
 
@@ -235,20 +226,14 @@ def parse_config(path) -> StudyConfig:
     for key, raw in parser.items("study"):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        caster = _CONFIG_KEYS[key]
+        field, caster = _CONFIG_KEYS[key]
         try:
-            if caster == "int_list":
-                value = tuple(int(v) for v in raw.split(","))
-            elif caster == "float_list":
-                value = tuple(float(v) for v in raw.split(","))
-            else:
-                value = caster(raw)
+            values[field] = caster(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
-        values[_KEY_TO_FIELD.get(key, key)] = value
-    for required in ("kind", "family", "f_desc"):
-        if required not in values:
-            key = {v: k for k, v in _KEY_TO_FIELD.items()}.get(required, required)
+    for f in fields(StudyConfig):
+        if f.default is MISSING and f.name not in values:
+            key = _FIELD_TO_KEY.get(f.name, f.name)
             raise ConfigError(f"config is missing required key {key!r}")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -655,19 +640,22 @@ class StudyResult:
     passed: bool
 
 
+# the config keys of header lines 2 and 3: the model, then the sampling plan
+_HEADER_KEYS = (
+    ("family", "f", "h", "beta", "L", "c_rate", "q", "alpha"),
+    ("n_grid", "replicates", "batches", "seed"),
+)
+
+
+def _header_value(config: StudyConfig, key: str) -> str:
+    value = getattr(config, _CONFIG_KEYS[key][0])
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _header_lines(config: StudyConfig) -> list:
-    return [
-        f"# lecam-equiv {__version__} study={config.kind}",
-        (
-            f"# family={config.family} f={config.f_desc} h={config.h_desc} "
-            f"beta={config.beta} L={config.L} c_rate={config.c_rate} "
-            f"q={config.q} alpha={config.alpha}"
-        ),
-        (
-            f"# n_grid={','.join(str(n) for n in config.n_grid)} "
-            f"replicates={config.replicates} batches={config.batches} "
-            f"seed={config.master_seed}"
-        ),
+    return [f"# lecam-equiv {__version__} study={config.kind}"] + [
+        "# " + " ".join(f"{key}={_header_value(config, key)}" for key in keys)
+        for keys in _HEADER_KEYS
     ]
 
 

@@ -429,6 +429,9 @@ def _live_half_spectrum(laws, weights, grid_size, dx, x0):
     return spectrum.half_spectrum(x0)
 
 
+DEFAULT_GRID_SIZE = 1 << 16  # FFT grid of a sum law, and of a study's coupling plans
+
+
 class WeightedSumLaw:
     """Numeric law of T = sum_i w_i xi_i for independent mean-zero xi_i.
 
@@ -471,7 +474,7 @@ class WeightedSumLaw:
         self,
         laws: list[ScoreLaw],
         weights: np.ndarray,
-        grid_size: int = 1 << 16,
+        grid_size: int = DEFAULT_GRID_SIZE,
     ):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(laws),):

@@ -119,6 +119,25 @@ def test_product_formula_rejects_out_of_range():
         hellinger_sq_product([0.5, 1.2])
     with pytest.raises(ArgumentError):
         hellinger_sq_product([-0.1])
+    # NaN fails both bounds, so it must not slip between them
+    with pytest.raises(ArgumentError):
+        hellinger_sq_product([0.1, math.nan])
+
+
+@pytest.mark.parametrize(
+    "values, probs, match",
+    [
+        ([0.0, math.nan], [0.5, 0.5], "values must be finite"),
+        ([0.0, math.inf], [0.5, 0.5], "values must be finite"),
+        ([0.0, 1.0], [0.5, math.nan], "finite and nonnegative"),
+        ([0.0, 1.0], [0.5, math.inf], "finite and nonnegative"),
+        ([0.0, 1.0], [1.5, -0.5], "finite and nonnegative"),
+    ],
+    ids=["nan-value", "inf-value", "nan-prob", "inf-prob", "negative-prob"],
+)
+def test_pmf_rejects_non_finite_or_negative_input(values, probs, match):
+    with pytest.raises(ArgumentError, match=match):
+        PmfDescriptor.make(values, probs)
 
 
 def test_product_formula_matches_brute_force_on_bernoulli_products():

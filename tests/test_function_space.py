@@ -93,6 +93,13 @@ def test_split_beta():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+def test_function_rejects_nonpositive_or_nan_radius(L):
+    # NaN fails every comparison, so `L <= 0` let it through
+    with pytest.raises(ArgumentError, match="smoothness radius L"):
+        RegressionFunction.constant(0.4, L=L)
+
+
 def test_holder_constant_passes():
     f = RegressionFunction.constant(0.5, beta=1.0, L=1.0)
     rep = holder_check(f)
