@@ -1,12 +1,13 @@
 """Joint construction of the original and Gaussian likelihood processes.
 
 Everything here lives on one probability space.  The raw scores of an
-original-model draw drive both log-likelihood ratios: the weighted
+original-model draw drive both log-likelihood ratios.  The original
+side is the draw's exact log-likelihood ratio.  The Gaussian side
+depends on the per-point Gaussian vector zeta only through h . zeta,
+and a sum-level quantile coupling sets that sum directly: the weighted
 score sum is pushed through its own distribution function onto a
-Gaussian of matching variance (a sum-level quantile coupling), and the
-per-point Gaussian vector is then filled in around that coupled sum so
-that it has exactly the heteroscedastic product law.  The bounded-score
-modification of the raw scores is provided separately.
+Gaussian of matching variance.  The bounded-score modification of the
+raw scores is provided separately.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ class CouplingPlan:
     FFT build; None when every score law is standard normal or the shift
     is zero, and both cases couple by identity) and, for a plan with a
     sum law whose family has a log-likelihood ratio affine in the score,
-    the remainder table: remainder = remainder_weights . scores
-    + remainder_offset.  Building the plan once and passing it to
-    build_coupled_draw amortizes the heavy numerics across replicates.
+    that ratio's table: log-LR = log_lr_slope . scores + log_lr_offset.
+    Building the plan once and passing it to build_coupled_draw
+    amortizes the heavy numerics across replicates.
     """
 
     def __init__(
@@ -217,14 +218,13 @@ class CouplingPlan:
             )
         self.cell = cell = design_cell(family, f, n)
         self.h_values = np.asarray(h(cell.t), dtype=float)
-        self.sigma2 = float(np.dot(self.h_values * self.h_values, cell.info))
-        self.quadratic = 0.5 * self.sigma2
+        sigma2 = float(np.dot(self.h_values * self.h_values, cell.info))
+        self.quadratic = 0.5 * sigma2
         laws = [family.score_law(float(th)) for th in cell.theta]
-        all_gaussian = all(law.is_gaussian for law in laws)
-        self.remainder_weights = None
-        self.remainder_offset = 0.0
+        self.log_lr_slope = None
+        self.log_lr_offset = 0.0
         self.sum_law = None
-        if not all_gaussian and self.sigma2 > 0.0:
+        if not all(law.is_gaussian for law in laws) and sigma2 > 0.0:
             shifted = family.require_theta(cell.theta + self.h_values)
             affine = family.log_lr_affine(cell.theta, shifted)
             if affine is not None:
@@ -233,10 +233,9 @@ class CouplingPlan:
                     raise SingularityError(
                         f"{family.name}: log-likelihood ratio is not finite on the design"
                     )
-                # log z_i = a_i score_i + b_i, so the exact remainder
-                # sum(log z) - (h . scores - quadratic) is affine too
-                self.remainder_weights = a - self.h_values
-                self.remainder_offset = float(np.sum(b)) + self.quadratic
+                # log z_i = a_i score_i + b_i at every design point
+                self.log_lr_slope = a
+                self.log_lr_offset = float(np.sum(b))
             self.sum_law = WeightedSumLaw(laws, self.h_values, grid_size=grid_size)
 
 
@@ -255,76 +254,61 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     """Joint draws of both log-likelihood ratios, one per generator in rngs.
 
     An original-model dataset is simulated under the central measure
-    (shift zero) and scored; the weighted score sum is mapped to a
-    Gaussian of the same variance by the quantile transform of its
-    exact sum law, taken with jitter, and the per-point Gaussian vector
-    zeta is completed around that sum so its law is exactly the
-    heteroscedastic product.  With q = 0.5 * sum(h^2 * info), each
-    draw satisfies by construction
-      log_lik_original = sum(h * scores) - q + remainder
-      log_lik_gaussian = sum(h * zeta) - q
-    where the remainder is the dataset's own exact expansion remainder,
-    so the original-side log-likelihood is the dataset's true
-    log-likelihood ratio: a dot product with the plan's remainder
-    table, or one lase_terms call on the whole stack for a family
-    without one.  A plan without a sum law couples by identity: when
+    (shift zero) and scored.  Its log-likelihood ratio is the exact one:
+    a dot product with the plan's log-LR table, or one lase_terms call
+    on the whole stack for a family without one.  The weighted score
+    sum h . scores is mapped to a Gaussian of the same variance by the
+    quantile transform of its exact sum law, taken with jitter.  With
+    q = 0.5 * sum(h^2 * info), the Gaussian side is
+      log_lik_gaussian = coupled_sum - q,
+    the log-likelihood ratio of a Gaussian vector zeta with the exact
+    heteroscedastic product law and h . zeta = coupled_sum; zeta itself
+    is never formed.  A plan without a sum law couples by identity: when
     every score law is already standard normal, or the shift is zero,
-    the two sides coincide identically and the remainder is zero
-    analytically.
+    both sides are one array, h . scores - q.
 
     rngs is a sequence of R generators; the result holds (R,) arrays.
     Each replicate consumes its own generator in the same order: the
-    sample, then, when the plan has a sum law, standard_normal(n) for
-    the Gaussian fill and one jitter normal.  Row r equals the draw of
-    [rngs[r]] alone, byte for byte.  A NumericError raised while drawing
-    a replicate carries its row index in `row`.
+    sample, then, when the plan has a sum law, standard_normal(n) and
+    one jitter normal.  Row r equals the draw of [rngs[r]] alone, byte
+    for byte.  A NumericError raised while drawing a replicate carries
+    its row index in `row`.
     """
     if isinstance(rngs, np.random.Generator):
         raise ArgumentError("rngs must be a sequence of generators, one per replicate")
     rngs = list(rngs)
     family, n = plan.cell.family, plan.cell.n
-    h_vals = plan.h_values
-    quad = plan.quadratic
     coupled = plan.sum_law is not None
 
     x = np.empty((len(rngs), n))
-    normals = np.empty_like(x) if coupled else None
     jitter = np.empty(len(rngs)) if coupled else None
     for row, gen in enumerate(rngs):
         try:
             x[row] = family.sample(plan.cell.table, gen)
             if coupled:
-                normals[row] = gen.standard_normal(n)
+                # unread: kept so the jitter normal stays where recorded outputs drew it
+                gen.standard_normal(n)
                 jitter[row] = gen.standard_normal()
         except NumericError as exc:
             exc.row = row
             raise
 
     scores = np.asarray(family.score(x, plan.cell.theta), dtype=float)
-    weighted_sum = _row_dots(h_vals, scores)
+    weighted_sum = _row_dots(plan.h_values, scores)
     if not coupled:
-        # scores are exact Gaussians already, or the shift is zero:
-        # identity coupling, and the expansion remainder vanishes analytically
-        rho = 0.0
-        loglik_gauss = weighted_sum - quad
+        # scores are exact Gaussians already, or the shift is zero
+        loglik = weighted_sum - plan.quadratic
+        return CoupledLikelihoodDraw(log_lik_original=loglik, log_lik_gaussian=loglik)
+    if plan.log_lr_slope is not None:
+        loglik_orig = _row_dots(plan.log_lr_slope, scores) + plan.log_lr_offset
     else:
-        if plan.remainder_weights is not None:
-            rho = _row_dots(plan.remainder_weights, scores) + plan.remainder_offset
-        else:
-            rho = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x)).remainder
-        u = plan.sum_law.uniformize(weighted_sum, jitter)
-        quantiles = map(_STD_NORMAL.inv_cdf, u.tolist())
-        coupled_sum = plan.sum_law.sigma * np.fromiter(quantiles, float, count=u.size)
-        fill = h_vals * plan.cell.info / plan.sigma2
-        # the Gaussian fill in the normals' buffer: first the noise, then zeta
-        zeta = normals
-        zeta *= np.sqrt(plan.cell.info)
-        gap = coupled_sum - _row_dots(h_vals, zeta)
-        zeta += gap[:, None] * fill
-        loglik_gauss = _row_dots(h_vals, zeta) - quad
+        loglik_orig = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x)).exact_loglik
+    u = plan.sum_law.uniformize(weighted_sum, jitter)
+    quantiles = map(_STD_NORMAL.inv_cdf, u.tolist())
+    coupled_sum = plan.sum_law.sigma * np.fromiter(quantiles, float, count=u.size)
     return CoupledLikelihoodDraw(
-        log_lik_original=weighted_sum - quad + rho,
-        log_lik_gaussian=loglik_gauss,
+        log_lik_original=loglik_orig,
+        log_lik_gaussian=coupled_sum - plan.quadratic,
     )
 
 

@@ -52,8 +52,8 @@ class RegressionFunction:
         L: float = 1.0,
         range_interval: tuple[float, float] | None = None,
     ):
-        if not L > 0:
-            raise ArgumentError("smoothness radius L must be positive")
+        if not 0 < L < math.inf:
+            raise ArgumentError("smoothness radius L must be positive and finite")
         self.kind = kind
         self.params = tuple(float(p) for p in params)
         self.beta = float(beta)

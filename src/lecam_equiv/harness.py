@@ -216,14 +216,16 @@ def parse_config(path) -> StudyConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.sections() != ["study"]:
+            raise ConfigError("config must contain exactly one [study] section")
+        # items() interpolates `%` references, so it can raise too
+        items = parser.items("study")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
-    if parser.sections() != ["study"]:
-        raise ConfigError("config must contain exactly one [study] section")
     values = {}
-    for key, raw in parser.items("study"):
+    for key, raw in items:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         field, caster = _CONFIG_KEYS[key]
@@ -443,8 +445,6 @@ def _run_globalize(config: StudyConfig, unit):
     cell = design_cell(family, config.resolve_f(), n)
     target = np.asarray(family.gamma(cell.theta), dtype=float)
     crit = 1.628 / math.sqrt(n)
-    lo = batch * config.replicates // config.batches
-    hi = (batch + 1) * config.replicates // config.batches
 
     def replicate(r):
         seed = derive_seed(config.master_seed, n, r)
@@ -457,7 +457,8 @@ def _run_globalize(config: StudyConfig, unit):
 
     rows = []
     stats = []
-    for start, stop, stack, noise in _replicate_stacks(cell, lo, hi, replicate):
+    share = _globalize_share(config, batch)
+    for start, stop, stack, noise in _replicate_stacks(cell, share.start, share.stop, replicate):
         out = gaussianize(family, stack, config.beta, noise, q=config.q)
         ks_rows = _ks_statistic_normal(out.draw.observations - target)
         for r, ks in zip(range(start, stop), ks_rows):
@@ -570,6 +571,17 @@ def _per_n_batch(config: StudyConfig) -> list:
     return [(n, b) for n in config.n_grid for b in range(config.batches)]
 
 
+def _globalize_share(config: StudyConfig, batch: int) -> range:
+    """The replicates of each n that globalize batch `batch` draws."""
+    r, b = config.replicates, config.batches
+    return range(batch * r // b, (batch + 1) * r // b)
+
+
+def _per_n_share(config: StudyConfig) -> list:
+    # more batches than replicates leaves some shares empty: no unit for those
+    return [(n, b) for n, b in _per_n_batch(config) if _globalize_share(config, b)]
+
+
 def _once(config: StudyConfig) -> list:
     return [None]
 
@@ -597,7 +609,7 @@ _KINDS = {
     ),
     "globalize": _StudyKind(
         "n, replicate, ks_stat, ks_crit, pass, seed",
-        _per_n_batch, _run_globalize, _fold_globalize, min_n=KERNEL_MIN_N,
+        _per_n_share, _run_globalize, _fold_globalize, min_n=KERNEL_MIN_N,
     ),
     "risk-transfer": _StudyKind(
         "n, batch, cap, direct_risk, direct_stderr, transferred_risk, "

@@ -230,8 +230,11 @@ def coupled_draw_fields(plan, rng):
     The coupled draw built one replicate at a time from one generator:
     the sample, then, when the plan has a sum law, standard_normal(n)
     for the Gaussian fill and one jitter normal for the quantile
-    transform of the sum law.  A plan without one (all-Gaussian scores
-    or a zero shift) couples by identity.
+    transform of the sum law.  The Gaussian vector is completed around
+    the coupled sum, although the library reports only that sum; the
+    remainder is the original side minus h . scores - q.  A plan
+    without a sum law (all-Gaussian scores or a zero shift) couples by
+    identity.
     """
     cell = plan.cell
     family, n = cell.family, cell.n
@@ -241,23 +244,21 @@ def coupled_draw_fields(plan, rng):
     scores = np.asarray(family.score(x, cell.theta), dtype=float)
     weighted_sum = float(np.dot(h_vals, scores))
     if plan.sum_law is None:
-        rho = 0.0
         zeta = scores
-        loglik_gauss = weighted_sum - quad
+        loglik_orig = loglik_gauss = weighted_sum - quad
     else:
-        if plan.remainder_weights is not None:
-            rho = float(np.dot(plan.remainder_weights, scores)) + plan.remainder_offset
+        if plan.log_lr_slope is not None:
+            loglik_orig = float(np.dot(plan.log_lr_slope, scores)) + plan.log_lr_offset
         else:
             draw = ExperimentDraw("original", cell.t, np.asarray(x, dtype=float), family.name)
-            rho = lase_terms(family, cell.f, plan.h, draw).remainder
+            loglik_orig = lase_terms(family, cell.f, plan.h, draw).exact_loglik
         noise = np.sqrt(cell.info) * rng.standard_normal(n)
         law = plan.sum_law
         t = np.asarray(weighted_sum, dtype=float)
         jitter = rng.standard_normal(t.shape) * law.smooth_bw
         u = np.clip(np.interp(t + jitter, law.grid, law.cdf_grid), 1e-14, 1.0 - 1e-14)
         coupled_sum = law.sigma * NormalDist().inv_cdf(float(u))
-        fill = h_vals * cell.info / plan.sigma2
+        fill = h_vals * cell.info / (2.0 * quad)
         zeta = noise + (coupled_sum - float(np.dot(h_vals, noise))) * fill
-        loglik_gauss = float(np.dot(h_vals, zeta)) - quad
-    loglik_orig = weighted_sum - quad + rho
-    return loglik_orig, loglik_gauss, scores, zeta, rho
+        loglik_gauss = coupled_sum - quad
+    return loglik_orig, loglik_gauss, scores, zeta, loglik_orig - (weighted_sum - quad)

@@ -72,6 +72,16 @@ def test_run_unusable_config_exit_two(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["res%ults", "%(missing)s"])
+def test_run_config_interpolation_error_exit_two(tmp_path, capsys, value):
+    # ConfigParser interpolates `%` when the values are read, after the file parses
+    path = tmp_path / "study.ini"
+    path.write_text(PASSING_CONFIG + f"out = {value}\n")
+    code = cli.main(["run", str(path)])
+    assert code == 2
+    assert "malformed config file" in capsys.readouterr().err
+
+
 def test_run_numeric_failure_exit_three(tmp_path, capsys, monkeypatch):
     def explode(config, jobs=1):
         raise NumericError("quadrature failed at n=256, replicate=3, seed=99")

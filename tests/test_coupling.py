@@ -217,7 +217,7 @@ def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
     fam = get_family(name)
     f, h = standard_test_pair(fam, n)
     plan = CouplingPlan(fam, f, h, n, grid_size=256)
-    assert plan.remainder_weights is not None
+    assert plan.log_lr_slope is not None
     stack = build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(5)])
     for seed in range(5):
         # a draw samples first, so the same seed reproduces its dataset
@@ -233,7 +233,7 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
     f = RegressionFunction.constant(0.0)
     h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
     plan = CouplingPlan(fam, f, h, 16, grid_size=256)
-    assert plan.remainder_weights is None
+    assert plan.log_lr_slope is None
     calls = []
 
     def counting(*args):
@@ -272,13 +272,13 @@ def test_location_custom_plan_reads_one_shared_score_law(monkeypatch):
 def _stacking_plan(kind):
     """One plan per draw path; at 1024 points a capped stack holds 32 rows."""
     if kind == "location_custom":
-        # no remainder table: the lase_terms path
+        # no log-LR table: the lase_terms path
         xs = np.linspace(-8.0, 8.0, 801)
         fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
         h = RegressionFunction.sinusoid(0.01, 1.0, 0.0)
         return CouplingPlan(fam, RegressionFunction.constant(0.0), h, 16, grid_size=256)
     if kind == "zero_shift":
-        # no sum law: the Gaussian fill is the scaled noise alone
+        # no sum law: the identity coupling
         fam = get_family("bernoulli")
         f = RegressionFunction.affine(0.4, 0.2)
         return CouplingPlan(fam, f, RegressionFunction.constant(0.0), 1024, grid_size=1024)
@@ -300,8 +300,8 @@ def _bytes(value):
 def test_stacked_draws_match_single_draws(kind, replicates):
     plan = _stacking_plan(kind)
     assert (plan.sum_law is None) == (kind in ("location_normal", "zero_shift"))
-    # a remainder table is built only beside a sum law
-    assert (plan.remainder_weights is None) == (
+    # a log-LR table is built only beside a sum law
+    assert (plan.log_lr_slope is None) == (
         kind in ("location_normal", "location_custom", "zero_shift")
     )
     seeds = [[29, r] for r in range(replicates)]

@@ -93,9 +93,10 @@ def test_split_beta():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
 def test_function_rejects_nonpositive_or_nan_radius(L):
-    # NaN fails every comparison, so `L <= 0` let it through
+    # NaN fails every comparison, so `L <= 0` let it through; an infinite
+    # radius is no smoothness constraint at all
     with pytest.raises(ArgumentError, match="smoothness radius L"):
         RegressionFunction.constant(0.4, L=L)
 

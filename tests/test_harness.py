@@ -445,7 +445,7 @@ def test_no_study_formats_a_descriptor_per_draw(monkeypatch):
         TabulatedLocation(xs, np.exp(-0.5 * xs * xs)), RegressionFunction.constant(0.0),
         RegressionFunction.sinusoid(0.01, 1.0, 0.0), 16, grid_size=256,
     )
-    assert plan.remainder_weights is None  # the stack goes through lase_terms
+    assert plan.log_lr_slope is None  # the stack goes through lase_terms
     build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(3)])
     assert reads == []
     assert RegressionFunction.constant(1.0).descriptor == "constant(1)" and reads == ["constant"]
@@ -572,6 +572,22 @@ def test_phi_approx_stays_within_a_quarter_of_the_ks_margin():
     x = np.linspace(-40.0, 40.0, 2_000_001)
     phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
     assert np.max(np.abs(harness_module._phi_approx(x) - phi)) <= harness_module._KS_MARGIN / 4
+
+
+def test_globalize_dispatches_only_units_that_draw(tmp_path):
+    # 20 batches share 10 replicates per n: half the shares are empty, and
+    # an empty share would still build its design cell
+    cfg = dataclasses.replace(
+        _globalize_config(replicates=10, batches=20), n_grid=(64, 128), out_dir=str(tmp_path)
+    )
+    units = harness_module._KINDS["globalize"].units(cfg)
+    assert len(units) == 20
+    assert [len(harness_module._run_globalize(cfg, u)[0]) for u in units] == [1] * 20
+    res = run_study(cfg)
+    rows = Path(res.csv_path).read_text().splitlines()[4:]
+    assert [row.split(",")[:2] for row in rows] == [
+        [str(n), f" {r}"] for n in (64, 128) for r in range(10)
+    ]
 
 
 def test_globalize_unit_matches_per_replicate_oracle():

@@ -148,14 +148,25 @@ def test_uncalled_export_is_reported():
 
 
 def _record_fields(tree: ast.Module) -> list[tuple[str, str]]:
-    """(class, field) for every annotated field in a class body."""
-    return [
-        (node.name, stmt.target.id)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    ]
+    """(class, field) for every annotated field in a class body and every
+    `self.<name> = ...` store in one of its methods, once each."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found[node.name, stmt.target.id] = None
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(stmt):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        found[node.name, sub.attr] = None
+    return list(found)
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -169,24 +180,42 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _unread_fields(defining: dict, reading: list) -> list[str]:
+    """`file: class.field` for each field of the defining trees no reading tree loads."""
+    read = set().union(*map(_read_names, reading))
+    return [
+        f"{name}: {cls}.{field}"
+        for name, tree in defining.items()
+        for cls, field in _record_fields(tree)
+        if field not in read
+    ]
+
+
 def test_every_record_field_is_read():
-    """A field that no code reads is computed and stored for nothing.
+    """A field or attribute that no code reads is computed and stored for nothing.
 
     The scan matches names, not owners: a field that shares its name
     with an attribute read elsewhere passes unseen.  A regularity
     report's `epsilon`, for one, could hide behind `config.epsilon`.
     """
-    read = set()
-    for root in (SRC, REPO / "demos", REPO / "perfbench", REPO / "tests"):
-        for path in sorted(root.rglob("*.py")):
-            read |= _read_names(ast.parse(path.read_text()))
-    unread = [
-        f"{path.name}: {cls}.{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for cls, name in _record_fields(ast.parse(path.read_text()))
-        if name not in read
+    reading = [
+        ast.parse(path.read_text())
+        for root in (SRC, REPO / "demos", REPO / "perfbench", REPO / "tests")
+        for path in sorted(root.rglob("*.py"))
     ]
-    assert unread == []
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _unread_fields(defining, reading) == []
+
+
+def test_unread_attribute_is_reported():
+    tree = ast.parse(
+        "class Plan:\n    kept: float\n    lost: float\n\n"
+        "    def __init__(self, a):\n        self.a = a\n"
+        "        self.unread, self.b = a, a\n\n"
+        "    def use(self):\n        return self.kept + self.b\n"
+    )
+    user = ast.parse("def f(plan):\n    return plan.a\n")
+    assert _unread_fields({"m.py": tree}, [tree, user]) == ["m.py: Plan.lost", "m.py: Plan.unread"]
 
 
 def _callers(tree: ast.Module, name: str) -> list[str]:
