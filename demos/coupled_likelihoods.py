@@ -5,17 +5,10 @@ and whose Gaussian side follows the heteroscedastic local Gaussian law
 exactly, with the weighted sums matched through a quantile transform.
 The Monte Carlo squared Hellinger distance between the coupled pairs
 shrinks as n grows; the closeness audit checks the gap and tail events
-behind that trend.  Bounded-score modification is shown at the end.
+behind that trend.
 """
 
-import numpy as np
-
-from lecam_equiv.coupling import (
-    CouplingPlan,
-    audit_cc_conditions,
-    build_coupled_draw,
-    truncate_scores,
-)
+from lecam_equiv.coupling import CouplingPlan, audit_cc_conditions, build_coupled_draw
 from lecam_equiv.distances import mc_hellinger_coupled
 from lecam_equiv.experiments import standard_test_pair
 from lecam_equiv.families import get_family
@@ -53,15 +46,3 @@ print(f"  gap event freq:        {audit.gap_freq:.4f} +- {audit.gap_stderr:.4f}"
 print(f"  original tail freq:    {audit.orig_tail_freq:.4f} +- {audit.orig_tail_stderr:.4f}")
 print(f"  gaussian tail freq:    {audit.gauss_tail_freq:.4f} +- {audit.gauss_tail_stderr:.4f}")
 print(f"  importance-weight ESS: {audit.effective_sample_size:.1f} reliable={audit.reliable}")
-
-print()
-print("== bounded modification of the scores ==")
-from lecam_equiv.function_space import RegressionFunction
-
-f_const = RegressionFunction.constant(0.4)
-out = truncate_scores(family, f_const, 1024, ALPHA, stream_rng(4))
-info = float(family.fisher(0.4))
-print(f"  clip level r_n^(alpha-1) = {out.clip_level:.3f}, kick size = {out.x_n:.3f}")
-print(f"  bound constant 2 + c1 = {out.bound_constant}")
-print(f"  min bound margin over the draw: {float(np.min(out.bound_margins())):.4f} (>= 0)")
-print(f"  restored second moment: {out.laws[0].second_moment():.12f} vs I = {info:.12f}")

@@ -3,9 +3,7 @@
 For growing n, draws data under the base function and decomposes the
 exact log-likelihood ratio of the shifted model into its linear term,
 deterministic quadratic term, and remainder; the remainder shrinks as
-the shift amplitude follows the localization rate.  Also evaluates the
-triangular-array Lindeberg functional that certifies the normal limit
-of the weighted score sum.
+the shift amplitude follows the localization rate.
 """
 
 import numpy as np
@@ -13,7 +11,6 @@ import numpy as np
 from lecam_equiv.experiments import (
     design_cell,
     lase_terms,
-    lindeberg_sum,
     sample_original,
     standard_test_pair,
 )
@@ -43,13 +40,3 @@ terms = lase_terms(family, f, h, draw)
 print(f"  exact = 2 X_n - 4 V_n + rho: {terms.exact_loglik:.6f} = "
       f"2({terms.xn:.6f}) - 4({terms.vn:.6f}) + {terms.rho_prop:.6f}")
 print(f"  V_n vs (1/8) sum h^2 I: {terms.vn:.6f} vs {terms.quadratic / 4.0:.6f}")
-
-print()
-print("== Lindeberg functional n^(alpha-1) sum E[xi^2; |xi| >= tau_n] ==")
-family = get_family("bernoulli")
-f_b, _ = standard_test_pair(family, 256)
-for n in (64, 256, 1024):
-    value = lindeberg_sum(family, f_b, n, alpha=0.5, eps=1.0)
-    print(f"  n={n:>5d}: {value:.6f}")
-print("  (bounded scores: once the threshold clears the score bound the")
-print("   functional is exactly zero, certifying the Gaussian limit)")

@@ -18,10 +18,8 @@ from .coupling import (
     CcAuditReport,
     CoupledLikelihoodDraw,
     CouplingPlan,
-    TruncationOutput,
     audit_cc_conditions,
     build_coupled_draw,
-    truncate_scores,
 )
 from .distances import (
     DistanceReport,
@@ -43,7 +41,6 @@ from .experiments import (
     LaseTerms,
     design_cell,
     lase_terms,
-    lindeberg_sum,
     read_draw,
     sample_original,
     standard_test_pair,
@@ -98,7 +95,6 @@ __all__ = [
     "standard_test_pair",
     "lase_terms",
     "LaseTerms",
-    "lindeberg_sum",
     "write_draw",
     "read_draw",
     # distances
@@ -111,10 +107,8 @@ __all__ = [
     # coupling
     "CouplingPlan",
     "build_coupled_draw",
-    "truncate_scores",
     "audit_cc_conditions",
     "CoupledLikelihoodDraw",
-    "TruncationOutput",
     "CcAuditReport",
     # globalization
     "preliminary_estimate",

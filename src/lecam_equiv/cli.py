@@ -27,7 +27,7 @@ from .errors import ArgumentError, NumericError
 from .experiments import read_draw, write_draw
 from .families import check_regularity, get_family
 from .globalization import gaussianize
-from .harness import OUTPUT_DIR_ENV, parse_config, run_study, stream_rng
+from .harness import MIN_GRID_POINTS, OUTPUT_DIR_ENV, parse_config, run_study, stream_rng
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,8 +79,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_family(args) -> int:
     family = get_family(args.name, table_path=args.table)
-    if args.grid_points < 1:
-        raise ArgumentError("--grid-points must be at least 1")
+    if args.grid_points < MIN_GRID_POINTS:
+        raise ArgumentError(f"--grid-points must be at least {MIN_GRID_POINTS}")
     lo, hi = family.working_interval
     grid = np.linspace(lo, hi, args.grid_points)
     report = check_regularity(family, grid, args.epsilon, args.beta)

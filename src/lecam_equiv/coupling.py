@@ -6,8 +6,7 @@ side is the draw's exact log-likelihood ratio.  The Gaussian side
 depends on the per-point Gaussian vector zeta only through h . zeta,
 and a sum-level quantile coupling sets that sum directly: the weighted
 score sum is pushed through its own distribution function onto a
-Gaussian of matching variance.  The bounded-score modification of the
-raw scores is provided separately.
+Gaussian of matching variance.
 """
 
 from __future__ import annotations
@@ -20,23 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import _log_lik_arrays
-from .errors import (
-    ArgumentError,
-    NeighborhoodError,
-    NumericError,
-    SingularityError,
-    TruncationConstantError,
-)
+from .errors import ArgumentError, NeighborhoodError, NumericError, SingularityError
 from .experiments import design_cell, lase_terms
 from .families import ParametricFamily
 from .function_space import RegressionFunction, neighborhood_contains
-from .laws import (
-    DEFAULT_GRID_SIZE,
-    TruncatedLaw,
-    WeightedSumLaw,
-    apply_truncation,
-    truncation_params,
-)
+from .laws import DEFAULT_GRID_SIZE, WeightedSumLaw
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -49,27 +36,6 @@ class CoupledLikelihoodDraw:
 
     log_lik_original: np.ndarray
     log_lik_gaussian: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class TruncationOutput:
-    """Realized bounded scores plus the per-point modification inputs."""
-
-    scores_star: np.ndarray
-    bound_constant: float
-    alpha: float
-    r_n: float
-    clip_level: float
-    x_n: float
-    variance_targets: np.ndarray
-    kick_probs: np.ndarray
-    clip_means: np.ndarray
-    laws: list
-
-    def bound_margins(self) -> np.ndarray:
-        """bound_constant - |r_n^(1-alpha) * scores|; nonnegative always."""
-        scale = self.r_n ** (1.0 - self.alpha)
-        return self.bound_constant - np.abs(scale * self.scores_star)
 
 
 @dataclass(frozen=True)
@@ -95,91 +61,6 @@ class CcAuditReport:
     effective_sample_size: float
     reliable: bool
     replicate_count: int
-
-
-# ---------------------------------------------------------------------------
-# bounded-score modification
-# ---------------------------------------------------------------------------
-
-
-def _truncation_table(
-    family: ParametricFamily,
-    theta: np.ndarray,
-    info: np.ndarray,
-    clip_level: float,
-    c1: float,
-) -> list[TruncatedLaw]:
-    """Per-point bounded-modification laws; aggregates constant failures.
-
-    Points with equal (theta, information) share one law object.
-    """
-    keys = [(float(th), float(i_val)) for th, i_val in zip(theta, info)]
-    shared: dict[tuple[float, float], TruncatedLaw | None] = {}
-    worst: float | None = None
-    for key in keys:
-        if key in shared:
-            continue
-        law = family.score_law(key[0])
-        try:
-            params = truncation_params(law, clip_level, c1, target_second_moment=key[1])
-        except TruncationConstantError as err:
-            worst = err.suggested_c1 if worst is None else max(worst, err.suggested_c1)
-            shared[key] = None
-            continue
-        shared[key] = TruncatedLaw(law, params)
-    if worst is not None:
-        raise TruncationConstantError(
-            f"kick constant {c1:.4g} too small somewhere on the design; "
-            f"at least {worst:.4g} is needed",
-            suggested_c1=worst,
-        )
-    return [shared[key] for key in keys]
-
-
-def truncate_scores(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    n: int,
-    alpha: float,
-    rng: np.random.Generator,
-    c_rate: float = 1.0,
-    c1: float = 1.0,
-    beta: float = 1.0,
-) -> TruncationOutput:
-    """Draw raw scores and realize their bounded modification.
-
-    The raw score at each design point is zeroed outside a window of
-    half-width r_n^(alpha-1), recentered, and perturbed by an
-    independent three-point variable restoring the exact per-point
-    second moment I(f(t_i)).  The output scores obey
-    |r_n^(1-alpha) * score| <= 2 + c1 deterministically.
-    """
-    if not 1.0 / (2.0 * beta) < alpha < 1.0:
-        raise ArgumentError("alpha must lie in (1/(2 beta), 1)")
-    if n <= 0:
-        raise ArgumentError("need at least one design point")
-    cell = design_cell(family, f, n)
-    r_n = c_rate / math.sqrt(n)
-    clip_level = r_n ** (alpha - 1.0)
-    laws = _truncation_table(family, cell.theta, cell.info, clip_level, c1)
-    x = family.sample(cell.table, rng)
-    xi = np.asarray(family.score(x, cell.theta), dtype=float)
-    clip_means = np.array([law.params.clip_mean for law in laws])
-    kick_probs = np.array([law.params.p for law in laws])
-    x_n = c1 * clip_level
-    scores_star = apply_truncation(xi, clip_level, clip_means, kick_probs, x_n, rng)
-    return TruncationOutput(
-        scores_star=scores_star,
-        bound_constant=2.0 + c1,
-        alpha=alpha,
-        r_n=r_n,
-        clip_level=clip_level,
-        x_n=x_n,
-        variance_targets=cell.info,
-        kick_probs=kick_probs,
-        clip_means=clip_means,
-        laws=laws,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,3 @@ class NumericError(RuntimeError):
 
     row: int | None = None
 
-
-class TruncationConstantError(ArgumentError):
-    """The three-point auxiliary variable needs a larger scale constant.
-
-    Carries the smallest constant that would make every auxiliary
-    probability at most 1/2.
-    """
-
-    def __init__(self, message: str, suggested_c1: float):
-        super().__init__(message)
-        self.suggested_c1 = suggested_c1

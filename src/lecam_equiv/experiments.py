@@ -272,34 +272,6 @@ def lase_terms(
     )
 
 
-def lindeberg_sum(
-    family: ParametricFamily,
-    f: RegressionFunction,
-    n: int,
-    alpha: float,
-    eps: float,
-) -> float:
-    """Strengthened Lindeberg functional of the per-point score laws.
-
-    (1/n) sum_i E[(n^{alpha/2} xi_i)^2 1{|n^{alpha/2} xi_i| >= eps sqrt(n)}],
-    computed exactly from clipped second moments.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ArgumentError("alpha must lie in (0, 1)")
-    if eps <= 0.0:
-        raise ArgumentError("eps must be positive")
-    if n <= 0:
-        raise ArgumentError("need at least one design point")
-    threshold = eps * n ** ((1.0 - alpha) / 2.0)
-    total = 0.0
-    for th in design_cell(family, f, n).theta:
-        law = family.score_law(float(th))
-        # nudge the clip inward so boundary atoms land in the tail (>=)
-        _, m2_in, _ = law.clipped_moments(threshold * (1.0 - 1e-12))
-        total += max(law.second_moment() - m2_in, 0.0)
-    return n ** (alpha - 1.0) * total
-
-
 # ---------------------------------------------------------------------------
 # canonical test configurations
 # ---------------------------------------------------------------------------

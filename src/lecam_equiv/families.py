@@ -434,24 +434,12 @@ class PoissonScoreLaw(ScoreLaw):
 
     def __init__(self, theta: float):
         self.theta = float(theta)
-        self._atom_cache: AtomLaw | None = None
-
-    def atoms(self) -> AtomLaw:
-        if self._atom_cache is None:
-            xs = Poisson().support_atoms(self.theta)
-            self._atom_cache = AtomLaw(
-                xs / self.theta - 1.0, _poisson_pmf(xs, self.theta)
-            )
-        return self._atom_cache
 
     def poisson_form(self) -> tuple[float, float, float]:
         return self.theta, 1.0 / self.theta, -1.0
 
     def second_moment(self) -> float:
         return 1.0 / self.theta
-
-    def clipped_moments(self, k):
-        return self.atoms().clipped_moments(k)
 
 
 class GaussianScale(ParametricFamily):

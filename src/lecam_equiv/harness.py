@@ -86,6 +86,8 @@ def stream_rng(seed: int) -> np.random.Generator:
 # configuration
 # ---------------------------------------------------------------------------
 
+MIN_GRID_POINTS = 3  # fewest points of a regularity-audit grid
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -152,8 +154,8 @@ class StudyConfig:
             raise ConfigError("coupling_grid must be a power of two, at least 256")
         if not 0 <= self.epsilon < math.inf:
             raise ConfigError("epsilon must be nonnegative and finite")
-        if self.grid_points < 3:
-            raise ConfigError("grid_points must be at least 3")
+        if self.grid_points < MIN_GRID_POINTS:
+            raise ConfigError(f"grid_points must be at least {MIN_GRID_POINTS}")
         if not all(0 < v < math.inf for v in (self.audit_eps, self.gap_constant)):
             raise ConfigError("audit_eps and gap_constant must be positive and finite")
         if not 0.0 < self.audit_threshold <= 1.0:

@@ -1,9 +1,8 @@
 """Distribution objects for per-observation score variables.
 
 Each regression design point i carries the law of the score
-l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The bounded-score
-truncation needs exact low-order moments (plain and clipped) of such a
-law.  The sum-law build reads exactly one description of its
+l_dot(X_i, theta_i) under X_i ~ p(., theta_i).  The sum-law build
+reads its second moment and exactly one description of its
 characteristic function: a Poisson form (`poisson_form`), else atoms
 (`atoms`), else, for a law with neither, its own `log_cf`.
 `is_gaussian` marks the standard normal law, whose weighted sums need
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, TruncationConstantError
+from .errors import ArgumentError
 
 
 class ScoreLaw:
@@ -49,10 +48,6 @@ class ScoreLaw:
         """
         raise NotImplementedError(f"{type(self).__name__} has no characteristic function")
 
-    def clipped_moments(self, k: float) -> tuple[float, float, float]:
-        """(E xi 1{|xi|<=k}, E xi^2 1{|xi|<=k}, P(|xi|<=k))."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class AtomLaw(ScoreLaw):
@@ -74,12 +69,6 @@ class AtomLaw(ScoreLaw):
     def second_moment(self) -> float:
         return float(np.dot(self.probs, self.values**2))
 
-    def clipped_moments(self, k: float) -> tuple[float, float, float]:
-        inside = np.abs(self.values) <= k
-        p = self.probs[inside]
-        v = self.values[inside]
-        return float(p @ v), float(p @ v**2), float(p.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class StandardNormalLaw(ScoreLaw):
@@ -93,15 +82,6 @@ class StandardNormalLaw(ScoreLaw):
     def log_cf(self, omega):
         omega = np.asarray(omega, dtype=float)
         return -0.5 * omega**2, np.zeros_like(omega)
-
-    def clipped_moments(self, k: float) -> tuple[float, float, float]:
-        from scipy import special  # on use: no golden or benchmark study truncates scores
-
-        # E xi^2 1{|xi|>k} = 2*(k*phi(k) + 1 - Phi(k)) for the standard normal
-        phi_k = np.exp(-0.5 * k * k) / np.sqrt(2.0 * np.pi)
-        tail = float(special.ndtr(-k))
-        m2_out = 2.0 * (k * phi_k + tail)
-        return 0.0, 1.0 - m2_out, 1.0 - 2.0 * tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,122 +101,6 @@ class ScaledChi2Law(ScoreLaw):
         # cf = (1 - 2it)^(-1/2) exp(-it) with t = omega/theta
         t = np.asarray(omega, dtype=float) / self.theta
         return -0.25 * np.log1p(4.0 * t * t), 0.5 * np.arctan(2.0 * t) - t
-
-    def clipped_moments(self, k: float) -> tuple[float, float, float]:
-        from scipy import special  # on use: no golden or benchmark study truncates scores
-
-        # |xi| <= k maps to W in [max(0, 1-theta*k), 1+theta*k]
-        lo = max(0.0, 1.0 - self.theta * k)
-        hi = 1.0 + self.theta * k
-        # chi2(1) partial moments: E W 1{W<=w} = F_3(w), E W^2 1{W<=w} = 3 F_5(w)
-        p_in = special.chdtr(1, hi) - special.chdtr(1, lo)
-        ew = special.chdtr(3, hi) - special.chdtr(3, lo)
-        ew2 = 3.0 * (special.chdtr(5, hi) - special.chdtr(5, lo))
-        m1 = (ew - p_in) / self.theta
-        m2 = (ew2 - 2.0 * ew + p_in) / self.theta**2
-        return float(m1), float(m2), float(p_in)
-
-
-@dataclass(frozen=True)
-class TruncationParams:
-    """Bounded-score modification parameters for one design point.
-
-    clip_level: scores are zeroed outside [-clip_level, clip_level];
-    clip_mean: mean of the zeroed-out score (subtracted to recenter);
-    x_n: kick magnitude; p: probability of each of the +-x_n kicks.
-    """
-
-    clip_level: float
-    clip_mean: float
-    x_n: float
-    p: float
-
-
-def truncation_params(
-    law: ScoreLaw, clip_level: float, c1: float, target_second_moment: float | None = None
-) -> TruncationParams:
-    """Clipping plus three-point-kick parameters restoring the variance.
-
-    target_second_moment overrides the law's own second moment as the
-    variance to restore (used when an exact analytic value is available).
-    """
-    m1, m2, p_in = law.clipped_moments(clip_level)
-    if p_in >= 1.0 - 1e-14:
-        # nothing is clipped: the law is mean zero, so the modification
-        # must reduce to the identity map exactly
-        m1, e_eta2 = 0.0, m2
-    else:
-        e_eta2 = m2 - m1 * m1
-    total = law.second_moment() if target_second_moment is None else target_second_moment
-    v2 = max(total - e_eta2, 0.0)
-    if v2 <= 1e-13 * max(total, 1.0):
-        v2 = 0.0
-    x_n = c1 * clip_level
-    p = 0.5 * v2 / x_n**2 if x_n > 0 else (0.0 if v2 == 0.0 else np.inf)
-    if p > 0.5:
-        needed = 1.05 * np.sqrt(v2) / clip_level
-        raise TruncationConstantError(
-            f"kick probability {p:.4g} exceeds 1/2; "
-            f"increase the kick constant to at least {needed:.4g}",
-            suggested_c1=float(needed),
-        )
-    return TruncationParams(clip_level, m1, x_n, p)
-
-
-def apply_truncation(xi, clip_level, clip_mean, p, x_n, rng: np.random.Generator):
-    """Realize the bounded modification on sampled raw scores.
-
-    clip_mean and the kick probability p may be per-point arrays; every
-    parameter broadcasts against xi.
-    """
-    eta = np.where(np.abs(xi) <= clip_level, xi, 0.0) - clip_mean
-    u = rng.random(np.shape(xi))
-    kick = np.where(u < p, x_n, 0.0)
-    kick = np.where(u >= 1.0 - p, -x_n, kick)
-    return eta + kick
-
-
-class TruncatedLaw(ScoreLaw):
-    """Law of the recentered clipped score plus the three-point kick."""
-
-    def __init__(self, base: ScoreLaw, params: TruncationParams):
-        self.base = base
-        self.params = params
-        self._atoms: AtomLaw | None = None
-        base_atoms = base.atoms()
-        if base_atoms is not None:
-            self._atoms = self._build_atoms(base_atoms, params)
-
-    @staticmethod
-    def _build_atoms(base: AtomLaw, tp: TruncationParams) -> AtomLaw:
-        eta_vals = (
-            np.where(np.abs(base.values) <= tp.clip_level, base.values, 0.0)
-            - tp.clip_mean
-        )
-        kicks = np.array([-tp.x_n, 0.0, tp.x_n])
-        kick_probs = np.array([tp.p, 1.0 - 2.0 * tp.p, tp.p])
-        vals = (eta_vals[:, None] + kicks[None, :]).ravel()
-        probs = (base.probs[:, None] * kick_probs[None, :]).ravel()
-        keep = probs > 0
-        law = AtomLaw.from_unsorted(vals[keep], probs[keep])
-        # clipping sends every base atom beyond the clip level to one value:
-        # merge runs of equal values so each distinct atom is stored once
-        v = law.values
-        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        return AtomLaw(v[starts], np.add.reduceat(law.probs, starts))
-
-    def atoms(self) -> AtomLaw | None:
-        return self._atoms
-
-    def second_moment(self) -> float:
-        tp = self.params
-        m1, m2, _ = self.base.clipped_moments(tp.clip_level)
-        return (m2 - m1 * m1) + 2.0 * tp.p * tp.x_n**2
-
-    def clipped_moments(self, k: float) -> tuple[float, float, float]:
-        if self._atoms is not None:
-            return self._atoms.clipped_moments(k)
-        raise NotImplementedError
 
 
 # half-width of the sum-law value grid, in standard deviations
@@ -409,7 +273,6 @@ def _live_half_spectrum(laws, weights, grid_size, dx, x0):
     for law, w in zip(laws, weights):
         if w == 0.0:
             continue
-        # the Poisson form comes first: a Poisson law's atoms are a truncation
         form = law.poisson_form()
         if form is not None:
             kind = "poisson"

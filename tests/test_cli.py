@@ -147,7 +147,14 @@ def test_check_family_builtin_with_table_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--grid-points", "-1"], ["--epsilon", "nan"], ["--epsilon", "inf"]]
+    "flags",
+    [
+        ["--grid-points", "-1"],
+        ["--grid-points", "1"],
+        ["--grid-points", "2"],
+        ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
+    ],
 )
 def test_check_family_bad_number_exit_two(flags, capsys):
     code = cli.main(["check-family", "bernoulli", *flags])

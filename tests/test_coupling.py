@@ -1,4 +1,4 @@
-"""Bounded scores, joint draws, and condition audits."""
+"""Joint draws and condition audits."""
 
 import dataclasses
 import functools
@@ -14,7 +14,6 @@ from lecam_equiv.coupling import (
     CouplingPlan,
     audit_cc_conditions,
     build_coupled_draw,
-    truncate_scores,
 )
 from lecam_equiv.distances import mc_hellinger_coupled
 from lecam_equiv.errors import (
@@ -22,7 +21,6 @@ from lecam_equiv.errors import (
     DomainError,
     NeighborhoodError,
     SingularityError,
-    TruncationConstantError,
 )
 from lecam_equiv.experiments import (
     ExperimentDraw,
@@ -34,156 +32,15 @@ from lecam_equiv.experiments import (
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import _stack_bounds
-from lecam_equiv.laws import AtomLaw, TruncatedLaw, truncation_params
+from lecam_equiv.laws import AtomLaw
 
-from oracles import coupled_draw_fields, exp_moment_margins
+from oracles import coupled_draw_fields
 
 KS_CRIT_1PCT = 1.628
 
 
 def quad_term(plan):
     return 0.5 * float(np.dot(plan.h_values**2, plan.cell.info))
-
-
-# ---------------------------------------------------------------------------
-# bounded-score modification
-# ---------------------------------------------------------------------------
-
-
-def test_truncate_scores_bound_holds_on_every_draw():
-    fam = get_family("poisson")
-    f = RegressionFunction.affine(1.5, 1.0)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        out = truncate_scores(fam, f, 256, 0.6, rng)
-        assert np.all(out.bound_margins() >= 0.0)
-        assert out.bound_constant == 3.0
-
-
-def test_truncate_scores_restores_second_moments_exactly():
-    fam = get_family("poisson")
-    f = RegressionFunction.affine(1.5, 1.0)
-    out = truncate_scores(fam, f, 64, 0.7, np.random.default_rng(1))
-    for law, target in zip(out.laws, out.variance_targets):
-        assert law.second_moment() == pytest.approx(target, abs=1e-10)
-
-
-def test_truncate_scores_identity_when_scores_already_bounded():
-    # bernoulli scores on [0.4, 0.6] are bounded by 2.5; at alpha = 0.6
-    # and n = 256 the clip window has half-width 16^0.4 > 2.5, so
-    # nothing changes
-    fam = get_family("bernoulli")
-    f = RegressionFunction.affine(0.4, 0.2)
-    out = truncate_scores(fam, f, 256, 0.6, np.random.default_rng(9))
-    assert out.clip_level == pytest.approx(16.0**0.4)
-    assert np.all(out.kick_probs == 0.0)
-    assert np.all(out.clip_means == 0.0)
-    rng = np.random.default_rng(9)
-    t = np.arange(1, 257) / 256.0
-    x = fam.sample(f(t), rng)
-    xi = fam.score(x, f(t))
-    assert np.array_equal(out.scores_star, xi)
-
-
-def test_truncate_scores_small_kick_constant_aggregates_suggestion():
-    fam = get_family("poisson")
-    f = RegressionFunction.affine(1.5, 1.0)
-    with pytest.raises(TruncationConstantError) as info:
-        truncate_scores(fam, f, 4, 0.9, np.random.default_rng(0), c1=0.01)
-    suggested = info.value.suggested_c1
-    assert suggested > 0.01
-    out = truncate_scores(fam, f, 4, 0.9, np.random.default_rng(0), c1=suggested)
-    assert np.all(out.kick_probs <= 0.5)
-
-
-def _per_point_truncation_table(family, theta, info, clip_level, c1):
-    """One law per design point: the reference for the shared table."""
-    laws = []
-    worst = None
-    for th, i_val in zip(theta, info):
-        law = family.score_law(float(th))
-        try:
-            params = truncation_params(law, clip_level, c1, target_second_moment=float(i_val))
-        except TruncationConstantError as err:
-            worst = err.suggested_c1 if worst is None else max(worst, err.suggested_c1)
-            continue
-        laws.append(TruncatedLaw(law, params))
-    if worst is not None:
-        raise TruncationConstantError("reference", suggested_c1=worst)
-    return laws
-
-
-@pytest.mark.parametrize(
-    "f, distinct",
-    [(RegressionFunction.constant(0.4), 1), (RegressionFunction.affine(0.4, 0.2), 256)],
-    ids=["constant", "affine"],
-)
-def test_truncation_table_shares_laws_with_per_point_bytes(monkeypatch, f, distinct):
-    fam = get_family("bernoulli")
-    out = truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3))
-    with pytest.raises(TruncationConstantError) as shared_err:
-        truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3), c1=0.5)
-    monkeypatch.setattr(coupling, "_truncation_table", _per_point_truncation_table)
-    ref = truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3))
-    with pytest.raises(TruncationConstantError) as ref_err:
-        truncate_scores(fam, f, 256, 0.75, np.random.default_rng(3), c1=0.5)
-    assert len({id(law) for law in out.laws}) == distinct
-    assert len(out.laws) == len(ref.laws) == 256
-    for name in ("scores_star", "kick_probs", "clip_means"):
-        assert getattr(out, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert shared_err.value.suggested_c1 == ref_err.value.suggested_c1
-
-
-def test_truncate_scores_location_normal_variance():
-    # large clip level: rare kicks restore the unit variance
-    fam = get_family("location_normal")
-    f = RegressionFunction.constant(0.0)
-    out = truncate_scores(fam, f, 100000, 0.8, np.random.default_rng(17))
-    assert np.all(out.kick_probs > 0.0)
-    assert abs(out.scores_star.var() - 1.0) < 0.02
-    assert np.all(out.bound_margins() >= 0.0)
-
-
-def test_truncate_scores_validates_alpha():
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.4)
-    with pytest.raises(ArgumentError):
-        truncate_scores(fam, f, 64, 0.3, np.random.default_rng(0), beta=1.0)
-    with pytest.raises(ArgumentError):
-        truncate_scores(fam, f, 64, 1.0, np.random.default_rng(0))
-
-
-def test_truncated_laws_satisfy_exp_moment_inequality():
-    # clipping at alpha = 0.9, n = 4 actually bites for the poisson
-    fam = get_family("poisson")
-    f = RegressionFunction.affine(1.5, 1.0)
-    out = truncate_scores(fam, f, 4, 0.9, np.random.default_rng(2), c1=5.0)
-    lam = np.linspace(-1.0, 1.0, 21)
-    for law in out.laws:
-        atoms = law.atoms()
-        assert atoms is not None
-        bound = np.max(np.abs(atoms.values))
-        assert bound <= out.bound_constant * out.r_n ** (out.alpha - 1.0) + 1e-12
-        margins = exp_moment_margins(atoms.values, atoms.probs, lam)
-        assert np.all(margins >= -1e-12)
-
-
-def test_truncated_scores_follow_truncated_atom_law():
-    # realized bounded scores must follow the truncated law the table
-    # reports: per-atom frequencies against the atom probabilities, at 5
-    # binomial standard errors.  At theta = 0.25 the score atom 4 lies
-    # beyond the clip level 2.82, so the clip and the kicks both act.
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.25)
-    n = 4000
-    out = truncate_scores(fam, f, n, 0.75, np.random.default_rng(32))
-    atoms = out.laws[0].atoms()
-    assert atoms.values.size == 6  # two clipped atoms, each with three kicks
-    idx = np.searchsorted(atoms.values, out.scores_star)
-    assert np.array_equal(atoms.values[np.minimum(idx, atoms.values.size - 1)], out.scores_star)
-    freq = np.bincount(idx, minlength=atoms.values.size) / n
-    stderr = np.sqrt(atoms.probs * (1.0 - atoms.probs) / n)
-    assert np.all(np.abs(freq - atoms.probs) <= 5.0 * stderr + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +289,9 @@ def test_coupled_hellinger_estimate_decreases_with_n():
     "entry",
     [
         lambda fam, f, rng: CouplingPlan(fam, f, RegressionFunction.constant(0.0), 16),
-        lambda fam, f, rng: truncate_scores(fam, f, 16, 0.75, rng),
         lambda fam, f, rng: sample_original(design_cell(fam, f, 16), rng),
     ],
-    ids=["coupling_plan", "truncate_scores", "sample_original"],
+    ids=["coupling_plan", "sample_original"],
 )
 def test_working_interval_violation_is_a_domain_error(entry):
     # 0.99 is a valid Bernoulli parameter but outside the working interval

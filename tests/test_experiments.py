@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from lecam_equiv.errors import ArgumentError, DomainError
 from lecam_equiv.experiments import (
@@ -13,7 +12,6 @@ from lecam_equiv.experiments import (
     design_cell,
     design_grid,
     lase_terms,
-    lindeberg_sum,
     read_draw,
     sample_original,
     standard_test_pair,
@@ -307,55 +305,6 @@ def test_rho_prop_shrinks_with_n(name):
         assert medians[1] < max(medians[0], 1e-6)
     else:
         assert medians[1] < medians[0]
-
-
-# ---------------------------------------------------------------------------
-# Lindeberg functional
-# ---------------------------------------------------------------------------
-
-
-def test_lindeberg_closed_form_location_normal():
-    fam = get_family("location_normal")
-    f = RegressionFunction.constant(0.0)
-    n, alpha, eps = 100, 0.6, 0.05
-    tau = eps * n ** ((1.0 - alpha) / 2.0)
-    tail = 2.0 * (tau * stats.norm.pdf(tau) + stats.norm.sf(tau))
-    expect = n**alpha * tail
-    assert lindeberg_sum(fam, f, n, alpha, eps) == pytest.approx(expect, rel=1e-9)
-
-
-def test_lindeberg_counts_boundary_atoms_in_tail():
-    # bernoulli at 1/2 puts the whole score law on {-2, +2}; a threshold
-    # of exactly 2 must keep both atoms in the tail
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.5)
-    n, alpha = 16, 0.5
-    val = lindeberg_sum(fam, f, n, alpha, eps=1.0)  # tau = 16**0.25 = 2
-    assert val == pytest.approx(n**alpha * 4.0, rel=1e-9)
-    val_above = lindeberg_sum(fam, f, n, alpha, eps=1.0 + 1e-6)
-    assert val_above == 0.0
-
-
-def test_lindeberg_vanishes_once_threshold_clears_bounded_scores():
-    # bernoulli scores at theta = 0.3 are bounded by 10/3, so the tail
-    # empties exactly when eps * n^{(1-alpha)/2} passes that bound
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.3)
-    vals = [lindeberg_sum(fam, f, n, 0.5, 1.0) for n in (100, 256)]
-    assert vals[0] > 0.0
-    assert vals[1] == 0.0
-
-
-def test_lindeberg_rejects_bad_arguments():
-    fam = get_family("bernoulli")
-    f = RegressionFunction.constant(0.3)
-    with pytest.raises(ArgumentError):
-        lindeberg_sum(fam, f, 100, 1.5, 0.1)
-    with pytest.raises(ArgumentError):
-        lindeberg_sum(fam, f, 100, 0.5, 0.0)
-    for n in (0, -4):
-        with pytest.raises(ArgumentError, match="at least one design point"):
-            lindeberg_sum(fam, f, n, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """A fresh `import lecam_equiv` loads numpy and the standard library, no scipy.
 
 scipy.stats is not used by the package.  scipy.special loads with the
-Poisson pmf and the truncation moments, scipy.integrate with the
-quadrature branch of `hellinger_sq_1d`, and scipy.interpolate with a
-`spline` regression function.  Running a study of any kind loads no
-public scipy subpackage, and no numpy.f2py, which scipy.special's
-array-API shim pulls in.  A serial study loads no numpy.ma, which
-np.median's NaN check pulls in, and no process-pool stack.  Each check
-starts a fresh interpreter, because this test session has loaded all
-of them already.
+Poisson pmf, scipy.integrate with the quadrature branch of
+`hellinger_sq_1d`, and scipy.interpolate with a `spline` regression
+function.  Running a study of any kind loads no public scipy
+subpackage, and no numpy.f2py, which scipy.special's array-API shim
+pulls in.  A serial study loads no numpy.ma, which np.median's NaN
+check pulls in, and no process-pool stack.  Each check starts a fresh
+interpreter, because this test session has loaded all of them already.
 """
 
 import json

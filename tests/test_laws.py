@@ -1,4 +1,4 @@
-"""Score-law machinery: clipped moments, characteristic functions, truncation, sum laws."""
+"""Score-law machinery: moments, characteristic functions, sum laws."""
 
 import math
 import warnings
@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from lecam_equiv.coupling import CouplingPlan
 from lecam_equiv.errors import ArgumentError
@@ -23,10 +23,7 @@ from lecam_equiv.laws import (
     ScaledChi2Law,
     ScoreLaw,
     StandardNormalLaw,
-    TruncatedLaw,
     WeightedSumLaw,
-    apply_truncation,
-    truncation_params,
 )
 
 from oracles import full_spectrum_sum_law, log_cf
@@ -35,14 +32,6 @@ from oracles import full_spectrum_sum_law, log_cf
 # ---------------------------------------------------------------------------
 # atom laws
 # ---------------------------------------------------------------------------
-
-
-def test_atom_law_clipped_moments():
-    law = AtomLaw.from_unsorted([-3.0, -1.0, 2.0], [0.25, 0.5, 0.25])
-    m1, m2, p = law.clipped_moments(1.5)
-    assert m1 == pytest.approx(-0.5)  # only the -1 atom survives
-    assert m2 == pytest.approx(0.5)
-    assert p == pytest.approx(0.5)
 
 
 def _cf(law, omega):
@@ -93,17 +82,6 @@ def test_atom_law_log_cf_rows_do_not_depend_on_the_call():
 # ---------------------------------------------------------------------------
 
 
-def test_standard_normal_law_clipped_moments_against_quadrature():
-    law = StandardNormalLaw()
-    for k in (0.5, 1.0, 2.5):
-        m1, m2, p = law.clipped_moments(k)
-        q2 = integrate.quad(lambda x: x * x * stats.norm.pdf(x), -k, k)[0]
-        qp = integrate.quad(stats.norm.pdf, -k, k)[0]
-        assert m1 == pytest.approx(0.0, abs=1e-12)
-        assert m2 == pytest.approx(q2, abs=1e-10)
-        assert p == pytest.approx(qp, abs=1e-10)
-
-
 def test_scaled_chi2_law_matches_quadrature():
     theta = 1.7
     law = ScaledChi2Law(theta)
@@ -114,39 +92,8 @@ def test_scaled_chi2_law_matches_quadrature():
         return theta * stats.chi2.pdf(1.0 + theta * s, df=1)
 
     lo = -1.0 / theta
-    for k in (0.3, 0.9, 2.0):
-        m1, m2, p = law.clipped_moments(k)
-        q1 = integrate.quad(lambda s: s * dens(s), max(lo, -k) + 1e-13, k, limit=200)[0]
-        q2 = integrate.quad(lambda s: s * s * dens(s), max(lo, -k) + 1e-13, k, limit=200)[0]
-        qp = integrate.quad(dens, max(lo, -k) + 1e-13, k, limit=200)[0]
-        assert m1 == pytest.approx(q1, abs=1e-8)
-        assert m2 == pytest.approx(q2, abs=1e-8)
-        assert p == pytest.approx(qp, abs=1e-8)
-
-
-@pytest.mark.parametrize("df", [1, 3, 5])
-def test_chdtr_is_scipys_chi2_cdf_bit_for_bit(df):
-    rng = np.random.default_rng(df)
-    x = np.concatenate(
-        [[0.0, np.inf], rng.uniform(0.0, 4.0, 100_000), rng.exponential(20.0, 100_000)]
-    )
-    assert special.chdtr(df, x).tobytes() == stats.chi2.cdf(x, df).tobytes()
-
-
-@pytest.mark.parametrize("theta", [0.1, 1.0, 3.0])
-@pytest.mark.parametrize("kappa", [0.5, 2.0])
-def test_scaled_chi2_clipped_moments_are_the_stats_formula_bit_for_bit(theta, kappa):
-    # k = kappa / theta: below 1/theta the lower bound 1 - theta k is positive, above it 0
-    k = kappa / theta
-    lo, hi = max(0.0, 1.0 - theta * k), 1.0 + theta * k
-    assert (lo == 0.0) == (kappa > 1.0)
-    cdf = stats.chi2.cdf
-    p_in = cdf(hi, 1) - cdf(lo, 1)
-    ew = cdf(hi, 3) - cdf(lo, 3)
-    ew2 = 3.0 * (cdf(hi, 5) - cdf(lo, 5))
-    expected = ((ew - p_in) / theta, (ew2 - 2.0 * ew + p_in) / theta**2, p_in)
-    got = ScaledChi2Law(theta).clipped_moments(k)
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    q2 = integrate.quad(lambda s: s * s * dens(s), lo + 1e-13, np.inf, limit=200)[0]
+    assert law.second_moment() == pytest.approx(q2, abs=1e-8)
 
 
 def test_scaled_chi2_cf_matches_quadrature():
@@ -179,11 +126,13 @@ def test_scaled_chi2_cf_matches_quadrature():
 
 
 def test_poisson_score_law_cf_matches_atom_sum():
-    # the Poisson form, which the sum-law build reads, and the truncated
-    # atoms, which the truncation reads, describe the same law
-    law = PoissonScoreLaw(2.5)
+    # the Poisson form, which the sum-law build reads, and the pmf on the
+    # family's support atoms describe the same law
+    theta = 2.5
+    law = PoissonScoreLaw(theta)
     rate, step, offset = law.poisson_form()
-    atoms = law.atoms()
+    xs = families_module.Poisson().support_atoms(theta)
+    atoms = AtomLaw(xs / theta - 1.0, families_module._poisson_pmf(xs, theta))
     omega = np.linspace(-3.0, 3.0, 13)
     form_cf = np.exp(rate * (np.exp(1j * omega * step) - 1.0) + 1j * omega * offset)
     direct = np.exp(1j * np.outer(omega, atoms.values)) @ atoms.probs
@@ -224,90 +173,6 @@ def test_a_score_law_gives_the_sum_law_build_one_characteristic_function():
         if has_log_cf:
             checked.append(cls.__name__)
     assert sorted(checked) == ["ScaledChi2Law", "StandardNormalLaw"]
-
-
-# ---------------------------------------------------------------------------
-# truncation
-# ---------------------------------------------------------------------------
-
-
-def test_truncation_restores_second_moment_exactly():
-    # the three-point kick restores the variance removed by clipping
-    for law in (
-        get_family("bernoulli").score_law(0.3),
-        PoissonScoreLaw(1.5),
-        StandardNormalLaw(),
-        ScaledChi2Law(2.0),
-    ):
-        tp = truncation_params(law, clip_level=1.2, c1=2.0)
-        trunc = TruncatedLaw(law, tp)
-        assert trunc.second_moment() == pytest.approx(
-            law.second_moment(), abs=1e-12
-        ), type(law).__name__
-
-
-def test_apply_truncation_matches_atom_law():
-    rng = np.random.default_rng(42)
-    # atoms -4/3 (p=3/4) and 4 (p=1/4); clip at 2 keeps only the first
-    fam = get_family("bernoulli")
-    base = fam.score_law(0.25)
-    tp = truncation_params(base, clip_level=2.0, c1=2.0)
-    trunc = TruncatedLaw(base, tp)
-    assert tp.p <= 0.5
-    theta = np.full(100_000, 0.25)
-    xi = fam.score(fam.sample(theta, rng), theta)
-    star = apply_truncation(xi, tp.clip_level, tp.clip_mean, tp.p, tp.x_n, rng)
-    assert np.mean(star**2) == pytest.approx(trunc.second_moment(), rel=0.02)
-    # every realized value sits on a truncated-law atom
-    atoms = trunc.atoms()
-    assert atoms is not None
-    dist = np.min(np.abs(star[:, None] - atoms.values[None, :]), axis=1)
-    assert np.max(dist) < 1e-12
-
-
-def _unmerged_truncated_atoms(base, tp):
-    """One atom per (base atom, kick), as before equal values were merged."""
-    clipped = np.where(np.abs(base.values) <= tp.clip_level, base.values, 0.0)
-    eta = clipped - tp.clip_mean
-    kicks = np.array([-tp.x_n, 0.0, tp.x_n])
-    kick_probs = np.array([tp.p, 1.0 - 2.0 * tp.p, tp.p])
-    vals = (eta[:, None] + kicks[None, :]).ravel()
-    probs = (base.probs[:, None] * kick_probs[None, :]).ravel()
-    keep = probs > 0
-    return AtomLaw.from_unsorted(vals[keep], probs[keep])
-
-
-def _atom_cdf(law, s):
-    """P(xi <= s) summed from the atoms, for each probe value s."""
-    return np.array([law.probs[law.values <= v].sum() for v in s])
-
-
-def test_truncated_atoms_merge_equal_values():
-    base = PoissonScoreLaw(1.0)
-    tp = truncation_params(base, 0.8, 2.0)
-    merged = TruncatedLaw(base, tp).atoms()
-    unmerged = _unmerged_truncated_atoms(base.atoms(), tp)
-    # every Poisson score beyond the clip level lands on one value
-    assert unmerged.values.size == 261
-    assert merged.values.size == 3
-    assert np.all(np.diff(merged.values) > 0)
-    probe = np.concatenate([unmerged.values, np.linspace(-4.0, 4.0, 41)])
-    assert np.max(np.abs(_atom_cdf(merged, probe) - _atom_cdf(unmerged, probe))) <= 1e-15
-    assert merged.second_moment() == pytest.approx(unmerged.second_moment(), abs=1e-15)
-
-
-def test_truncation_params_rejects_small_kick_constant():
-    from lecam_equiv.errors import TruncationConstantError
-
-    base = get_family("bernoulli").score_law(0.25)
-    # clip level below both atom magnitudes clips everything: v2 is the
-    # full variance 16/3, so x_n = c1 * 1.0 must be at least sqrt(16/3)
-    with pytest.raises(TruncationConstantError) as exc:
-        truncation_params(base, clip_level=1.0, c1=2.0)
-    assert exc.value.suggested_c1 > math.sqrt(16.0 / 3.0)
-    # the suggested constant works
-    tp = truncation_params(base, clip_level=1.0, c1=exc.value.suggested_c1)
-    assert tp.p <= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +280,21 @@ def _complex_cdf_grid(laws, weights, grid_size):
     return cdf / cdf[-1]
 
 
-def _truncated_poisson_laws(thetas):
-    laws = [PoissonScoreLaw(t) for t in thetas]
-    return [TruncatedLaw(law, truncation_params(law, 0.8, 2.0)) for law in laws]
+def _irregular_atom_laws(th):
+    """Mean-zero atom laws with irregular spacing, one per entry of th in [0, 1].
+
+    A law has 3, 6, 9 or 12 atoms as th rises, so runs of points share an
+    atom count and the sum-law build adds them in blocks of each size.
+    """
+    laws = []
+    for t in th:
+        j = np.arange(3 * (1 + min(int(3.5 * t), 3)))
+        gaps = 0.2 + 0.5 * np.modf((j + 1) * 0.618034 + t)[0]
+        values = np.cumsum(gaps)
+        probs = 1.0 + np.modf((j + 1) * 0.414214 + 2.0 * t)[0]
+        probs /= probs.sum()
+        laws.append(AtomLaw(values - np.dot(probs, values), probs))
+    return laws
 
 
 @pytest.mark.parametrize(
@@ -428,9 +305,9 @@ def _truncated_poisson_laws(thetas):
         # point, where the cf is cos(2 omega) and has zeros)
         lambda th: [get_family("bernoulli").score_law(t) for t in 0.3 + 0.4 * th],
         lambda th: [get_family("gaussian_scale").score_law(t) for t in 0.5 + th],
-        lambda th: _truncated_poisson_laws(1.0 + th),
+        _irregular_atom_laws,
     ],
-    ids=["poisson", "bernoulli", "gaussian_scale", "truncated_poisson"],
+    ids=["poisson", "bernoulli", "gaussian_scale", "irregular_atoms"],
 )
 def test_weighted_sum_law_cdf_grid_matches_complex_oracle(build):
     n = 17
@@ -491,9 +368,9 @@ def _tabulated_laws(th):
         lambda th: [PoissonScoreLaw(t) for t in 1.0 + th],
         lambda th: [get_family("gaussian_scale").score_law(t) for t in 0.5 + th],
         _tabulated_laws,
-        lambda th: _truncated_poisson_laws(1.0 + th),
+        _irregular_atom_laws,
     ],
-    ids=["bernoulli", "poisson", "scaled_chi2", "tabulated_atoms", "truncated_poisson"],
+    ids=["bernoulli", "poisson", "scaled_chi2", "tabulated_atoms", "irregular_atoms"],
 )
 def test_half_spectrum_sum_law_matches_full_spectrum(build, grid_size):
     n = 17
@@ -572,9 +449,9 @@ def test_live_band_sum_law_is_the_full_spectrum_bit_for_bit(family, n, grid_size
     _assert_cut_keeps_the_bytes(laws, weights, grid_size)
 
 
-def test_live_band_truncated_atoms_with_a_zero_weight_bit_for_bit():
-    laws, weights = _plan_laws("poisson", 1024)
-    laws = [TruncatedLaw(law, truncation_params(law, 0.8, 2.0)) for law in laws]
+def test_live_band_irregular_atoms_with_a_zero_weight_bit_for_bit():
+    _, weights = _plan_laws("poisson", 1024)
+    laws = _irregular_atom_laws(np.linspace(0.0, 1.0, weights.size))
     weights[100] = 0.0
     _assert_matches_full_spectrum(laws, weights, 1024)
     _assert_cut_keeps_the_bytes(laws, weights, 1024)
