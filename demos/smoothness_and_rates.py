@@ -5,12 +5,13 @@ budget (beta, L), audited against it, and how the localization radius
 shrinks with the sample size.
 """
 
+import math
+
 import numpy as np
 
 from lecam_equiv.function_space import (
     RegressionFunction,
     holder_check,
-    localization_rate,
     neighborhood_contains,
     parse_function,
     rate_gamma_bar,
@@ -35,7 +36,7 @@ print()
 print("== localization radius gamma_bar_n = c (log n / n)^(beta/(2 beta+1)) ==")
 for beta in (0.75, 1.0, 2.0):
     rates = [rate_gamma_bar(1 << k, beta, 1.0) for k in (8, 10, 12, 14)]
-    wide = localization_rate(1 << 12, beta, 1.0, log_power=0.5)
+    wide = rate_gamma_bar(1 << 12, beta, 1.0) * math.log(1 << 12) ** 0.5
     print(
         f"  beta={beta}: "
         + "  ".join(f"n=2^{k}: {r:.4f}" for k, r in zip((8, 10, 12, 14), rates))

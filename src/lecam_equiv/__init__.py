@@ -3,10 +3,11 @@
 Submodules build up a pipeline: parametric observation families with
 variance-stabilizing transforms (`families`), smoothness classes and
 localization rates (`function_space`), experiment samplers and
-log-likelihood expansions (`experiments`), Hellinger/total-variation
-machinery (`distances`), common-space likelihood coupling (`coupling`),
-the block Gaussianization kernel (`globalization`), and a reproducible
-batch study driver (`harness`, CLI entry point `lecam-equiv`).
+log-likelihood expansions (`experiments`), squared Hellinger reports
+and their Monte Carlo estimator (`distances`), common-space likelihood
+coupling (`coupling`), the block Gaussianization kernel
+(`globalization`), and a reproducible batch study driver (`harness`,
+CLI entry point `lecam-equiv`).
 
 The most commonly used names are re-exported here; everything else is
 importable from its submodule.
@@ -23,11 +24,7 @@ from .coupling import (
 )
 from .distances import (
     DistanceReport,
-    hellinger_gaussian,
-    hellinger_sq_1d,
-    hellinger_sq_product,
     mc_hellinger_coupled,
-    tv_and_deficiency_bound,
 )
 from .errors import (
     ArgumentError,
@@ -43,7 +40,6 @@ from .experiments import (
     lase_terms,
     read_draw,
     sample_original,
-    standard_test_pair,
     write_draw,
 )
 from .families import (
@@ -54,7 +50,6 @@ from .families import (
 from .function_space import (
     RegressionFunction,
     holder_check,
-    localization_rate,
     parse_function,
     rate_gamma_bar,
 )
@@ -85,23 +80,17 @@ __all__ = [
     "RegressionFunction",
     "parse_function",
     "rate_gamma_bar",
-    "localization_rate",
     "holder_check",
     # experiments
     "ExperimentDraw",
     "DesignCell",
     "design_cell",
     "sample_original",
-    "standard_test_pair",
     "lase_terms",
     "LaseTerms",
     "write_draw",
     "read_draw",
     # distances
-    "hellinger_sq_1d",
-    "hellinger_sq_product",
-    "hellinger_gaussian",
-    "tv_and_deficiency_bound",
     "mc_hellinger_coupled",
     "DistanceReport",
     # coupling

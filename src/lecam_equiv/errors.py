@@ -15,14 +15,6 @@ class DomainError(ArgumentError):
     """A parameter value lies outside the family's parameter set."""
 
 
-class SupportMismatchError(ArgumentError):
-    """Two densities do not share a dominating measure / support kind."""
-
-
-class CapacityError(ArgumentError):
-    """A brute-force enumeration would exceed its hard size cap."""
-
-
 class SingularityError(ArgumentError):
     """A zero density was hit where positivity is assumed."""
 

@@ -10,7 +10,6 @@ affinities rather than by Monte Carlo.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, SingularityError
 from .families import ParametricFamily, SamplingTable
-from .function_space import RegressionFunction, rate_gamma_bar
+from .function_space import RegressionFunction
 
 MODEL_TAGS = ("original", "global-gaussian", "gaussianized")
 
@@ -270,51 +269,3 @@ def lase_terms(
         vn=vn,
         rho_prop=exact - (2.0 * xn - 4.0 * vn),
     )
-
-
-# ---------------------------------------------------------------------------
-# canonical test configurations
-# ---------------------------------------------------------------------------
-
-# anchors keep f and f +- h inside each family's working interval with a
-# comfortable margin while exercising heteroscedasticity
-STANDARD_ANCHORS = {
-    "bernoulli": (0.4, 0.2, 1.0),
-    "poisson": (1.5, 1.0, 3.0),
-    "gaussian_scale": (2.0, 1.0, 4.0),
-    "location_normal": (0.0, 0.5, 1.0),
-    "location_custom": (0.0, 0.2, 1.0),
-}
-
-
-def standard_test_pair(
-    family: ParametricFamily,
-    n: int,
-    beta: float = 1.0,
-    rate_mode: str = "parametric",
-    c_rate: float = 1.0,
-) -> tuple[RegressionFunction, RegressionFunction]:
-    """Affine base plus a sinusoid shift scaled into the localization ball.
-
-    rate_mode picks the shift amplitude scale: 'parametric' uses
-    c_rate/sqrt(n) and 'nonparametric' uses the localization rate
-    c_rate*(log n / n)^(beta/(2 beta + 1)).  The sinusoid amplitude is
-    scaled by L/(2 pi + 1) so that both the sup norm and the slope of
-    f + h fit the declared class.
-    """
-    if family.name not in STANDARD_ANCHORS:
-        raise ArgumentError(f"no standard test pair for family {family.name!r}")
-    intercept, slope, big_l = STANDARD_ANCHORS[family.name]
-    if rate_mode == "parametric":
-        r = c_rate / math.sqrt(n)
-    elif rate_mode == "nonparametric":
-        r = rate_gamma_bar(n, beta, c_rate)
-    else:
-        raise ArgumentError("rate_mode must be 'parametric' or 'nonparametric'")
-    lo, hi = family.working_interval
-    f = RegressionFunction.affine(
-        intercept, slope, beta=beta, L=big_l, range_interval=(lo, hi)
-    )
-    amp = r * big_l / (2.0 * math.pi + 1.0)
-    h = RegressionFunction.sinusoid(amp, 1.0, 0.0, beta=beta, L=big_l)
-    return f, h

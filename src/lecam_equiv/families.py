@@ -554,6 +554,9 @@ class TabulatedLocation(ParametricFamily):
         dens = np.asarray(dens, dtype=float)
         if grid.ndim != 1 or grid.size < 8:
             raise ArgumentError("location_custom: need at least 8 grid points")
+        # a NaN compares false both ways, so the order check alone passes it
+        if not np.all(np.isfinite(grid)):
+            raise ArgumentError("location_custom: grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ArgumentError("location_custom: grid must be strictly increasing")
         if np.any(dens < 0) or not np.all(np.isfinite(dens)):
@@ -595,7 +598,10 @@ class TabulatedLocation(ParametricFamily):
 
     @classmethod
     def from_file(cls, path) -> "TabulatedLocation":
-        data = np.loadtxt(path)
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise ArgumentError(f"location_custom: unreadable table: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != 2:
             raise ArgumentError(
                 "location_custom: table must have two columns (x, density)"
@@ -685,13 +691,6 @@ def get_family(name: str, table_path: str | None = None) -> ParametricFamily:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def fisher_info_quadrature(family: ParametricFamily, theta) -> float:
-    """Independent numeric Fisher information: E_theta score(X, theta)^2."""
-    family.require_theta(theta)
-    t = float(np.asarray(theta))
-    return family.expect(t, lambda x: np.asarray(family.score(x, t)) ** 2)
 
 
 def _secant_score(family: ParametricFamily, x, theta: float, u: float, p_theta):

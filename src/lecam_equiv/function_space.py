@@ -190,15 +190,6 @@ def rate_gamma_bar(n: int, beta: float, c_beta: float = 1.0) -> float:
     return c_beta * (math.log(n) / n) ** (beta / (2.0 * beta + 1.0))
 
 
-def localization_rate(
-    n: int, beta: float, c_beta: float = 1.0, log_power: float = 0.0
-) -> float:
-    """rate_gamma_bar widened by an optional (log n)^log_power factor."""
-    if not 0.0 <= log_power < math.inf:
-        raise ArgumentError("log_power must be nonnegative and finite")
-    return rate_gamma_bar(n, beta, c_beta) * math.log(n) ** log_power
-
-
 # ---------------------------------------------------------------------------
 # smoothness audits
 # ---------------------------------------------------------------------------

@@ -402,7 +402,6 @@ def homoscedastic_transform_check(
     m2 = h_vals * np.sqrt(cell.info)
     value = 1.0 - math.exp(-0.125 * float(np.sum((m1 - m2) ** 2)))
     return DistanceReport(
-        kind="hellinger2",
         method="closed-form",
         value=min(max(value, 0.0), 1.0),
     )

@@ -15,6 +15,7 @@ from lecam_equiv.experiments import (
     sample_original,
 )
 from lecam_equiv.families import default_delta_r2
+from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import gamma_scale_estimate, gaussianize, preliminary_estimate
 from lecam_equiv.harness import derive_seed, stream_rng
 from lecam_equiv.laws import SPAN_SIGMAS
@@ -38,6 +39,39 @@ def exp_moment_margins(values, probs, lam_grid) -> np.ndarray:
     lhs = np.exp(np.outer(lam, values)) @ probs
     rhs = np.exp(0.5 * math.exp(a) * lam**2 * m2)
     return rhs - lhs
+
+
+# (intercept, slope, L) of the test pair: f and f +- h stay inside the
+# family's working interval with a comfortable margin while exercising
+# heteroscedasticity
+_PAIR_ANCHORS = {
+    "bernoulli": (0.4, 0.2, 1.0),
+    "poisson": (1.5, 1.0, 3.0),
+    "gaussian_scale": (2.0, 1.0, 4.0),
+    "location_normal": (0.0, 0.5, 1.0),
+}
+
+
+def standard_test_pair(family, n):
+    """(f, h): an affine base and a sinusoid shift of amplitude n^(-1/2) L/(2 pi + 1).
+
+    This is the local shift a study applies at c_rate = 1: the factor
+    L/(2 pi + 1) keeps both the sup norm and the slope of f + h inside
+    the declared class.
+    """
+    intercept, slope, big_l = _PAIR_ANCHORS[family.name]
+    f = RegressionFunction.affine(
+        intercept, slope, L=big_l, range_interval=family.working_interval
+    )
+    amp = (1.0 / math.sqrt(n)) * big_l / (2.0 * math.pi + 1.0)
+    return f, RegressionFunction.sinusoid(amp, 1.0, 0.0, L=big_l)
+
+
+def fisher_info_quadrature(family, theta) -> float:
+    """Fisher information E_theta score(X, theta)^2 by the family's own quadrature."""
+    family.require_theta(theta)
+    t = float(np.asarray(theta))
+    return family.expect(t, lambda x: np.asarray(family.score(x, t)) ** 2)
 
 
 def normalization_defect(family, theta) -> float:

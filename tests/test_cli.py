@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -144,6 +145,38 @@ def test_check_family_builtin_with_table_exit_two(capsys):
     code = cli.main(["check-family", "poisson", "--table", "does-not-exist.txt"])
     assert code == 2
     assert "takes no density table" in capsys.readouterr().err
+
+
+def _table_rows():
+    xs = np.linspace(-8.0, 8.0, 41).tolist()
+    return [f"{x!r} {math.exp(-0.5 * x * x)!r}" for x in xs]
+
+
+BAD_TABLES = {
+    "nan-x": lambda rows: rows[:5] + ["nan 0.1"] + rows[6:],
+    "inf-x": lambda rows: rows[:-1] + ["inf 0.0"],
+    "non-numeric": lambda rows: rows[:5] + ["abc 0.1"] + rows[6:],
+    "ragged": lambda rows: rows[:5] + ["0.1 0.2 0.3"] + rows[6:],
+    "one-row": lambda rows: rows[:1],
+}
+
+
+@pytest.mark.parametrize("command", ["check-family", "run"])
+@pytest.mark.parametrize("table", sorted(BAD_TABLES))
+def test_bad_density_table_exit_two(table, command, tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(BAD_TABLES[table](_table_rows())) + "\n")
+    if command == "check-family":
+        argv = ["check-family", "location_custom", "--table", str(path)]
+    else:
+        config = tmp_path / "study.ini"
+        config.write_text(
+            "[study]\nkind = condition-audit\nfamily = location_custom\n"
+            f"table = {path}\nf = constant(0.0)\nn_grid = 256\nseed = 1\n"
+        )
+        argv = ["run", str(config), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "location_custom: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

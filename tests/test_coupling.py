@@ -27,14 +27,13 @@ from lecam_equiv.experiments import (
     design_cell,
     lase_terms,
     sample_original,
-    standard_test_pair,
 )
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction
 from lecam_equiv.globalization import _stack_bounds
 from lecam_equiv.laws import AtomLaw
 
-from oracles import coupled_draw_fields
+from oracles import coupled_draw_fields, standard_test_pair
 
 KS_CRIT_1PCT = 1.628
 

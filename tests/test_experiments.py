@@ -14,13 +14,13 @@ from lecam_equiv.experiments import (
     lase_terms,
     read_draw,
     sample_original,
-    standard_test_pair,
     write_draw,
 )
 from lecam_equiv.families import TabulatedLocation, get_family
 from lecam_equiv.function_space import RegressionFunction, SumFunction
+from lecam_equiv.harness import StudyConfig, _local_shift
 
-from oracles import sample_global_gaussian
+from oracles import sample_global_gaussian, standard_test_pair
 
 FAMILIES = ["bernoulli", "poisson", "gaussian_scale", "location_normal"]
 
@@ -308,16 +308,15 @@ def test_rho_prop_shrinks_with_n(name):
 
 
 # ---------------------------------------------------------------------------
-# canonical configurations
+# the test pair
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
-def test_standard_pair_stays_in_working_interval(name, mode):
+def test_standard_pair_stays_in_working_interval(name):
     fam = get_family(name)
     for n in (16, 256, 16384):
-        f, h = standard_test_pair(fam, n, rate_mode=mode)
+        f, h = standard_test_pair(fam, n)
         t = design_grid(max(n, 64))
         lo, hi = fam.working_interval
         for vals in (f(t), f(t) + h(t), f(t) - h(t)):
@@ -332,9 +331,8 @@ def test_standard_pair_amplitude_follows_rate():
     assert h256.params[0] == pytest.approx(2.0 * h1024.params[0], rel=1e-12)
     amp = h256.params[0]
     assert amp == pytest.approx((1.0 / 16.0) * 3.0 / (2.0 * math.pi + 1.0), rel=1e-12)
-
-
-def test_standard_pair_rejects_unknown_mode():
-    fam = get_family("poisson")
-    with pytest.raises(ArgumentError):
-        standard_test_pair(fam, 100, rate_mode="other")
+    # the shift a local study applies at c_rate = 1 on the same class
+    config = StudyConfig(
+        kind="local-hellinger", family="poisson", f_desc="affine(1.5, 1.0)", L=3.0
+    )
+    assert _local_shift(config, 256).params == h256.params

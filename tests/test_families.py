@@ -21,12 +21,11 @@ from lecam_equiv.families import (
     _secant_score,
     check_regularity,
     default_delta_r2,
-    fisher_info_quadrature,
     get_family,
 )
 
 import lecam_equiv.families as families_module
-from oracles import normalization_defect, quad_r2_moments
+from oracles import fisher_info_quadrature, normalization_defect, quad_r2_moments
 
 
 def working_grid(family, count=20):

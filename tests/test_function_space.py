@@ -9,7 +9,6 @@ from lecam_equiv.errors import ArgumentError
 from lecam_equiv.function_space import (
     RegressionFunction,
     holder_check,
-    localization_rate,
     neighborhood_contains,
     parse_function,
     rate_gamma_bar,
@@ -59,16 +58,6 @@ def test_rate_argument_errors():
     for c_beta in (0.0, math.nan, math.inf):
         with pytest.raises(ArgumentError, match="rate constant"):
             rate_gamma_bar(100, 1.0, c_beta)
-    for log_power in (-1.0, math.nan, math.inf):
-        with pytest.raises(ArgumentError, match="log_power"):
-            localization_rate(100, 1.0, 1.0, log_power=log_power)
-
-
-def test_localization_rate_log_factor():
-    base = rate_gamma_bar(500, 1.0, 2.0)
-    widened = localization_rate(500, 1.0, 2.0, log_power=1.0)
-    assert widened == pytest.approx(base * math.log(500), abs=1e-12)
-    assert localization_rate(500, 1.0, 2.0) == pytest.approx(base, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

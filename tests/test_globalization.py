@@ -540,7 +540,6 @@ def test_homoscedastic_check_zero_shift_is_zero():
         256,
     )
     assert rep.value == 0.0
-    assert rep.kind == "hellinger2"
     assert rep.method == "closed-form"
     assert rep.mc_stderr is None and rep.replicate_count == 0
 

@@ -1,9 +1,9 @@
 """A fresh `import lecam_equiv` loads numpy and the standard library, no scipy.
 
-scipy.stats is not used by the package.  scipy.special loads with the
-Poisson pmf, scipy.integrate with the quadrature branch of
-`hellinger_sq_1d`, and scipy.interpolate with a `spline` regression
-function.  Running a study of any kind loads no public scipy
+The package loads two scipy subpackages, each on first use:
+scipy.special for the Poisson pmf and scipy.interpolate for a `spline`
+regression function.  Nothing in it loads scipy.stats or
+scipy.integrate.  Running a study of any kind loads no public scipy
 subpackage, and no numpy.f2py, which scipy.special's array-API shim
 pulls in.  A serial study loads no numpy.ma, which np.median's NaN
 check pulls in, and no process-pool stack.  Each check starts a fresh
@@ -11,17 +11,14 @@ interpreter, because this test session has loaded all of them already.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from lecam_equiv import RegressionFunction, hellinger_sq_1d
-from lecam_equiv.distances import PdfDescriptor
+from lecam_equiv import RegressionFunction
 
 REPO = Path(__file__).resolve().parent.parent
 ON_USE = ("scipy", "scipy.special", "scipy.stats", "scipy.integrate", "scipy.interpolate")
@@ -36,7 +33,7 @@ def _fresh(code: str):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
-    prelude = f"import json, math, sys\nON_USE = {ON_USE!r}\n"
+    prelude = f"import json, sys\nON_USE = {ON_USE!r}\n"
     proc = subprocess.run(
         [sys.executable, "-c", prelude + code],
         env=env,
@@ -116,30 +113,3 @@ def test_a_spline_function_loads_interpolate_on_use():
     h = 1e-6
     assert np.allclose(out[4], (f(t + h) - f(t - h)) / (2.0 * h), atol=1e-6)
 
-
-def _normal_pdf(mu):
-    return PdfDescriptor(
-        lambda x, m=mu: math.exp(-0.5 * (x - m) ** 2) / math.sqrt(2.0 * math.pi),
-        mu - 12.0,
-        mu + 12.0,
-    )
-
-
-def test_a_quadrature_hellinger_loads_integrate_on_use():
-    out = _fresh(
-        "from lecam_equiv import hellinger_sq_1d\n"
-        "from lecam_equiv.distances import PdfDescriptor\n"
-        "def normal_pdf(mu):\n"
-        "    return PdfDescriptor(\n"
-        "        lambda x, m=mu: math.exp(-0.5 * (x - m) ** 2) / math.sqrt(2.0 * math.pi),\n"
-        "        mu - 12.0,\n"
-        "        mu + 12.0,\n"
-        "    )\n"
-        "before = 'scipy.integrate' in sys.modules\n"
-        "h2 = hellinger_sq_1d(normal_pdf(0.0), normal_pdf(2.0))\n"
-        "print(json.dumps([before, 'scipy.integrate' in sys.modules, h2]))\n"
-    )
-    assert out[:2] == [False, True]
-    assert out[2] == hellinger_sq_1d(_normal_pdf(0.0), _normal_pdf(2.0))
-    # the value test_hellinger_gaussian_quadrature_matches_closed_form asserts
-    assert out[2] == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)
