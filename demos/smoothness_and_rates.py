@@ -12,7 +12,7 @@ import numpy as np
 from lecam_equiv.function_space import (
     RegressionFunction,
     holder_check,
-    neighborhood_contains,
+    neighborhood_violation,
     parse_function,
     rate_gamma_bar,
 )
@@ -53,6 +53,6 @@ for n in (256, 4096):
     h_big = RegressionFunction.sinusoid(10.0 * radius, 1.0)
     print(
         f"  n={n}: radius={radius:.4f} "
-        f"scaled sinusoid inside: {neighborhood_contains(f, h_ok, radius)}, "
-        f"oversized sinusoid inside: {neighborhood_contains(f, h_big, radius)}"
+        f"scaled sinusoid inside: {neighborhood_violation(f, h_ok, radius) is None}, "
+        f"oversized sinusoid inside: {neighborhood_violation(f, h_big, radius) is None}"
     )

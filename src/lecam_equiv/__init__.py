@@ -3,7 +3,7 @@
 Submodules build up a pipeline: parametric observation families with
 variance-stabilizing transforms (`families`), smoothness classes and
 localization rates (`function_space`), experiment samplers and
-log-likelihood expansions (`experiments`), squared Hellinger reports
+the exact log-likelihood ratio (`experiments`), squared Hellinger reports
 and their Monte Carlo estimator (`distances`), common-space likelihood
 coupling (`coupling`), the block Gaussianization kernel
 (`globalization`), and a reproducible batch study driver (`harness`,
@@ -35,7 +35,6 @@ from .errors import (
 from .experiments import (
     DesignCell,
     ExperimentDraw,
-    LaseTerms,
     design_cell,
     lase_terms,
     read_draw,
@@ -87,7 +86,6 @@ __all__ = [
     "design_cell",
     "sample_original",
     "lase_terms",
-    "LaseTerms",
     "write_draw",
     "read_draw",
     # distances

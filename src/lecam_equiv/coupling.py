@@ -22,7 +22,7 @@ from .distances import _log_lik_arrays
 from .errors import ArgumentError, NeighborhoodError, NumericError, SingularityError
 from .experiments import design_cell, lase_terms
 from .families import ParametricFamily
-from .function_space import RegressionFunction, neighborhood_contains
+from .function_space import RegressionFunction, neighborhood_violation
 from .laws import DEFAULT_GRID_SIZE, WeightedSumLaw
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,9 @@ class CouplingPlan:
             raise ArgumentError("need at least one design point")
         self.h = h
         self.r_n = c_rate / math.sqrt(n)
-        if not neighborhood_contains(f, h, self.r_n):
-            raise NeighborhoodError(
-                f"shift leaves the radius-{self.r_n:.6g} localization ball"
-            )
+        violation = neighborhood_violation(f, h, self.r_n)
+        if violation is not None:
+            raise NeighborhoodError(violation)
         self.cell = cell = design_cell(family, f, n)
         self.h_values = np.asarray(h(cell.t), dtype=float)
         sigma2 = float(np.dot(self.h_values * self.h_values, cell.info))
@@ -183,7 +182,7 @@ def build_coupled_draw(plan: CouplingPlan, rngs) -> CoupledLikelihoodDraw:
     if plan.log_lr_slope is not None:
         loglik_orig = _row_dots(plan.log_lr_slope, scores) + plan.log_lr_offset
     else:
-        loglik_orig = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x)).exact_loglik
+        loglik_orig = lase_terms(family, plan.cell.f, plan.h, plan.cell.draw(x))
     u = plan.sum_law.uniformize(weighted_sum, jitter)
     quantiles = map(_STD_NORMAL.inv_cdf, u.tolist())
     coupled_sum = plan.sum_law.sigma * np.fromiter(quantiles, float, count=u.size)

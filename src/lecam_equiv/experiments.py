@@ -1,11 +1,10 @@
-"""Samplers, the draw file format and the log-likelihood expansion.
+"""Samplers, the draw file format and the exact log-likelihood ratio.
 
 The original experiment observes X_i ~ p(., f(i/n)) at design points
 i/n; its global Gaussian approximation observes gamma(f(i/n)) with unit
-noise.  The expansion splits the original log-likelihood ratio between
-f and f+h into a weighted score sum minus a quadratic penalty plus a
-remainder, with all per-point expectations computed exactly from
-affinities rather than by Monte Carlo.
+noise.  lase_terms gives the exact log-likelihood ratio between f and
+f + h on an original-model draw, the original side of a coupled draw
+for a family without an affine log-likelihood table.
 """
 
 from __future__ import annotations
@@ -186,31 +185,8 @@ def sample_original(
 
 
 # ---------------------------------------------------------------------------
-# the log-likelihood ratio and its expansion
+# the log-likelihood ratio
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaseTerms:
-    """Pieces of the stochastic expansion of one log-likelihood ratio.
-
-    Identities holding by construction on every draw:
-      exact_loglik = linear - quadratic + remainder
-      exact_loglik = 2*xn - 4*vn + rho_prop
-    linear is the weighted score sum, quadratic the half h^2 I sum, xn
-    the centered sqrt-ratio fluctuation sum, and vn the accumulated
-    per-point squared Hellinger distances (exact expectations).  For a
-    stack of draws the per-draw terms (all but quadratic and vn) are
-    (rows,) arrays.
-    """
-
-    linear: float | np.ndarray
-    quadratic: float
-    exact_loglik: float | np.ndarray
-    remainder: float | np.ndarray
-    xn: float | np.ndarray
-    vn: float
-    rho_prop: float | np.ndarray
 
 
 def lase_terms(
@@ -218,54 +194,35 @@ def lase_terms(
     f: RegressionFunction,
     h: RegressionFunction,
     draw: ExperimentDraw,
-) -> LaseTerms:
-    """Expansion terms with exact per-point expectations via affinities.
+) -> float | np.ndarray:
+    """The exact log-likelihood ratio sum_i log p(x_i, theta_i + h_i) - log p(x_i, theta_i).
 
-    A stack draw gets one term per row, reduced along the last axis;
-    each row equals the terms of that row alone, and a single draw
-    gets Python floats.
+    theta = f(t) and theta + h(t) are checked on the draw's design.  A
+    stack draw gets one ratio per row as an (R,) array, each row equal
+    to that row alone; a single draw gets a Python float.
+
+    The name outlived the expansion terms it once returned: perfbench's
+    tracer records the `experiments.lase_terms` span by rebinding it as
+    a `coupling` module global, so a rename waits until the library
+    records its own stage spans (ROADMAP item 18).
     """
     t = draw.design
     theta = np.asarray(f(t), dtype=float)
-    h_vals = np.asarray(h(t), dtype=float)
-    shifted = theta + h_vals
+    shifted = theta + np.asarray(h(t), dtype=float)
     family.require_theta(theta)
     family.require_theta(shifted)
     if draw.n == 0:
-        return LaseTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return 0.0
     x = draw.observations
-
     p0 = np.asarray(family.density(x, theta), dtype=float)
     p1 = np.asarray(family.density(x, shifted), dtype=float)
     if np.any(p0 <= 0.0):
         raise SingularityError(f"{family.name}: zero density at the base parameter")
-    z = p1 / p0
     with np.errstate(divide="ignore"):
-        log_z = np.log(z)
+        log_z = np.log(p1 / p0)
     if np.any(~np.isfinite(log_z)):
         raise SingularityError(
             f"{family.name}: zero density under the shifted parameter"
         )
     exact = np.sum(log_z, axis=-1)
-
-    scores = np.asarray(family.score(x, theta), dtype=float)
-    info = np.asarray(family.fisher(theta), dtype=float)
-    linear = np.sum(h_vals * scores, axis=-1)
-    quadratic = 0.5 * float(np.sum(h_vals**2 * info))
-
-    affin = np.asarray(family.affinity(theta, shifted), dtype=float)
-    # E(sqrt z - 1) = A - 1 and E(sqrt z - 1)^2 = 2(1 - A) per point
-    xn = np.sum((np.sqrt(z) - 1.0) - (affin - 1.0), axis=-1)
-    vn = float(np.sum(1.0 - affin))
-    if np.ndim(x) == 1:
-        exact, linear, xn = float(exact), float(linear), float(xn)
-
-    return LaseTerms(
-        linear=linear,
-        quadratic=quadratic,
-        exact_loglik=exact,
-        remainder=exact - (linear - quadratic),
-        xn=xn,
-        vn=vn,
-        rho_prop=exact - (2.0 * xn - 4.0 * vn),
-    )
+    return float(exact) if np.ndim(x) == 1 else exact

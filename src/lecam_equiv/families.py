@@ -3,9 +3,8 @@
 Each family models one observation channel p(x, theta) and exposes the
 pieces the rest of the pipeline needs: density, score, Fisher
 information, the variance-stabilizing antiderivative gamma with
-gamma'(theta) = sqrt(fisher(theta)), exact per-point score laws, a
-sufficient statistic with its mean map (used by the block kernel), and
-exact Hellinger affinities between nearby parameters.
+gamma'(theta) = sqrt(fisher(theta)), exact per-point score laws, and a
+sufficient statistic with its mean map (used by the block kernel).
 
 Built-ins: bernoulli, poisson, gaussian_scale, location_normal, plus
 location_custom built from a tabulated noise density.  Every family
@@ -295,15 +294,6 @@ class ParametricFamily:
             return float(np.sum(fn(atoms, p) * p))
         return _weighted_quad(self, theta, fn, *self.quad_bounds(theta))
 
-    # -- pairwise structure ---------------------------------------------------
-
-    def affinity(self, theta, u):
-        """Hellinger affinity: the integral of sqrt(p(x, theta) p(x, u))."""
-        return _out(self._affinity(np.asarray(theta, dtype=float), np.asarray(u, dtype=float)))
-
-    def _affinity(self, theta, u):
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 # built-in families
@@ -374,9 +364,6 @@ class Bernoulli(ParametricFamily):
     def support_atoms(self, theta):
         return np.array([0.0, 1.0])
 
-    def _affinity(self, theta, u):
-        return np.sqrt(theta * u) + np.sqrt((1.0 - theta) * (1.0 - u))
-
 
 class Poisson(ParametricFamily):
     """Counting channel: X ~ Poisson(theta)."""
@@ -424,9 +411,6 @@ class Poisson(ParametricFamily):
         mu = 1.5 * float(theta)
         cut = int(math.ceil(mu + 20.0 * math.sqrt(mu) + 60.0))
         return np.arange(0.0, cut + 1.0)
-
-    def _affinity(self, theta, u):
-        return np.exp(-0.5 * (np.sqrt(theta) - np.sqrt(u)) ** 2)
 
 
 class PoissonScoreLaw(ScoreLaw):
@@ -497,9 +481,6 @@ class GaussianScale(ParametricFamily):
     def quad_bounds(self, theta):
         return (-16.0 * theta, 16.0 * theta)
 
-    def _affinity(self, theta, u):
-        return np.sqrt(2.0 * theta * u / (theta * theta + u * u))
-
 
 class LocationNormal(ParametricFamily):
     """Location channel: X ~ N(theta, 1)."""
@@ -532,9 +513,6 @@ class LocationNormal(ParametricFamily):
 
     def quad_bounds(self, theta):
         return (theta - 16.0, theta + 16.0)
-
-    def _affinity(self, theta, u):
-        return np.exp(-((theta - u) ** 2) / 8.0)
 
 
 class TabulatedLocation(ParametricFamily):
@@ -645,19 +623,6 @@ class TabulatedLocation(ParametricFamily):
         theta = float(theta)
         xs = self.grid + theta
         return float(self._weights @ fn(xs, self.density(xs, theta)))
-
-    def _affinity(self, theta, u):
-        if theta.ndim or u.ndim:
-            tb, ub = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(u))
-            return np.array(
-                [self.affinity(float(a), float(b)) for a, b in zip(tb, ub)]
-            )
-        theta_f, u_f = float(theta), float(u)
-        lo = min(self.grid[0] + theta_f, self.grid[0] + u_f)
-        hi = max(self.grid[-1] + theta_f, self.grid[-1] + u_f)
-        xs = np.linspace(lo, hi, 4 * self.grid.size)
-        vals = np.sqrt(self.density(xs, theta_f) * self.density(xs, u_f))
-        return np.trapezoid(vals, xs)
 
 
 # ---------------------------------------------------------------------------

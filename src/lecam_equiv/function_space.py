@@ -50,7 +50,6 @@ class RegressionFunction:
         params: tuple,
         beta: float = 1.0,
         L: float = 1.0,
-        range_interval: tuple[float, float] | None = None,
     ):
         if not 0 < L < math.inf:
             raise ArgumentError("smoothness radius L must be positive and finite")
@@ -59,9 +58,6 @@ class RegressionFunction:
         self.beta = float(beta)
         self.L = float(L)
         self.beta0, self.beta1 = split_beta(self.beta)
-        self.range_interval = (
-            None if range_interval is None else (float(range_interval[0]), float(range_interval[1]))
-        )
         if kind == "constant":
             if len(self.params) != 1:
                 raise ArgumentError("constant takes one parameter")
@@ -143,9 +139,7 @@ class RegressionFunction:
             p = tuple(v * factor if i % 2 else v for i, v in enumerate(p))
         else:
             p = tuple(v * factor for v in p)
-        return RegressionFunction(
-            self.kind, p, beta=self.beta, L=self.L, range_interval=self.range_interval
-        )
+        return RegressionFunction(self.kind, p, beta=self.beta, L=self.L)
 
     @property
     def descriptor(self) -> str:
@@ -233,27 +227,28 @@ def holder_check(f) -> HolderReport:
     return HolderReport(max_ratio, sup_abs, f.L, int(t.size))
 
 
-def neighborhood_contains(
+def neighborhood_violation(
     f: RegressionFunction, h: RegressionFunction, r: float
-) -> bool:
-    """True iff sup|h| <= r and f + h stays in f's smoothness class/range."""
+) -> str | None:
+    """None iff sup|h| <= r and f + h stays in f's smoothness class.
+
+    Otherwise the condition that fails, checked in that order: the
+    radius-r ball, or the class (beta, L) of f + h.
+    """
     if (f.beta, f.L) != (h.beta, h.L):
         raise ArgumentError("f and h must declare the same smoothness class")
     if not 0.0 <= r < math.inf:
         raise ArgumentError("neighborhood radius must be nonnegative and finite")
-    grid = _dyadic_grid()
-    h_vals = np.asarray(h(grid))
-    if float(np.max(np.abs(h_vals))) > r * (1.0 + 1e-12) + 1e-300:
-        return False
-    combined = SumFunction(f, h)
-    if not holder_check(combined).passed:
-        return False
-    if f.range_interval is not None:
-        vals = np.asarray(combined(grid))
-        lo, hi = f.range_interval
-        if float(vals.min()) < lo or float(vals.max()) > hi:
-            return False
-    return True
+    sup_h = float(np.max(np.abs(np.asarray(h(_dyadic_grid())))))
+    if sup_h > r * (1.0 + 1e-12) + 1e-300:
+        return f"shift leaves the radius-{r:.6g} localization ball: sup|h| = {sup_h:.6g}"
+    report = holder_check(SumFunction(f, h))
+    if not report.passed:
+        return (
+            f"f + h leaves the smoothness class (beta = {f.beta:g}, L = {f.L:g}): "
+            f"Hoelder ratio {report.max_ratio:.6g}, sup|f + h| = {report.sup_abs:.6g}"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,7 @@ def standard_test_pair(family, n):
     the declared class.
     """
     intercept, slope, big_l = _PAIR_ANCHORS[family.name]
-    f = RegressionFunction.affine(
-        intercept, slope, L=big_l, range_interval=family.working_interval
-    )
+    f = RegressionFunction.affine(intercept, slope, L=big_l)
     amp = (1.0 / math.sqrt(n)) * big_l / (2.0 * math.pi + 1.0)
     return f, RegressionFunction.sinusoid(amp, 1.0, 0.0, L=big_l)
 
@@ -285,7 +283,7 @@ def coupled_draw_fields(plan, rng):
             loglik_orig = float(np.dot(plan.log_lr_slope, scores)) + plan.log_lr_offset
         else:
             draw = ExperimentDraw("original", cell.t, np.asarray(x, dtype=float), family.name)
-            loglik_orig = lase_terms(family, cell.f, plan.h, draw).exact_loglik
+            loglik_orig = lase_terms(family, cell.f, plan.h, draw)
         noise = np.sqrt(cell.info) * rng.standard_normal(n)
         law = plan.sum_law
         t = np.asarray(weighted_sum, dtype=float)

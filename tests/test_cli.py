@@ -95,6 +95,35 @@ def test_run_numeric_failure_exit_three(tmp_path, capsys, monkeypatch):
     assert "n=256" in capsys.readouterr().err
 
 
+NEIGHBORHOOD_CONFIG = """\
+[study]
+kind = local-hellinger
+family = poisson
+L = 3
+n_grid = 16, 32
+coupling_grid = 1024
+"""
+
+
+@pytest.mark.parametrize(
+    "shift, expected",
+    [
+        # sup|h| = 5.15 < r = 12.5, but the Hoelder ratio of f + h is 33.4 > L = 3
+        ("f = affine(1.5, 1.0)\nc_rate = 50\n", "leaves the smoothness class (beta = 1, L = 3)"),
+        # sup|h| = 0.257 > r = 0.125, and f + h stays in the class
+        ("f = affine(1.5, 1.0)\nh = sinusoid(5.0, 1.0)\nc_rate = 0.5\n",
+         "leaves the radius-0.125 localization ball"),
+    ],
+    ids=["class", "radius"],
+)
+def test_run_neighborhood_error_names_the_failed_condition(shift, expected, tmp_path, capsys):
+    path = tmp_path / "study.ini"
+    path.write_text(NEIGHBORHOOD_CONFIG + shift)
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert expected in capsys.readouterr().err
+
+
 def test_run_seed_override_changes_stream_rows(tmp_path):
     config = """\
 [study]

@@ -79,7 +79,7 @@ def test_coupled_draw_remainder_table_matches_lase_terms(name, n):
         # a draw samples first, so the same seed reproduces its dataset
         x = fam.sample(plan.cell.theta, np.random.default_rng(seed))
         data = ExperimentDraw("original", plan.cell.t, x, fam.name)
-        exact = lase_terms(fam, f, h, data).exact_loglik
+        exact = lase_terms(fam, f, h, data)
         assert abs(stack.log_lik_original[seed] - exact) <= 1e-12
 
 
@@ -101,6 +101,28 @@ def test_coupled_draw_without_affine_table_calls_lase_terms(monkeypatch):
     build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(3)])
     build_coupled_draw(plan, [np.random.default_rng(3)])
     assert len(calls) == 2
+
+
+def test_location_custom_stack_reads_the_density_twice(monkeypatch):
+    # the stack's log-LR is one density call at theta and one at theta + h,
+    # whatever n and the row count: no per-point work beside them
+    xs = np.linspace(-8.0, 8.0, 801)
+    fam = TabulatedLocation(xs, np.exp(-0.5 * xs * xs))
+    f = RegressionFunction.constant(0.0)
+    h = RegressionFunction.sinusoid(0.01, 1.0)
+    plan = CouplingPlan(fam, f, h, 256, grid_size=1024)
+    calls = []
+    density = fam.density
+
+    def counting(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(fam, "density", counting)
+    for rows in (1, 3):
+        calls.clear()
+        build_coupled_draw(plan, [np.random.default_rng(seed) for seed in range(rows)])
+        assert len(calls) == 2, rows
 
 
 def test_location_custom_plan_reads_one_shared_score_law(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from lecam_equiv.errors import ArgumentError, DomainError, NumericError, SingularityError
 from lecam_equiv.families import (
@@ -216,24 +216,8 @@ def test_parameters_outside_the_open_interval_raise_domain_error(name):
 
 
 # ---------------------------------------------------------------------------
-# affinities
+# log-likelihood ratios affine in the score
 # ---------------------------------------------------------------------------
-
-
-def test_affinity_closed_forms_against_direct_integration():
-    pairs = {
-        "bernoulli": (0.3, 0.4),
-        "poisson": (1.0, 1.3),
-        "gaussian_scale": (1.0, 1.5),
-        "location_normal": (0.0, 0.4),
-    }
-    for name, (a, b) in pairs.items():
-        fam = get_family(name)
-        closed = fam.affinity(a, b)
-        direct = ParametricAffinityOracle(fam, a, b)
-        assert closed == pytest.approx(direct, abs=1e-9), name
-        assert fam.affinity(a, a) == pytest.approx(1.0, abs=1e-12)
-        assert fam.affinity(b, a) == pytest.approx(closed, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -258,21 +242,6 @@ def test_log_lr_affine_matches_density_ratio(name, theta, u):
 def test_log_lr_affine_is_none_without_a_closed_form():
     xs, dens = normal_table()
     assert TabulatedLocation(xs, dens).log_lr_affine(0.0, 0.1) is None
-
-
-def ParametricAffinityOracle(fam, a, b):
-    """Independent affinity evaluation by summation/quadrature."""
-    atoms = fam.support_atoms(a)
-    if atoms is not None:
-        return float(np.sum(np.sqrt(fam.density(atoms, a) * fam.density(atoms, b))))
-    lo1, hi1 = fam.quad_bounds(a)
-    lo2, hi2 = fam.quad_bounds(b)
-    return integrate.quad(
-        lambda x: math.sqrt(float(fam.density(x, a)) * float(fam.density(x, b))),
-        min(lo1, lo2),
-        max(hi1, hi2),
-        limit=400,
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +652,6 @@ def test_tabulated_location_recovers_normal_structure():
     assert float(fam.gamma(0.5)) == pytest.approx(
         0.5 * math.sqrt(float(fam.fisher(0.0))), abs=1e-12
     )
-    # affinity close to the exact normal-location value exp(-d^2/8)
-    assert fam.affinity(0.0, 0.2) == pytest.approx(math.exp(-0.04 / 8.0), abs=1e-4)
     rng = np.random.default_rng(5)
     x = fam.sample(np.full(30_000, 0.25), rng)
     assert abs(x.mean() - 0.25) < 5.0 / math.sqrt(30_000)
@@ -730,8 +697,7 @@ def test_registry_empty_table_path_is_missing():
 
 
 PUBLIC_MAPS = (
-    "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "affinity",
-    "expect",
+    "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "expect",
 )
 
 
@@ -760,7 +726,6 @@ def test_every_family_overrides_the_interface(fam):
         "stat_mean": m,
         "stat_mean_inverse": fam.stat_mean_inverse(m),
         "vst": fam.vst(m),
-        "affinity": fam.affinity(theta, theta[::-1]),
         "support": np.concatenate([
             fam.quad_bounds(t) if fam.support_atoms(t) is None else fam.support_atoms(t)
             for t in theta
@@ -780,7 +745,6 @@ def test_every_family_overrides_the_interface(fam):
         "gamma": fam.gamma(t),
         "gamma_inverse": fam.gamma_inverse(fam.gamma(t)),
         "vst": fam.vst(float(fam.stat_mean(t))),
-        "affinity": fam.affinity(t, hi),
     }
     for name, out in scalars.items():
         assert type(out) is float, name

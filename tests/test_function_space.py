@@ -9,7 +9,7 @@ from lecam_equiv.errors import ArgumentError
 from lecam_equiv.function_space import (
     RegressionFunction,
     holder_check,
-    neighborhood_contains,
+    neighborhood_violation,
     parse_function,
     rate_gamma_bar,
     split_beta,
@@ -150,7 +150,7 @@ def test_spline_interpolates_knots():
 def test_scaled_multiplies_values_and_keeps_the_class(fn):
     t = np.linspace(0.0, 1.0, 33)
     g = fn.scaled(-2.5)
-    assert (g.kind, g.beta, g.L, g.range_interval) == (fn.kind, fn.beta, fn.L, fn.range_interval)
+    assert (g.kind, g.beta, g.L) == (fn.kind, fn.beta, fn.L)
     assert np.allclose(g(t), -2.5 * fn(t), atol=1e-14)
 
 
@@ -162,31 +162,24 @@ def test_scaled_multiplies_values_and_keeps_the_class(fn):
 def test_neighborhood_zero_shift_is_inside():
     f = RegressionFunction.affine(0.4, 0.2, beta=1.0, L=1.0)
     h = RegressionFunction.constant(0.0, beta=1.0, L=1.0)
-    assert neighborhood_contains(f, h, 0.0)
-    assert neighborhood_contains(f, h, 0.5)
+    assert neighborhood_violation(f, h, 0.0) is None
+    assert neighborhood_violation(f, h, 0.5) is None
 
 
 def test_neighborhood_sup_norm_violation():
     f = RegressionFunction.constant(0.5, beta=1.0, L=1.0)
     h = RegressionFunction.constant(0.6, beta=1.0, L=1.0)
-    assert not neighborhood_contains(f, h, 0.1)
+    assert neighborhood_violation(f, h, 0.1).startswith(
+        "shift leaves the radius-0.1 localization ball"
+    )
 
 
 def test_neighborhood_affine_plus_sinusoid():
     f = RegressionFunction.affine(0.4, 0.2, beta=1.0, L=2.0)
     h = RegressionFunction.sinusoid(0.05, 1.0, beta=1.0, L=2.0)
-    assert neighborhood_contains(f, h, 0.05)
+    assert neighborhood_violation(f, h, 0.05) is None
     # tighter radius excludes it
-    assert not neighborhood_contains(f, h, 0.04)
-
-
-def test_neighborhood_range_violation():
-    f = RegressionFunction.constant(
-        0.9, beta=1.0, L=1.0, range_interval=(0.05, 0.95)
-    )
-    h = RegressionFunction.constant(0.1, beta=1.0, L=1.0)
-    # 0.9 + 0.1 = 1.0 leaves the declared range
-    assert not neighborhood_contains(f, h, 0.2)
+    assert "radius-0.04" in neighborhood_violation(f, h, 0.04)
 
 
 @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
@@ -195,14 +188,14 @@ def test_neighborhood_radius_must_be_nonnegative_and_finite(r):
     f = RegressionFunction.affine(0.4, 0.2, beta=1.0, L=2.0)
     h = RegressionFunction.sinusoid(0.05, 1.0, beta=1.0, L=2.0)
     with pytest.raises(ArgumentError, match="nonnegative and finite"):
-        neighborhood_contains(f, h, r)
+        neighborhood_violation(f, h, r)
 
 
 def test_neighborhood_mismatched_class_raises():
     f = RegressionFunction.constant(0.5, beta=1.0, L=1.0)
     h = RegressionFunction.constant(0.0, beta=1.0, L=2.0)
     with pytest.raises(ArgumentError):
-        neighborhood_contains(f, h, 0.1)
+        neighborhood_violation(f, h, 0.1)
 
 
 # ---------------------------------------------------------------------------
