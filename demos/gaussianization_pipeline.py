@@ -34,7 +34,7 @@ fhat = preliminary_estimate(family, draw, beta=1.0)
 t, truth = cell.t, cell.theta
 print(f"  preliminary estimate: {fhat.descriptor}, "
       f"sup error {float(np.max(np.abs(fhat(t) - truth))):.4f} "
-      f"(target rate {fhat.sup_target:.4f})")
+      f"(target rate {rate_gamma_bar(n, 1.0, 1.0):.4f})")
 out = gaussianize(family, draw, 1.0, stream_rng(derive_seed(11, n, 1)).standard_normal(n))
 print(f"  kernel: {out.kernel_descriptor}")
 

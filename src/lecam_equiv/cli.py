@@ -98,6 +98,8 @@ def _cmd_check_family(args) -> int:
 def _cmd_gaussianize(args) -> int:
     draw = read_draw(args.draw_file)
     family = get_family(draw.family)
+    if not family.in_support(draw.observations):
+        raise ArgumentError(f"draw file holds observations outside the {family.name} support")
     noise = stream_rng(args.seed).standard_normal(draw.n)
     out = gaussianize(family, draw, args.beta, noise, q=args.q)
     if args.out is not None:

@@ -46,8 +46,7 @@ class CcAuditReport:
     r_n^alpha1), under the central measure.  orig_tail_freq: large original ratio
     under the shifted measure, importance-reweighted from central-draw
     likelihoods.  gauss_tail_freq: large Gaussian ratio under the
-    central measure.  target_scale = r_n^(2 alpha1) is the magnitude
-    the frequencies are compared against.
+    central measure.  Both tails are events above -eps log r_n.
     """
 
     gap_freq: float
@@ -56,11 +55,8 @@ class CcAuditReport:
     orig_tail_stderr: float
     gauss_tail_freq: float
     gauss_tail_stderr: float
-    tail_threshold: float
-    target_scale: float
     effective_sample_size: float
     reliable: bool
-    replicate_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +252,6 @@ def audit_cc_conditions(
         orig_tail_stderr=orig_stderr,
         gauss_tail_freq=gauss_freq,
         gauss_tail_stderr=gauss_stderr,
-        tail_threshold=tail_threshold,
-        target_scale=r_n ** (2.0 * alpha1),
         effective_sample_size=ess,
         reliable=reliable,
-        replicate_count=r,
     )

@@ -3,9 +3,10 @@
 Squared Hellinger distance is the currency of the studies: for
 experiments realized on one probability space it bounds total variation
 through TV <= sqrt(2) H, hence the deficiency between them.  A report
-records one value and how it was computed; the only estimator here
-averages over pre-generated coupled draws.  The closed-form
-homoscedastic distance lives with the kernel in `globalization`.
+records one value and, for a Monte Carlo estimate, its standard
+error; the only estimator here averages over pre-generated coupled
+draws.  The closed-form homoscedastic distance lives with the kernel in
+`globalization` and reports no standard error.
 """
 
 from __future__ import annotations
@@ -20,24 +21,17 @@ from .errors import ArgumentError
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """One squared Hellinger distance and how it was computed.
+    """One squared Hellinger distance, with its Monte Carlo standard error.
 
-    method: closed-form | monte-carlo.  mc_stderr must be present
-    exactly when the method is monte-carlo.
+    mc_stderr is None for a closed-form value.
     """
 
-    method: str
     value: float
     mc_stderr: float | None = None
-    replicate_count: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ArgumentError("distance report value must lie in [0, 1]")
-        if (self.method == "monte-carlo") != (self.mc_stderr is not None):
-            raise ArgumentError(
-                "mc_stderr must be present exactly for monte-carlo reports"
-            )
 
 
 def _log_lik_arrays(draws) -> tuple[np.ndarray, np.ndarray]:
@@ -67,9 +61,4 @@ def mc_hellinger_coupled(draws) -> DistanceReport:
     value = float(terms.mean())
     leave_one_out = (terms.sum() - terms) / (r - 1)
     stderr = math.sqrt((r - 1) / r * float(np.sum((leave_one_out - leave_one_out.mean()) ** 2)))
-    return DistanceReport(
-        method="monte-carlo",
-        value=float(min(max(value, 0.0), 1.0)),
-        mc_stderr=stderr,
-        replicate_count=r,
-    )
+    return DistanceReport(value=float(min(max(value, 0.0), 1.0)), mc_stderr=stderr)

@@ -154,7 +154,8 @@ class ParametricFamily:
     Families implement the underscored maps (`_density`, `_score`, ...)
     on float arrays.  The public maps convert their inputs once, check
     theta in `gamma`, `sampling_table` and `sample` (unless it is given
-    a table), and return a Python float for a 0-d result.
+    a table), and return a Python float for a 0-d result.  The support
+    predicate `_in_support` defaults to every finite real.
     """
 
     name: str = "abstract"
@@ -176,6 +177,10 @@ class ParametricFamily:
         theta = np.asarray(theta, dtype=float)
         lo, hi = self.working_interval
         return bool(np.all(theta >= lo) and np.all(theta <= hi))
+
+    def in_support(self, x) -> bool:
+        """True iff every value of x is an observation the family can produce."""
+        return bool(np.all(self._in_support(np.asarray(x, dtype=float))))
 
     # -- core maps ------------------------------------------------------------
 
@@ -211,6 +216,9 @@ class ParametricFamily:
         elif theta.family is not self:
             raise ArgumentError(f"{self.name}: sampling table of another family")
         return _out(np.asarray(self._sample(theta, rng), dtype=float))
+
+    def _in_support(self, x):
+        return np.isfinite(x)
 
     def _density(self, x, theta):
         raise NotImplementedError
@@ -307,6 +315,9 @@ class Bernoulli(ParametricFamily):
     theta_interval = (0.0, 1.0)
     working_interval = (0.05, 0.95)
 
+    def _in_support(self, x):
+        return (x == 0.0) | (x == 1.0)
+
     def _density(self, x, theta):
         return np.where(x == 1.0, theta, np.where(x == 0.0, 1.0 - theta, 0.0))
 
@@ -372,10 +383,11 @@ class Poisson(ParametricFamily):
     theta_interval = (0.0, math.inf)
     working_interval = (0.1, 10.0)
 
+    def _in_support(self, x):
+        return (x >= 0) & (x == np.floor(x))
+
     def _density(self, x, theta):
-        return np.where(
-            (x >= 0) & (x == np.floor(x)), _poisson_pmf(np.floor(x), theta), 0.0
-        )
+        return np.where(self._in_support(x), _poisson_pmf(np.floor(x), theta), 0.0)
 
     def _score(self, x, theta):
         return x / theta - 1.0
@@ -726,14 +738,14 @@ class RegularityReport:
 
     These are audits over a finite pair grid, not certificates: r1 is
     the scaled L2 remainder of sqrt-density differentiability, r2 the
-    2*delta_r2 moment of the secant score, r3 the Fisher range.
+    2*delta_r2 moment of the secant score, r3 the Fisher range.  The
+    r1 and r2 flags fail when the grid realizes no pair.
     """
 
     r1_sup_estimate: float
     r2_sup_estimate: float
     r3_bounds: tuple[float, float]
     pair_count: int
-    insufficient_pairs: bool
     pass_flags: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
@@ -822,10 +834,9 @@ def check_regularity(
 
     fish = np.asarray(family.fisher(grid), dtype=float)
     r3 = (float(fish.min()), float(fish.max()))
-    insufficient = len(pairs) == 0
     flags = {
-        "r1": (not insufficient) and math.isfinite(r1_sup),
-        "r2": (not insufficient) and math.isfinite(r2_sup),
+        "r1": bool(pairs) and math.isfinite(r1_sup),
+        "r2": bool(pairs) and math.isfinite(r2_sup),
         "r3": r3[0] > 0.0 and math.isfinite(r3[1]),
     }
     return RegularityReport(
@@ -833,6 +844,5 @@ def check_regularity(
         r2_sup_estimate=r2_sup,
         r3_bounds=r3,
         pair_count=len(pairs),
-        insufficient_pairs=insufficient,
         pass_flags=flags,
     )

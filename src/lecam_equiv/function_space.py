@@ -190,20 +190,12 @@ def rate_gamma_bar(n: int, beta: float, c_beta: float = 1.0) -> float:
 
 
 class HolderReport:
-    """Audit outcome: observed sup norm and smoothness ratio vs budget L."""
+    """Audit outcome: observed sup norm and smoothness ratio, and whether both stay within L."""
 
-    def __init__(self, max_ratio: float, sup_abs: float, L: float, pair_count: int):
+    def __init__(self, max_ratio: float, sup_abs: float, L: float):
         self.max_ratio = max_ratio
         self.sup_abs = sup_abs
-        self.L = L
-        self.pair_count = pair_count
         self.passed = max_ratio <= L * (1.0 + 1e-9) and sup_abs <= L * (1.0 + 1e-9)
-
-    def __repr__(self) -> str:
-        return (
-            f"HolderReport(ratio={self.max_ratio:.6g}, sup={self.sup_abs:.6g}, "
-            f"L={self.L}, pass={self.passed})"
-        )
 
 
 def holder_check(f) -> HolderReport:
@@ -224,7 +216,7 @@ def holder_check(f) -> HolderReport:
     diffs = np.abs(np.asarray(g(t)) - np.asarray(g(s)))
     ratios = diffs / np.abs(t - s) ** f.beta1
     max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    return HolderReport(max_ratio, sup_abs, f.L, int(t.size))
+    return HolderReport(max_ratio, sup_abs, f.L)
 
 
 def neighborhood_violation(

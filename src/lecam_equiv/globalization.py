@@ -60,13 +60,12 @@ class StepFunction:
     returns one row of values per function.
     """
 
-    def __init__(self, values: np.ndarray, sup_target: float = 0.0):
+    def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.size == 0:
             raise ArgumentError("need a nonempty value table of one or two dimensions")
         self.values = values
         self.n_windows = values.shape[-1]
-        self.sup_target = sup_target
 
     def window_index(self, t) -> np.ndarray:
         return _window_of(t, self.n_windows)
@@ -85,30 +84,11 @@ class StepFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlockPartition:
-    """Contiguous blocks of the design index set {1..n}, given by their cut points.
+def block_partition(n: int, beta: float, q: float) -> np.ndarray:
+    """Cut points of contiguous blocks of {1..n} whose width tracks the squared rate.
 
-    Block k holds the labels cuts[k] + 1 .. cuts[k + 1], so the cuts run
-    from 0 to n and a block's rows are the slice cuts[k]:cuts[k + 1].
-    """
-
-    n: int
-    cuts: np.ndarray
-    delta_n: float
-
-    @property
-    def m_blocks(self) -> int:
-        return self.cuts.size - 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.cuts)
-
-
-def block_partition(n: int, beta: float, q: float) -> BlockPartition:
-    """Partition {1..n} into blocks whose width tracks the squared rate.
-
+    Block k holds the labels cuts[k] + 1 .. cuts[k + 1], so the int cuts
+    run from 0 to n and a block's rows are the slice cuts[k]:cuts[k + 1].
     The block scale is delta_n = gamma_bar_n^(2 alpha') with
     alpha' = 1/(2 beta) + q (BLOCK_EXPONENT - 1/(2 beta)); the
     M_n = floor(1/delta_n) blocks (one when delta_n >= 1) are cut at
@@ -127,8 +107,7 @@ def block_partition(n: int, beta: float, q: float) -> BlockPartition:
     alpha = 1.0 / (2.0 * beta) + q * (BLOCK_EXPONENT - 1.0 / (2.0 * beta))
     delta_n = rate_gamma_bar(n, beta, 1.0) ** (2.0 * alpha)
     m = 1 if delta_n >= 1.0 else int(math.floor(1.0 / delta_n))
-    cuts = np.floor(n * np.arange(m + 1) / m).astype(int)
-    return BlockPartition(n=n, cuts=cuts, delta_n=delta_n)
+    return np.floor(n * np.arange(m + 1) / m).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +147,15 @@ def _window_estimate(family, draw, values, beta, to_mean, from_mean):
     """
     if draw.n < 2:
         raise ArgumentError("need at least two observations")
+    if not 0.5 < beta < math.inf:
+        raise ArgumentError("beta must be finite and exceed 1/2")
     m = draw.n
-    sup_target = rate_gamma_bar(m, beta, 1.0)
     width = WINDOW_CONSTANT * (math.log(m) / m) ** (1.0 / (2.0 * beta + 1.0))
     n_windows = max(1, math.ceil(1.0 / width))
     clipped = _clip_to_image(family, to_mean, _window_means(draw.design, values, n_windows))
     lo, hi = family.working_interval
     theta = np.minimum(hi, np.maximum(lo, from_mean(clipped)))
-    return StepFunction(theta, sup_target=sup_target)
+    return StepFunction(theta)
 
 
 def preliminary_estimate(
@@ -188,8 +168,7 @@ def preliminary_estimate(
     Windows have width about WINDOW_CONSTANT (log m / m)^(1/(2 beta+1));
     within each window the sufficient statistic is averaged, mapped back
     to the parameter scale through the inverse mean map, and clipped to
-    the family's working interval.  The returned step function carries
-    the targeted sup-norm rate as `sup_target`.
+    the family's working interval.
     """
     if draw.model != "original":
         raise ArgumentError("the preliminary estimator expects original-model data")
@@ -214,7 +193,6 @@ class GaussianizedData:
 
     draw: ExperimentDraw
     kernel_descriptor: str
-    partition: BlockPartition
     clip_warning_count: int | np.ndarray
 
     def __post_init__(self):
@@ -282,12 +260,12 @@ def gaussianize(
     y = np.empty(noise.shape)
     y[..., odd] = stabilized[..., odd] + noise[..., :n_odd]
 
-    part = block_partition(n - n_odd, beta, q)
+    cuts = block_partition(n - n_odd, beta, q)
     t_even = draw.design[even]
     stats_even = np.asarray(family.suff_stat(draw.observations[..., even]), dtype=float)
     # blocks are contiguous runs of the even rows; slice means keep the
     # summation order of a per-block loop, which np.add.reduceat does not
-    spans = [slice(lo, hi) for lo, hi in zip(part.cuts[:-1], part.cuts[1:])]
+    spans = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     stat_means = np.stack([stats_even[..., s].mean(axis=-1) for s in spans], axis=-1)
     centers = np.array([t_even[s].mean() for s in spans])
     clipped = _clip_to_image(family, family.stat_mean, stat_means)
@@ -298,7 +276,7 @@ def gaussianize(
     fill = noise[..., n_odd:].copy()
     for s in spans:
         fill[..., s] -= fill[..., s].mean(axis=-1, keepdims=True)
-    y[..., even] = stabilized[..., even] + np.repeat(shift, part.sizes, axis=-1) + fill
+    y[..., even] = stabilized[..., even] + np.repeat(shift, np.diff(cuts), axis=-1) + fill
     counts = np.ravel(clip_counts)
     for count in counts[counts > 0]:
         warnings.warn(
@@ -317,12 +295,11 @@ def gaussianize(
     )
     desc = (
         f"odd/even split; {fhat.n_windows}-window estimate from {n_odd} odd "
-        f"points; {part.m_blocks} stabilized block(s) over {part.n} even points"
+        f"points; {cuts.size - 1} stabilized block(s) over {n - n_odd} even points"
     )
     return GaussianizedData(
         draw=out,
         kernel_descriptor=desc,
-        partition=part,
         clip_warning_count=clip_counts if clip_counts.ndim else int(clip_counts),
     )
 
@@ -401,10 +378,7 @@ def homoscedastic_transform_check(
     m1 = family.gamma(shifted) - family.gamma(cell.theta)
     m2 = h_vals * np.sqrt(cell.info)
     value = 1.0 - math.exp(-0.125 * float(np.sum((m1 - m2) ** 2)))
-    return DistanceReport(
-        method="closed-form",
-        value=min(max(value, 0.0), 1.0),
-    )
+    return DistanceReport(value=min(max(value, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +390,10 @@ def homoscedastic_transform_check(
 class RiskTransferTable:
     """Paired bounded-loss risks from the direct and transferred paths."""
 
-    loss_caps: np.ndarray
     direct_risk: np.ndarray
     direct_stderr: np.ndarray
     transferred_risk: np.ndarray
     transferred_stderr: np.ndarray
-    replicate_count: int
     sup_errors_direct: np.ndarray
     sup_errors_transferred: np.ndarray
 
@@ -479,12 +451,10 @@ def risk_transfer_demo(
     risk_a, se_a = risk_rows(err_a)
     risk_b, se_b = risk_rows(err_b)
     return RiskTransferTable(
-        loss_caps=caps,
         direct_risk=risk_a,
         direct_stderr=se_a,
         transferred_risk=risk_b,
         transferred_stderr=se_b,
-        replicate_count=R,
         sup_errors_direct=err_a,
         sup_errors_transferred=err_b,
     )

@@ -506,7 +506,7 @@ def _run_risk_transfer(config: StudyConfig, unit):
         f"{n}, {batch}, {_fmt(cap)}, {_fmt(table.direct_risk[i])}, "
         f"{_fmt(table.direct_stderr[i])}, {_fmt(table.transferred_risk[i])}, "
         f"{_fmt(table.transferred_stderr[i])}, {_fmt(margins[i])}, {seed}"
-        for i, cap in enumerate(table.loss_caps)
+        for i, cap in enumerate(config.loss_caps)
     ]
     return rows, float(margins[-1])
 
@@ -679,9 +679,13 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     Returns the artifact paths and the verdict map; passed is True iff
     every configured verdict holds.  Numeric failures raise
     NumericError tagged with the failing (n, replicate, seed) triple.
+    The output directory is created before the first unit runs, so an
+    unusable one fails at once; a study that fails later leaves a
+    directory it created empty.
     """
     if jobs < 1:
         raise ArgumentError("jobs must be at least 1")
+    os.makedirs(config.out_dir, exist_ok=True)
     kind = _KINDS[config.kind]
     units = kind.units(config)
     tasks = [(config, config.kind, u) for u in units]
@@ -699,7 +703,6 @@ def run_study(config: StudyConfig, jobs: int = 1) -> StudyResult:
     )
     passed = all(verdicts.values())
 
-    os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, f"{config.kind}.csv")
     summary_path = os.path.join(config.out_dir, f"{config.kind}_summary.csv")
     header = _header_lines(config)

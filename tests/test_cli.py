@@ -12,6 +12,7 @@ import pytest
 
 import lecam_equiv
 import lecam_equiv.cli as cli
+import lecam_equiv.harness as harness
 from lecam_equiv.errors import NumericError
 from lecam_equiv.experiments import design_cell, read_draw, sample_original, write_draw
 from lecam_equiv.families import get_family
@@ -93,6 +94,29 @@ def test_run_numeric_failure_exit_three(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", str(path)])
     assert code == 3
     assert "n=256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [(lambda tmp: tmp / "file" / "out", "Not a directory"), (lambda tmp: "", "''")],
+    ids=["under_a_file", "empty"],
+)
+def test_run_unusable_out_fails_before_any_unit(tmp_path, capsys, monkeypatch, out, message):
+    calls = []
+    study_unit = harness._study_unit
+
+    def counting_unit(task):
+        calls.append(task)
+        return study_unit(task)
+
+    monkeypatch.setattr(harness, "_study_unit", counting_unit)
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "study.ini"
+    path.write_text(PASSING_CONFIG)
+    code = cli.main(["run", str(path), "--out", str(out(tmp_path))])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 NEIGHBORHOOD_CONFIG = """\
@@ -341,6 +365,22 @@ def test_gaussianize_non_finite_observation_exit_two(tmp_path, capsys, value):
     code = cli.main(["gaussianize", str(src), "--out", str(out)])
     assert code == 2
     assert "observations must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, value", [("poisson", -2.5), ("poisson", 1.5), ("bernoulli", 0.5)]
+)
+def test_gaussianize_rejects_observations_outside_the_support(
+    tmp_path, capsys, family, value
+):
+    cell = design_cell(get_family(family), RegressionFunction.constant(0.5), 8)
+    src = tmp_path / "draw.csv"
+    write_draw(cell.draw(np.full(8, value)), src)
+    out = tmp_path / "g.csv"
+    code = cli.main(["gaussianize", str(src), "--out", str(out)])
+    assert code == 2
+    assert f"outside the {family} support" in capsys.readouterr().err
     assert not out.exists()
 
 

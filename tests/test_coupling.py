@@ -388,8 +388,9 @@ def test_audit_identical_likelihoods_have_zero_gap_frequency():
     rows = fake_gaussian_draws(0.7, 0.7, 500, np.random.default_rng(1))
     rep = audit_cc_conditions(rows, 0.1, 0.5, 0.5)
     assert rep.gap_freq == 0.0
-    assert rep.replicate_count == 500
-    assert rep.target_scale == pytest.approx(0.1)
+    # the Gaussian tail counts the ratios above -eps log r_n
+    b = np.array([row.log_lik_gaussian for row in rows])
+    assert rep.gauss_tail_freq == np.mean(b > -0.5 * math.log(0.1))
 
 
 def test_audit_tail_frequencies_match_normal_oracle():
@@ -405,7 +406,9 @@ def test_audit_tail_frequencies_match_normal_oracle():
     oracle2 = stats.norm.sf((thr - 0.5 * s1**2) / s1)
     assert abs(rep.orig_tail_freq - oracle2) < 4.0 * rep.orig_tail_stderr + 0.01
     assert rep.reliable
-    assert rep.tail_threshold == pytest.approx(thr)
+    # the Gaussian tail counts exactly the ratios above thr
+    b = np.array([row.log_lik_gaussian for row in rows])
+    assert rep.gauss_tail_freq == np.mean(b > thr)
 
 
 def test_audit_warns_on_degenerate_weights():

@@ -27,8 +27,6 @@ def test_mc_hellinger_identical_likelihoods_is_zero():
     rep = mc_hellinger_coupled(draws)
     assert rep.value == 0.0
     assert rep.mc_stderr == 0.0
-    assert rep.method == "monte-carlo"
-    assert rep.replicate_count == 20
 
 
 def test_mc_hellinger_matches_gaussian_closed_form():
@@ -60,18 +58,11 @@ def test_mc_hellinger_requires_replicates():
 
 def test_distance_report_invariants():
     with pytest.raises(ArgumentError):
-        DistanceReport(method="closed-form", value=1.5)
+        DistanceReport(value=1.5)
     with pytest.raises(ArgumentError):
-        DistanceReport(method="closed-form", value=0.5, mc_stderr=0.1)
-    with pytest.raises(ArgumentError):
-        DistanceReport(method="monte-carlo", value=0.5)
-    rep = DistanceReport(
-        method="monte-carlo",
-        value=0.25,
-        mc_stderr=0.01,
-        replicate_count=100,
-    )
-    assert rep.mc_stderr == 0.01
+        DistanceReport(value=-0.1, mc_stderr=0.01)
+    assert DistanceReport(value=0.5).mc_stderr is None
+    assert DistanceReport(value=0.25, mc_stderr=0.01).mc_stderr == 0.01
 
 
 # ---------------------------------------------------------------------------

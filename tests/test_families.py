@@ -381,7 +381,7 @@ def test_regularity_bernoulli_passes():
         get_family("bernoulli"), np.linspace(0.1, 0.9, 9), epsilon=0.05, beta=1.0
     )
     assert rep.all_pass()
-    assert not rep.insufficient_pairs
+    assert rep.pair_count == 9 * 6
     assert rep.r1_sup_estimate >= 0.0
     assert rep.r3_bounds[0] == pytest.approx(4.0, abs=1e-12)
 
@@ -396,7 +396,6 @@ def test_regularity_location_passes():
 
 def test_regularity_degenerate_grid_flags_insufficient_pairs():
     rep = check_regularity(get_family("bernoulli"), [0.5], epsilon=0.0, beta=1.0)
-    assert rep.insufficient_pairs
     assert rep.pair_count == 0
     assert not rep.pass_flags["r1"]
     assert not rep.pass_flags["r2"]
@@ -667,6 +666,20 @@ def test_tabulated_location_builds_its_theta_free_tables_once():
     assert not law.values.flags.writeable and not law.probs.flags.writeable
 
 
+def test_tabulated_location_regularity_audit_matches_location_normal():
+    # the tabulated family's audit runs its own expectation and the dense
+    # trapezoid of the r1 remainder; on a normal table it tracks the exact family
+    xs, dens = normal_table(points=801)
+    grid = np.linspace(-1.0, 1.0, 3)
+    rep = check_regularity(TabulatedLocation(xs, dens), grid, epsilon=0.05, beta=1.0)
+    exact = check_regularity(get_family("location_normal"), grid, epsilon=0.05, beta=1.0)
+    assert rep.pair_count == exact.pair_count == 18
+    assert rep.all_pass()
+    assert rep.r3_bounds == pytest.approx((1.0, 1.0), abs=1e-6)
+    assert rep.r1_sup_estimate == pytest.approx(exact.r1_sup_estimate, rel=0.01)
+    assert rep.r2_sup_estimate == pytest.approx(exact.r2_sup_estimate, rel=0.01)
+
+
 def test_tabulated_location_from_file(tmp_path):
     xs, dens = normal_table(points=801)
     path = tmp_path / "noise.txt"
@@ -698,6 +711,7 @@ def test_registry_empty_table_path_is_missing():
 
 PUBLIC_MAPS = (
     "density", "score", "fisher", "gamma", "gamma_inverse", "sample", "vst", "expect",
+    "in_support",
 )
 
 
@@ -733,6 +747,7 @@ def test_every_family_overrides_the_interface(fam):
     }
     for name, out in outputs.items():
         assert np.all(np.isfinite(out)), name
+    assert fam.in_support(x)
     # vst is defined by vst(stat_mean(theta)) = gamma(theta)
     np.testing.assert_allclose(fam.vst(m), fam.gamma(theta), rtol=1e-12, atol=1e-12)
     # a scalar point gives a Python float from every map

@@ -191,6 +191,27 @@ def test_neighborhood_radius_must_be_nonnegative_and_finite(r):
         neighborhood_violation(f, h, r)
 
 
+@pytest.mark.parametrize(
+    "f_desc, h_desc, beta, expected",
+    [
+        ("affine(1.5, 1.0)", "sinusoid(0.01, 1)", 1.5, None),
+        # the derivative of f + h has Hoelder-1/2 ratio 7.46 > L = 3
+        ("affine(1.5, 1.0)", "sinusoid(0.05, 4)", 1.5,
+         "leaves the smoothness class (beta = 1.5, L = 3): Hoelder ratio 7.46"),
+        # the same pair is Lipschitz within L at beta = 1
+        ("affine(1.5, 1.0)", "sinusoid(0.05, 4)", 1.0, None),
+        ("constant(1.0)", "constant(0.05)", 1.5, None),
+    ],
+)
+def test_neighborhood_audits_the_derivative_above_beta_one(f_desc, h_desc, beta, expected):
+    f, h = (parse_function(d, beta=beta, L=3.0) for d in (f_desc, h_desc))
+    violation = neighborhood_violation(f, h, 0.1)
+    if expected is None:
+        assert violation is None
+    else:
+        assert violation.startswith(f"f + h {expected}")
+
+
 def test_neighborhood_mismatched_class_raises():
     f = RegressionFunction.constant(0.5, beta=1.0, L=1.0)
     h = RegressionFunction.constant(0.0, beta=1.0, L=2.0)

@@ -789,13 +789,25 @@ def test_run_study_rejects_bad_jobs(tmp_path):
         run_study(cfg, jobs=0)
 
 
-def test_numeric_failure_propagates_from_pipeline(tmp_path, monkeypatch):
-    def explode(family, f, h, n):
+@pytest.mark.parametrize(
+    "kind, target, n, seed",
+    [
+        ("homoscedastic-check", "homoscedastic_transform_check", 256, 1),
+        ("globalize", "sample_original", 256, derive_seed(1, 256, 0)),
+        ("risk-transfer", "risk_transfer_demo", 256, derive_seed(1, 256, 0)),
+        # one unit and no replicates: the master seed
+        ("condition-audit", "check_regularity", 0, 1),
+    ],
+    ids=["homoscedastic-check", "globalize", "risk-transfer", "condition-audit"],
+)
+def test_numeric_failure_propagates_from_pipeline(tmp_path, monkeypatch, kind, target, n, seed):
+    def explode(*args, **kwargs):
         raise NumericError("quadrature failed to converge")
 
-    monkeypatch.setattr(harness_module, "homoscedastic_transform_check", explode)
-    cfg = _config(out_dir=str(tmp_path))
-    with pytest.raises(NumericError, match=r"at n=256, replicate=0, seed=1: quadrature"):
+    monkeypatch.setattr(harness_module, target, explode)
+    cfg = _config(kind=kind, replicates=50, grid_points=3, out_dir=str(tmp_path))
+    assert cfg.master_seed == 1
+    with pytest.raises(NumericError, match=rf"at n={n}, replicate=0, seed={seed}: quadrature"):
         run_study(cfg)
 
 
